@@ -231,9 +231,6 @@ def _subsample(traj: Trajectory, every: int) -> Trajectory:
         times=traj.times[::every],
         slices=traj.slices[::every],
         config=cfg,
-        mass=traj.mass[::every],
-        l2=traj.l2[::every],
-        linf=traj.linf[::every],
     )
 
 
@@ -328,13 +325,30 @@ def _run_illposed(cfg: RunConfig) -> ExperimentReport:
     return replace(report, seed=cfg.seed)
 
 
-_ESTIMATE_RUNNERS = ("kato", "maximal", "lowfreq", "xst")
+def _packet_runner(ratio):
+    return lambda p, grid, seed: ratio(
+        p["n_trials"], grid, p["T"], seed=seed, n_time=p["n_time"], rungs=p["rungs"]
+    )
+
+
+def _xst_runner(p, grid, seed):
+    ensemble = make_packet_ensemble(grid, p["n_trials"], seed=seed)
+    return xst_group_ratio(ensemble, p["s"], T=p["T"], n_time=p["n_time"], rungs=p["rungs"])
+
+
+# estimate name -> runner(params, grid, seed) -> RatioStatistics
+_ESTIMATE_RUNNERS = {
+    "kato": _packet_runner(kato_smoothing_ratio),
+    "maximal": _packet_runner(maximal_function_ratio),
+    "lowfreq": _packet_runner(lowfreq_ratio),
+    "xst": _xst_runner,
+}
 
 
 def _run_estimates(cfg: RunConfig) -> ExperimentReport:
     p = cfg.params
     which = p["which"]
-    names = _ESTIMATE_RUNNERS if which == "all" else tuple(which.split(","))
+    names = tuple(_ESTIMATE_RUNNERS) if which == "all" else tuple(which.split(","))
     for name in names:
         if name not in _ESTIMATE_RUNNERS:
             raise ConfigError(f"unknown estimate {name!r}")
@@ -342,27 +356,7 @@ def _run_estimates(cfg: RunConfig) -> ExperimentReport:
     points = []
     all_ok = True
     for name in names:
-        if name == "kato":
-            stats = kato_smoothing_ratio(
-                p["n_trials"], grid, p["T"], seed=cfg.seed,
-                n_time=p["n_time"], rungs=p["rungs"],
-            )
-        elif name == "maximal":
-            stats = maximal_function_ratio(
-                p["n_trials"], grid, p["T"], seed=cfg.seed,
-                n_time=p["n_time"], rungs=p["rungs"],
-            )
-        elif name == "lowfreq":
-            stats = lowfreq_ratio(
-                p["n_trials"], grid, p["T"], seed=cfg.seed,
-                n_time=p["n_time"], rungs=p["rungs"],
-            )
-        else:
-            ensemble = make_packet_ensemble(grid, p["n_trials"], seed=cfg.seed)
-            stats = xst_group_ratio(
-                ensemble, p["s"], T=p["T"], n_time=p["n_time"],
-                rungs=p["rungs"],
-            )
+        stats = _ESTIMATE_RUNNERS[name](p, grid, cfg.seed)
         ok = stats.passes(p["drift_limit"])
         all_ok = all_ok and ok
         for n_points, sup in stats.resolution_ladder:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..spectral import evolution_sign
+from ..spectral import _forward, _inverse, evolution_sign, make_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -372,10 +372,7 @@ def torus_duhamel_oracle(
 
     omega = sigma * _dispersion(xi)
     omega_out = sigma * _dispersion(xi_out)
-    length = TWO_PI / dxi
-    signs = np.where(m % 2 == 0, 1.0, -1.0)
-    scale_inv = n_fft / length
-    scale_fwd = length / n_fft
+    grid = make_grid(n_fft, TWO_PI / dxi)
 
     p_max = 12.5 * (p.N + p.alpha) ** 2
     n_t = int(np.ceil(1.3 * p_max * p.T / np.pi)) * 2
@@ -388,9 +385,7 @@ def torus_duhamel_oracle(
     accum = np.zeros(xi_out.size, dtype=np.complex128)
     for t, wgt in zip(ts, weights):
         evolved = coeffs * np.exp(1j * omega * t)
-        values = np.fft.ifft(np.fft.ifftshift(signs * evolved)) * scale_inv
-        quartic = values ** 4
-        what = scale_fwd * signs * np.fft.fftshift(np.fft.fft(quartic))
+        what = _forward(grid, _inverse(grid, evolved) ** 4)
         accum += wgt * np.exp(-1j * omega_out * t) * what[window]
 
     vhat = 6.0 * 1j * xi_out * np.exp(1j * omega_out * p.T) * accum

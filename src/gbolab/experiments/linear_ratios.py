@@ -94,6 +94,14 @@ def _ladder(fields, T, estimate, n_time, rungs):
     )
 
 
+def _packet_ladder(estimate, s_trials, grid, T, seed, n_time, rungs):
+    # the lowpass block only carries mass on broadband packets
+    kind = "broadband" if estimate == "lowfreq" else "modulated"
+    packets = make_packet_ensemble(grid, s_trials, seed, kind=kind)
+    check_wraparound(packets, T)
+    return _ladder(packets, T, estimate, n_time, rungs)
+
+
 def kato_smoothing_ratio(
     s_trials: int,
     grid: SpectralGrid,
@@ -103,9 +111,7 @@ def kato_smoothing_ratio(
     rungs: int = 3,
 ) -> RatioStatistics:
     """Half-derivative smoothing ratios over a seeded packet ensemble."""
-    packets = make_packet_ensemble(grid, s_trials, seed)
-    check_wraparound(packets, T)
-    return _ladder(packets, T, "kato", n_time, rungs)
+    return _packet_ladder("kato", s_trials, grid, T, seed, n_time, rungs)
 
 
 def maximal_function_ratio(
@@ -117,9 +123,7 @@ def maximal_function_ratio(
     rungs: int = 3,
 ) -> RatioStatistics:
     """Quarter-derivative maximal-function ratios over a packet ensemble."""
-    packets = make_packet_ensemble(grid, s_trials, seed)
-    check_wraparound(packets, T)
-    return _ladder(packets, T, "maximal", n_time, rungs)
+    return _packet_ladder("maximal", s_trials, grid, T, seed, n_time, rungs)
 
 
 def lowfreq_ratio(
@@ -135,9 +139,7 @@ def lowfreq_ratio(
     enough that modes below 1/4 exist."""
     if grid.dxi > 0.25:
         raise ValueError("domain too short: no nonzero modes below 1/4")
-    packets = make_packet_ensemble(grid, s_trials, seed, kind="broadband")
-    check_wraparound(packets, T)
-    return _ladder(packets, T, "lowfreq", n_time, rungs)
+    return _packet_ladder("lowfreq", s_trials, grid, T, seed, n_time, rungs)
 
 
 def xst_group_ratio(

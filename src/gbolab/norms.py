@@ -88,6 +88,13 @@ class SpaceTimeField:
     def slice_field(self, i: int) -> Field:
         return field_from_values(self.grid, self.slices[i])
 
+    def uniform_step(self) -> float:
+        """The common spacing of the times; raises if they are not uniform."""
+        steps = np.diff(self.times)
+        if steps.size == 0 or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+            raise ValueError("slices must be uniformly spaced in time")
+        return float(steps[0])
+
 
 @dataclass(frozen=True)
 class MixedNormSpec:

@@ -18,7 +18,7 @@ default.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from gbolab.norms import SpaceTimeField
 from gbolab.spectral import (
     Field,
     SpectralGrid,
+    _forward,
+    _inverse,
     field_from_coeffs,
     field_from_values,
     free_evolution_phases,
@@ -60,9 +62,10 @@ class SolverConfig:
 
     ``sign`` is the nonlinearity sign of the standard flow ('plus' or
     'minus'); it is ignored when ``rescaled`` is set.  ``linear_only`` is a
-    test hook that disables the nonlinearity entirely.  The step size must
-    satisfy dt <= 0.5/xi_max^2 on the grid it is used with (checked when a
-    grid is available, see validate_for_grid).
+    test hook that disables the nonlinearity entirely by giving it a zero
+    coefficient.  The step size must satisfy dt <= 0.5/xi_max^2 on the
+    grid it is used with (checked when a grid is available, see
+    validate_for_grid).
     """
 
     k: int
@@ -71,7 +74,6 @@ class SolverConfig:
     dt: float = 1e-4
     t_end: float = 1e-2
     dealias: str = "two_thirds"
-    filter_strength: float = 0.0
     slice_stride: int = 1
     linear_only: bool = False
 
@@ -84,8 +86,6 @@ class SolverConfig:
             raise ValueError("dt and t_end must be positive")
         if self.dealias not in ("two_thirds", "none"):
             raise ValueError(f"dealias must be 'two_thirds' or 'none', got {self.dealias!r}")
-        if self.filter_strength < 0:
-            raise ValueError("filter_strength must be >= 0")
         if self.slice_stride < 1:
             raise ValueError("slice_stride must be >= 1")
 
@@ -110,16 +110,23 @@ def stability_bound(grid: SpectralGrid) -> float:
 
 @dataclass
 class Trajectory(SpaceTimeField):
-    """Recorded slices plus the config that produced them and a
-    conservation ledger with per-slice mass, L2 and L-inf."""
+    """Recorded slices plus the config that produced them.  The
+    conservation ledger (per-slice mass, L2 and L-inf) is read off the
+    slices."""
 
     config: SolverConfig = None
-    mass: np.ndarray = dataclass_field(default=None)
-    l2: np.ndarray = dataclass_field(default=None)
-    linf: np.ndarray = dataclass_field(default=None)
 
-    def as_spacetime(self) -> SpaceTimeField:
-        return SpaceTimeField(self.grid, self.times, self.slices)
+    @property
+    def mass(self) -> np.ndarray:
+        return self.slices.sum(axis=1) * self.grid.dx
+
+    @property
+    def l2(self) -> np.ndarray:
+        return np.sqrt((self.slices ** 2).sum(axis=1) * self.grid.dx)
+
+    @property
+    def linf(self) -> np.ndarray:
+        return np.abs(self.slices).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +136,8 @@ class Trajectory(SpaceTimeField):
 def _nonlinear_coefficient(cfg: SolverConfig) -> float:
     # RHS convention d_t u = -H d_xx u + N(u):
     # rescaled flow has N = 2 u^k u_x; the standard flow N = -sign*u^k*u_x.
+    if cfg.linear_only:
+        return 0.0
     if cfg.rescaled:
         return 2.0
     return -1.0 if cfg.sign == "plus" else 1.0
@@ -141,6 +150,15 @@ def _dealias_mask(grid: SpectralGrid, mode: str) -> np.ndarray:
     return (np.abs(m) <= grid.n // 3).astype(float)
 
 
+def _flux(grid: SpectralGrid, cfg: SolverConfig):
+    """The map from real samples u to the coefficients of the conservative
+    nonlinearity c/(k+1) * d_x(u^{k+1}), dealiased as configured."""
+    symbol = _dealias_mask(grid, cfg.dealias) * (1j * grid.frequencies)
+    coef = _nonlinear_coefficient(cfg) / (cfg.k + 1)
+    power = cfg.k + 1
+    return lambda values: symbol * _forward(grid, values ** power) * coef
+
+
 def nonlinear_rhs(u: Field, cfg: SolverConfig, form: str = "conservative") -> Field:
     """The nonlinear term N(u) of d_t u = -H d_xx u + N(u).
 
@@ -149,18 +167,13 @@ def nonlinear_rhs(u: Field, cfg: SolverConfig, form: str = "conservative") -> Fi
     """
     if not u.real:
         raise ValueError("nonlinear term is defined for real fields")
-    if cfg.linear_only:
-        return field_from_values(u.grid, np.zeros(u.grid.n))
-    c = _nonlinear_coefficient(cfg)
-    mask = _dealias_mask(u.grid, cfg.dealias)
-    xi = u.grid.frequencies
     if form == "conservative":
-        power = field_from_values(u.grid, u.values.real ** (cfg.k + 1))
-        coeffs = mask * (1j * xi) * power.coeffs * (c / (cfg.k + 1))
+        coeffs = _flux(u.grid, cfg)(u.values.real)
     elif form == "product":
-        ux = field_from_coeffs(u.grid, mask * 1j * xi * u.coeffs)
+        mask = _dealias_mask(u.grid, cfg.dealias)
+        ux = field_from_coeffs(u.grid, mask * 1j * u.grid.frequencies * u.coeffs)
         prod = field_from_values(u.grid, u.values.real ** cfg.k * ux.values.real)
-        coeffs = mask * prod.coeffs * c
+        coeffs = mask * prod.coeffs * _nonlinear_coefficient(cfg)
     else:
         raise ValueError(f"unknown form {form!r}")
     return field_from_coeffs(u.grid, coeffs)
@@ -175,47 +188,21 @@ class _Stepper:
 
     def __init__(self, grid: SpectralGrid, cfg: SolverConfig):
         self.grid = grid
-        self.cfg = cfg
-        n = grid.n
-        m = np.arange(-n // 2, n // 2)
-        self.signs = np.where(m % 2 == 0, 1.0, -1.0)
+        self.dt = cfg.dt
         self.half_phase = free_evolution_phases(grid, cfg.dt / 2)
         self.full_phase = self.half_phase ** 2
-        self.mask = _dealias_mask(grid, cfg.dealias)
-        self.ik_xi = 1j * grid.frequencies
-        self.coef = _nonlinear_coefficient(cfg) / (cfg.k + 1)
-        if cfg.filter_strength > 0:
-            r = np.abs(m) / (n / 2)
-            self.filter = np.exp(-cfg.filter_strength * r ** 16)
-        else:
-            self.filter = None
-
-    def to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.fft.ifftshift(self.signs * coeffs)).real * (
-            self.grid.n / self.grid.length
-        )
-
-    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        return (self.grid.length / self.grid.n) * self.signs * np.fft.fftshift(
-            np.fft.fft(values)
-        )
+        self.flux = _flux(grid, cfg)
 
     def nonlin(self, coeffs: np.ndarray) -> np.ndarray:
-        if self.cfg.linear_only:
-            return np.zeros_like(coeffs)
-        vals = self.to_values(coeffs)
-        return self.mask * self.ik_xi * self.to_coeffs(vals ** (self.cfg.k + 1)) * self.coef
+        return self.flux(_inverse(self.grid, coeffs).real)
 
     def advance(self, coeffs: np.ndarray) -> np.ndarray:
-        dt, E, E2 = self.cfg.dt, self.half_phase, self.full_phase
+        dt, E, E2 = self.dt, self.half_phase, self.full_phase
         k1 = self.nonlin(coeffs)
         k2 = self.nonlin(E * (coeffs + 0.5 * dt * k1))
         k3 = self.nonlin(E * coeffs + 0.5 * dt * k2)
         k4 = self.nonlin(E2 * coeffs + dt * E * k3)
-        out = E2 * coeffs + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
-        if self.filter is not None:
-            out = self.filter * out
-        return out
+        return E2 * coeffs + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
 
 
 def step(u: Field, cfg: SolverConfig) -> Field:
@@ -241,39 +228,27 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
     if n_steps % cfg.slice_stride != 0:
         raise ValueError("t_end/dt must be a multiple of slice_stride")
 
-    stepper = _Stepper(u0.grid, cfg)
+    grid = u0.grid
+    stepper = _Stepper(grid, cfg)
     coeffs = u0.coeffs.copy()
-    linf0 = float(np.max(np.abs(stepper.to_values(coeffs))))
+    recorded = np.arange(0, n_steps + 1, cfg.slice_stride)
+    slices = np.empty((recorded.size, grid.n))
+    slices[0] = _inverse(grid, coeffs).real
+    linf0 = float(np.max(np.abs(slices[0])))
     guard = 1e6 * linf0 if linf0 > 0 else np.inf
 
-    times = [0.0]
-    slices = [stepper.to_values(coeffs)]
     for j in range(1, n_steps + 1):
         coeffs = stepper.advance(coeffs)
         if j % cfg.slice_stride == 0:
-            vals = stepper.to_values(coeffs)
+            vals = _inverse(grid, coeffs).real
             linf = float(np.max(np.abs(vals)))
             if linf > guard or not np.isfinite(linf):
                 raise BlowUpError(
                     f"L-inf {linf:.3e} exceeded 1e6 x initial at t = {j * cfg.dt:.6g}"
                 )
-            times.append(j * cfg.dt)
-            slices.append(vals)
+            slices[j // cfg.slice_stride] = vals
 
-    slices = np.asarray(slices)
-    dx = u0.grid.dx
-    mass = slices.sum(axis=1) * dx
-    l2 = np.sqrt((slices ** 2).sum(axis=1) * dx)
-    linf = np.abs(slices).max(axis=1)
-    return Trajectory(
-        grid=u0.grid,
-        times=np.asarray(times),
-        slices=slices,
-        config=cfg,
-        mass=mass,
-        l2=l2,
-        linf=linf,
-    )
+    return Trajectory(grid=grid, times=recorded * cfg.dt, slices=slices, config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -307,32 +282,23 @@ def duhamel_residual(traj: Trajectory) -> float:
     """
     if traj.n_times < 9:
         raise ValueError("need at least 9 slices for the composite quadrature")
-    cfg = traj.config
+    h = traj.uniform_step()
     grid = traj.grid
-    h = float(traj.times[1] - traj.times[0])
+    flux = _flux(grid, traj.config)
 
     # integrand pulled back to t = 0:  g(tau) = V(-tau) N(u(tau))
-    g = np.empty((traj.n_times, grid.n), dtype=np.complex128)
-    for i in range(traj.n_times):
-        u = field_from_values(grid, traj.slices[i])
-        rhs = nonlinear_rhs(u, cfg)
-        g[i] = free_evolution_phases(grid, -traj.times[i]) * rhs.coeffs
-
+    g = np.array([
+        free_evolution_phases(grid, -t) * flux(u) for t, u in zip(traj.times, traj.slices)
+    ])
     partial = _cumulative_simpson(g, h)
 
     u0 = field_from_values(grid, traj.slices[0])
-    norm0 = u0.l2_norm()
-    if norm0 == 0.0:
-        norm0 = 1.0
-
+    norm0 = u0.l2_norm() or 1.0
     worst = 0.0
     for i in range(0, traj.n_times, 2):
-        phases = free_evolution_phases(grid, traj.times[i])
-        predicted = phases * (u0.coeffs + partial[i])
-        diff = field_from_coeffs(grid, predicted)
-        actual = field_from_values(grid, traj.slices[i])
-        err = field_from_values(grid, actual.values - diff.values).l2_norm()
-        worst = max(worst, err / norm0)
+        predicted = free_evolution_phases(grid, traj.times[i]) * (u0.coeffs + partial[i])
+        err = field_from_values(grid, traj.slices[i] - _inverse(grid, predicted))
+        worst = max(worst, err.l2_norm() / norm0)
     return float(worst)
 
 
@@ -358,19 +324,14 @@ def rescale_traj(traj: Trajectory, lam: float) -> Trajectory:
     """Apply the scaling map to every slice and map times t -> t/lam^2."""
     k = traj.config.k
     new_grid = make_grid(traj.grid.n, traj.grid.length / lam)
-    new_slices = lam ** (1.0 / k) * traj.slices
-    dx = new_grid.dx
     cfg = replace(
         traj.config, dt=traj.config.dt / lam ** 2, t_end=traj.config.t_end / lam ** 2
     )
     return Trajectory(
         grid=new_grid,
         times=traj.times / lam ** 2,
-        slices=new_slices,
+        slices=lam ** (1.0 / k) * traj.slices,
         config=cfg,
-        mass=new_slices.sum(axis=1) * dx,
-        l2=np.sqrt((new_slices ** 2).sum(axis=1) * dx),
-        linf=np.abs(new_slices).max(axis=1),
     )
 
 
@@ -382,17 +343,7 @@ def save_trajectory(traj: Trajectory, path: str) -> None:
     """Write a trajectory as JSON: config echo, grid, sign convention,
     times, slices, and the conservation ledger."""
     payload = {
-        "config": {
-            "k": traj.config.k,
-            "sign": traj.config.sign,
-            "rescaled": traj.config.rescaled,
-            "dt": traj.config.dt,
-            "t_end": traj.config.t_end,
-            "dealias": traj.config.dealias,
-            "filter_strength": traj.config.filter_strength,
-            "slice_stride": traj.config.slice_stride,
-            "linear_only": traj.config.linear_only,
-        },
+        "config": asdict(traj.config),
         "grid": {"n": traj.grid.n, "length": traj.grid.length},
         "sign_convention": sign_convention_label(),
         "times": traj.times.tolist(),
@@ -417,9 +368,6 @@ def load_trajectory(path: str) -> Trajectory:
         times=np.asarray(payload["times"]),
         slices=np.asarray(payload["slices"]),
         config=cfg,
-        mass=np.asarray(payload["ledger"]["mass"]),
-        l2=np.asarray(payload["ledger"]["l2"]),
-        linf=np.asarray(payload["ledger"]["linf"]),
     )
 
 
@@ -427,6 +375,5 @@ def write_ledger_csv(traj: Trajectory, path: str) -> None:
     """Conservation ledger as CSV rows (t, mass, L2, Linf)."""
     with open(path, "w") as fh:
         fh.write("t,mass,L2,Linf\n")
-        for i in range(traj.n_times):
-            row = (traj.times[i], traj.mass[i], traj.l2[i], traj.linf[i])
+        for row in zip(traj.times, traj.mass, traj.l2, traj.linf):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")

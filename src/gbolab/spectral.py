@@ -69,6 +69,8 @@ class SpectralGrid:
     length: float
     x: np.ndarray = field(repr=False, compare=False)
     frequencies: np.ndarray = field(repr=False, compare=False)
+    # (-1)^m, the phase of the grid origin at -L/2; read by every transform
+    signs: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dx(self) -> float:
@@ -110,23 +112,17 @@ def make_grid(n: int, length: float) -> SpectralGrid:
     m = np.arange(-n // 2, n // 2)
     x = -length / 2 + np.arange(n) * (length / n)
     frequencies = 2.0 * np.pi * m / length
-    return SpectralGrid(n=n, length=float(length), x=x, frequencies=frequencies)
-
-
-def _phase_signs(n: int) -> np.ndarray:
-    # (-1)^m for m in {-n/2, ..., n/2-1}; accounts for the grid origin at -L/2.
-    m = np.arange(-n // 2, n // 2)
-    return np.where(m % 2 == 0, 1.0, -1.0)
+    signs = np.where(m % 2 == 0, 1.0, -1.0)
+    return SpectralGrid(n=n, length=float(length), x=x, frequencies=frequencies,
+                        signs=signs)
 
 
 def _forward(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    signs = _phase_signs(grid.n)
-    return (grid.length / grid.n) * signs * np.fft.fftshift(np.fft.fft(values))
+    return (grid.length / grid.n) * grid.signs * np.fft.fftshift(np.fft.fft(values))
 
 
 def _inverse(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    signs = _phase_signs(grid.n)
-    return np.fft.ifft(np.fft.ifftshift(signs * coeffs)) * (grid.n / grid.length)
+    return np.fft.ifft(np.fft.ifftshift(grid.signs * coeffs)) * (grid.n / grid.length)
 
 
 @dataclass(frozen=True)
@@ -385,9 +381,7 @@ def sign_convention_label() -> str:
 
 def free_evolve(f: Field, t: float) -> Field:
     """Advance under the linear flow by time t (exact multiplier, unitary)."""
-    xi = f.grid.frequencies
-    phase = np.exp(evolution_sign() * 1j * t * xi * np.abs(xi))
-    return apply_multiplier(f, phase)
+    return apply_multiplier(f, free_evolution_phases(f.grid, t))
 
 
 def free_evolution_phases(grid: SpectralGrid, t: float) -> np.ndarray:
@@ -419,7 +413,7 @@ def antiderivative(f: Field) -> Field:
     coeffs[nz] = f.coeffs[nz] / (1j * xi[nz])
     periodic = _inverse(grid, coeffs)
     # Anchor: subtract the periodic part's value at x = -L/2 so F(-L/2) = 0.
-    left_value = np.sum(coeffs * _phase_signs(grid.n)) / grid.length
+    left_value = np.sum(coeffs * grid.signs) / grid.length
     ramp = mean * (grid.x + grid.length / 2)
     return field_from_values(grid, periodic - left_value + ramp)
 

@@ -7,6 +7,7 @@ import pytest
 from gbolab import cli
 from gbolab.cli import ConfigError, main, parse_config
 from gbolab.experiments.illposed import QuadratureError
+from gbolab.solver import SolverConfig, evolve
 
 ADMISSIBLE_OK = """
 [admissible]
@@ -250,3 +251,15 @@ strides = 100, 50, 25
         finest = data["points"][-1]
         assert finest["stride"] == 25
         assert finest["residual"] < 1e-4
+
+
+def test_subsample_thins_the_ledger_bit_for_bit():
+    # the ledger is read off the slices, so thinning the slices must give
+    # exactly the thinned ledger of the full trajectory
+    u0 = cli._gaussian_field(256, 40.0, 0.3, 1.0)
+    traj = evolve(u0, SolverConfig(k=12, rescaled=True, dt=4e-4, t_end=4e-3))
+    sub = cli._subsample(traj, 2)
+    assert sub.config.slice_stride == 2
+    assert sub.n_times == 6
+    for name in ("mass", "l2", "linf"):
+        assert getattr(sub, name).tobytes() == getattr(traj, name)[::2].tobytes()

@@ -215,6 +215,15 @@ def test_residual_requires_five_slices():
         gauge_equation_residual(traj, 12)
 
 
+def test_residual_rejects_nonuniform_times():
+    grid = make_grid(256, 40.0)
+    cfg = SolverConfig(k=12, rescaled=True, dt=2e-4, t_end=2e-3)
+    traj = evolve(gaussian(grid, 0.3), cfg)
+    traj.times[5] += 0.25 * cfg.dt
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        gauge_equation_residual(traj, 12)
+
+
 def test_residual_zero_trajectory():
     grid = make_grid(256, 40.0)
     cfg = SolverConfig(k=12, rescaled=True, dt=2e-4, t_end=2e-3)

@@ -41,8 +41,6 @@ def test_config_validation():
         SolverConfig(k=2, dt=-1e-3)
     with pytest.raises(ValueError):
         SolverConfig(k=2, dealias="half")
-    with pytest.raises(ValueError):
-        SolverConfig(k=2, filter_strength=-1.0)
 
 
 def test_stability_bound_enforced():
@@ -205,6 +203,15 @@ def test_duhamel_needs_nine_slices():
         duhamel_residual(traj)
 
 
+def test_duhamel_rejects_nonuniform_times():
+    grid = make_grid(256, 40.0)
+    cfg = SolverConfig(k=2, dt=2e-4, t_end=3.2e-3)
+    traj = evolve(gaussian(grid), cfg)
+    traj.times[5] += 0.25 * cfg.dt
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        duhamel_residual(traj)
+
+
 def test_duhamel_stride_refinement():
     grid = make_grid(512, 40.0)
     dt = 1e-4
@@ -288,7 +295,9 @@ def test_trajectory_round_trip(tmp_path):
     assert back.config == traj.config
     np.testing.assert_allclose(back.slices, traj.slices, atol=0)
     np.testing.assert_allclose(back.times, traj.times, atol=0)
+    np.testing.assert_allclose(back.mass, traj.mass, atol=0)
     np.testing.assert_allclose(back.l2, traj.l2, atol=0)
+    np.testing.assert_allclose(back.linf, traj.linf, atol=0)
 
 
 def test_ledger_csv(tmp_path):

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .experiments.illposed import QuadratureError, illposed_growth_fit
 from .experiments.linear_ratios import (
     kato_smoothing_ratio,
@@ -24,16 +23,12 @@ from .experiments.linear_ratios import (
     xst_group_ratio,
 )
 from .experiments.packets import make_packet_ensemble
-from .experiments.reporting import (
-    ExperimentReport,
-    write_report_csv,
-    write_report_json,
-)
+from .experiments.reporting import ExperimentReport, write_report_csv
 from .experiments.scaling import scaling_invariance_check
 from .gauge import gauge_equation_residual
 from .norms import norm_family_audit
 from .solver import BlowUpError, SolverConfig, Trajectory, evolve
-from .spectral import field_from_values, make_grid, sign_convention_label
+from .spectral import field_from_values, make_grid
 
 SCHEMA_VERSION = 1
 

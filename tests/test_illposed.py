@@ -9,6 +9,9 @@ from gbolab.experiments.illposed import (
     FrequencyProfile,
     IllposedParams,
     QuadratureError,
+    _band_4n,
+    _band_window,
+    _compute_on,
     _cubic_bspline,
     _time_kernel,
     convolution_power,
@@ -213,6 +216,29 @@ class TestComputeV:
             illposed_v_details(cheap_params, check=True, tol=1e-9)
 
 
+class TestSeparableBand:
+    """The fast 4N path against the direct 3-fold quadrature."""
+
+    def test_matches_direct_quadrature_pointwise(self, cheap_params):
+        p = cheap_params
+        fast = _band_4n(p)
+        direct = _compute_on(p, "4N", _band_window(p, "4N"), 4 * p.freq_resolution)
+        np.testing.assert_array_equal(fast.xi, direct.xi)
+        scale = np.max(np.abs(direct.values))
+        assert np.max(np.abs(fast.values - direct.values)) <= 1e-5 * scale
+
+    @pytest.mark.parametrize("N", [16.0, 64.0])
+    def test_series_truncation_within_bound(self, N):
+        # the dropped terms are of relative size (S / c)^2 <= (alpha^2 / 3 N^2)^2
+        p = IllposedParams(N=N, **CHEAP)
+        two, three = (_band_4n(p, terms=k).hs_norm(p.s) for k in (2, 3))
+        assert abs(two - three) <= (p.alpha ** 2 / (3.0 * p.N ** 2)) ** 2 * three
+
+    def test_rejects_divergent_series(self):
+        with pytest.raises(ValueError, match="diverges"):
+            _band_4n(IllposedParams(N=0.25, **CHEAP))
+
+
 class TestKernelBracket:
     def test_fiber_measure_matches_oracle(self):
         alpha = 0.5
@@ -231,7 +257,8 @@ class TestKernelBracket:
         monkeypatch.setattr(
             illposed, "_time_kernel", lambda q, T: np.full(q.shape, T, complex)
         )
-        band_norm = illposed_v_details(cheap_params, check=False)["band_norm"]
+        p = cheap_params
+        band_norm = _compute_on(p, "4N", _band_window(p, "4N")).hs_norm(p.s)
         bracket = kernel_bracket_4n(cheap_params)
         assert band_norm == pytest.approx(bracket["resonant"], rel=1e-2)
         assert band_norm > bracket["model"] + bracket["remainder"]

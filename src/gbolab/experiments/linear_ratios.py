@@ -17,7 +17,7 @@ from ..norms import MixedNormSpec, SpaceTimeField, mixed_norm, sobolev_norm, xst
 from ..spectral import (
     Field,
     SpectralGrid,
-    field_from_coeffs,
+    _inverse,
     fractional_derivative,
     free_evolution_phases,
     lowpass_P0,
@@ -40,12 +40,9 @@ def free_evolution_spacetime(phi: Field, T: float, n_time: int) -> SpaceTimeFiel
         raise ValueError("need at least two time intervals")
     grid = phi.grid
     times = np.linspace(0.0, T, n_time + 1)
-    slices = np.empty((times.size, grid.n), dtype=np.complex128)
-    for i, t in enumerate(times):
-        phases = free_evolution_phases(grid, t)
-        slices[i] = field_from_coeffs(grid, phi.coeffs * phases).values
+    slices = _inverse(grid, phi.coeffs * free_evolution_phases(grid, times[:, None]))
     if phi.real:
-        slices = slices.real
+        slices = slices.real.copy()
     return SpaceTimeField(grid, times, slices)
 
 

@@ -59,8 +59,7 @@ def _packet(grid: SpectralGrid, amplitude: float, center: float,
     dc = grid.n // 2
     out = np.zeros(grid.n, dtype=np.complex128)
     out[dc + 1 :] = coeffs[dc + 1 :]
-    for m in range(1, dc):
-        out[dc - m] = np.conj(out[dc + m])
+    out[dc - 1 : 0 : -1] = np.conj(out[dc + 1 :])
     return field_from_coeffs(grid, out)
 
 

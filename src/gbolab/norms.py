@@ -31,9 +31,11 @@ import numpy as np
 from gbolab.spectral import (
     Field,
     SpectralGrid,
+    _forward,
+    _fractional_symbol,
+    _inverse,
+    _lowpass_symbol,
     field_from_values,
-    fractional_derivative,
-    lowpass_P0,
 )
 
 __all__ = [
@@ -154,18 +156,22 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     The homogeneous variant drops the zero mode; for s < 0 it requires
     mean-zero input (the weight would have to blow up at xi = 0).
     """
+    if not homogeneous:
+        return float(_hs_norms(f.grid, f.coeffs, s))
+    if s < 0:
+        scale = np.max(np.abs(f.coeffs)) or 1.0
+        if np.abs(f.coeffs[f.grid.n // 2]) > 1e-10 * scale:
+            raise ValueError("homogeneous norm with s < 0 requires mean-zero input")
     xi = f.grid.frequencies
-    power = np.abs(f.coeffs) ** 2
-    if homogeneous:
-        if s < 0:
-            scale = np.max(np.abs(f.coeffs)) or 1.0
-            if np.abs(f.coeffs[f.grid.n // 2]) > 1e-10 * scale:
-                raise ValueError("homogeneous norm with s < 0 requires mean-zero input")
-        nz = xi != 0
-        weighted = np.abs(xi[nz]) ** (2 * s) * power[nz]
-    else:
-        weighted = (1.0 + xi ** 2) ** s * power
+    nz = xi != 0
+    weighted = np.abs(xi[nz]) ** (2 * s) * np.abs(f.coeffs[nz]) ** 2
     return float(np.sqrt(np.sum(weighted) * f.grid.dxi / (2 * np.pi)))
+
+
+def _hs_norms(grid: SpectralGrid, coeffs: np.ndarray, s: float) -> np.ndarray:
+    """H^s norms, weight (1+xi^2)^s, of the coefficients along the last axis."""
+    weighted = (1.0 + grid.frequencies ** 2) ** s * np.abs(coeffs) ** 2
+    return np.sqrt(np.sum(weighted, axis=-1) * grid.dxi / (2 * np.pi))
 
 
 def _lp_time(values: np.ndarray, times: np.ndarray, q: float) -> np.ndarray:
@@ -193,11 +199,6 @@ def mixed_norm(u: SpaceTimeField, spec: MixedNormSpec) -> float:
     return float(_lp_time(inner[:, None], u.times, spec.q)[0])
 
 
-def _mean_free_part(f: Field) -> Field:
-    vals = f.values - f.coeffs[f.grid.n // 2] / f.grid.length
-    return field_from_values(f.grid, vals)
-
-
 @dataclass(frozen=True)
 class XstComponents:
     """The four pieces of the solution-space norm, reported separately."""
@@ -218,40 +219,27 @@ def xst_components(u: SpaceTimeField, s: float) -> XstComponents:
     sup_t H^s;  ||D^{s+1/2} u||_{L^inf_x L^2_t};
     ||D^{s-1/4} u||_{L^4_x L^inf_t};  ||P_0 u||_{L^2_x L^inf_t}.
 
-    The negative-order maximal piece acts on the mean-free part of each
-    slice (the mean travels with the low-frequency component instead).
+    The slice stack is transformed once; each piece is one multiplier on
+    it.  The negative-order maximal symbol vanishes at xi = 0, so that piece
+    sees the mean-free part of each slice (the mean travels with the
+    low-frequency component instead).
     """
     if not (0 < s < 0.5):
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
+    grid, xi = u.grid, u.grid.frequencies
+    coeffs = _forward(grid, u.slices)
 
-    sup_hs = max(sobolev_norm(u.slice_field(i), s) for i in range(u.n_times))
+    def piece(symbol: np.ndarray, p: float, q: float) -> float:
+        values = _inverse(grid, symbol * coeffs)
+        return mixed_norm(SpaceTimeField(grid, u.times, values),
+                          MixedNormSpec(p=p, q=q, order="x_outer"))
 
-    def stack(op):
-        return np.stack([op(u.slice_field(i)).values for i in range(u.n_times)])
-
-    smooth = stack(lambda f: fractional_derivative(f, s + 0.5))
-    term_smooth = mixed_norm(
-        SpaceTimeField(u.grid, u.times, smooth),
-        MixedNormSpec(p=np.inf, q=2.0, order="x_outer"),
+    return XstComponents(
+        float(np.max(_hs_norms(grid, coeffs, s))),
+        piece(_fractional_symbol(xi, s + 0.5), np.inf, 2.0),
+        piece(_fractional_symbol(xi, s - 0.25), 4.0, np.inf),
+        piece(_lowpass_symbol(xi), 2.0, np.inf),
     )
-
-    if s - 0.25 < 0:
-        max_op = lambda f: fractional_derivative(_mean_free_part(f), s - 0.25)
-    else:
-        max_op = lambda f: fractional_derivative(f, s - 0.25)
-    maximal = stack(max_op)
-    term_maximal = mixed_norm(
-        SpaceTimeField(u.grid, u.times, maximal),
-        MixedNormSpec(p=4.0, q=np.inf, order="x_outer"),
-    )
-
-    low = stack(lowpass_P0)
-    term_low = mixed_norm(
-        SpaceTimeField(u.grid, u.times, low),
-        MixedNormSpec(p=2.0, q=np.inf, order="x_outer"),
-    )
-
-    return XstComponents(float(sup_hs), term_smooth, term_maximal, term_low)
 
 
 def xst_norm(u: SpaceTimeField, s: float) -> float:

@@ -117,12 +117,25 @@ def make_grid(n: int, length: float) -> SpectralGrid:
                         signs=signs)
 
 
+# Both transforms act on the last axis, so one call transforms a whole
+# (n_times, n) slice stack.  Each works in place on one fresh buffer, so a
+# stack costs one stack-sized temporary beyond its result.  The (-1)^m signs
+# are unchanged by the half-length shift, so _inverse applies them after it.
+
+
 def _forward(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    return (grid.length / grid.n) * grid.signs * np.fft.fftshift(np.fft.fft(values))
+    buffer = np.array(values, dtype=np.complex128)
+    coeffs = np.fft.fftshift(np.fft.fft(buffer, out=buffer), axes=-1)
+    coeffs *= (grid.length / grid.n) * grid.signs
+    return coeffs
 
 
 def _inverse(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(np.fft.ifftshift(grid.signs * coeffs)) * (grid.n / grid.length)
+    values = np.fft.ifftshift(coeffs, axes=-1).astype(np.complex128, copy=False)
+    values *= grid.signs
+    np.fft.ifft(values, out=values)
+    values *= grid.n / grid.length
+    return values
 
 
 @dataclass(frozen=True)
@@ -238,19 +251,21 @@ def fractional_derivative(f: Field, alpha: float) -> Field:
     """
     if alpha < -1:
         raise ValueError(f"alpha must be >= -1, got {alpha}")
-    xi = f.grid.frequencies
     if alpha < 0:
         scale = np.max(np.abs(f.coeffs)) or 1.0
         if np.abs(f.coeffs[f.grid.n // 2]) > 1e-10 * scale:
             raise ValueError("D^alpha with alpha < 0 requires mean-zero input")
-        sym = np.zeros_like(xi)
-        nz = xi != 0
-        sym[nz] = np.abs(xi[nz]) ** alpha
-    elif alpha == 0:
-        sym = np.ones_like(xi)
-    else:
-        sym = np.abs(xi) ** alpha
-    return apply_multiplier(f, sym.astype(np.complex128))
+    return apply_multiplier(f, _fractional_symbol(f.grid.frequencies, alpha))
+
+
+def _fractional_symbol(xi: np.ndarray, alpha: float) -> np.ndarray:
+    """|xi|^alpha, with the value 0 at xi = 0 for alpha < 0 (and 1 for alpha = 0)."""
+    if alpha >= 0:
+        return np.abs(xi) ** alpha
+    sym = np.zeros_like(xi)
+    nz = xi != 0
+    sym[nz] = np.abs(xi[nz]) ** alpha
+    return sym
 
 
 def project_half_line(f: Field, side: str) -> Field:
@@ -307,14 +322,16 @@ def lowpass_P0(f: Field) -> Field:
 
     p is the telescoped sum of the dyadic bumps over j <= -3.
     """
-    sym = _psi(8.0 * f.grid.frequencies).astype(np.complex128)
-    return apply_multiplier(f, sym)
+    return apply_multiplier(f, _lowpass_symbol(f.grid.frequencies))
+
+
+def _lowpass_symbol(xi: np.ndarray) -> np.ndarray:
+    return _psi(8.0 * xi)
 
 
 def tilde_projection(f: Field) -> Field:
     """The complement Id - P_0 (telescoped sum of Q_j over j >= -2); kills xi = 0."""
-    sym = (1.0 - _psi(8.0 * f.grid.frequencies)).astype(np.complex128)
-    return apply_multiplier(f, sym)
+    return apply_multiplier(f, 1.0 - _lowpass_symbol(f.grid.frequencies))
 
 
 def band_projections(f: Field, j: int, side: str) -> Field:
@@ -384,8 +401,11 @@ def free_evolve(f: Field, t: float) -> Field:
     return apply_multiplier(f, free_evolution_phases(f.grid, t))
 
 
-def free_evolution_phases(grid: SpectralGrid, t: float) -> np.ndarray:
-    """The propagator multiplier values on the grid, for hot loops."""
+def free_evolution_phases(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
+    """The propagator multiplier values on the grid.
+
+    A column of times ``t[:, None]`` gives one row of phases per time.
+    """
     xi = grid.frequencies
     return np.exp(evolution_sign() * 1j * t * xi * np.abs(xi))
 
@@ -437,9 +457,9 @@ def interior_window_mask(grid: SpectralGrid, fraction: float = 0.5) -> np.ndarra
     return np.abs(grid.x) <= fraction * grid.length / 2
 
 
-def windowed_l2(values: np.ndarray, grid: SpectralGrid, mask: np.ndarray) -> float:
-    """L2 norm of samples restricted to a boolean window."""
-    return float(np.sqrt(np.sum(np.abs(values[mask]) ** 2) * grid.dx))
+def windowed_l2(values: np.ndarray, grid: SpectralGrid, mask: np.ndarray) -> np.ndarray:
+    """L2 norm over the last axis of samples restricted to a boolean window."""
+    return np.sqrt(np.sum(np.abs(values[..., mask]) ** 2, axis=-1) * grid.dx)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from gbolab.experiments import (
     xst_group_ratio,
 )
 from gbolab.norms import sobolev_norm
-from gbolab.spectral import field_from_values, make_grid
+from gbolab.spectral import field_from_values, free_evolve, make_grid
 
 GRID = make_grid(512, 40.0)
 
@@ -46,6 +46,13 @@ class TestPackets:
         b = make_packet_ensemble(GRID, 4, seed=11)
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa.values, fb.values)
+
+    def test_conjugate_symmetry_is_exact(self):
+        dc = GRID.n // 2
+        for f in make_packet_ensemble(GRID, 3, seed=5):
+            c = f.coeffs
+            assert c[0] == 0 and c[dc] == 0
+            np.testing.assert_array_equal(c[dc - 1 : 0 : -1], np.conj(c[dc + 1 :]))
 
     def test_modulated_centers_in_range(self):
         fields = make_packet_ensemble(GRID, 16, seed=5, kind="modulated")
@@ -113,6 +120,15 @@ class TestEstimateRatios:
             assert sobolev_norm(st.slice_field(idx), 0.0) == pytest.approx(
                 sobolev_norm(f, 0.0), rel=1e-12
             )
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_spacetime_rows_are_free_evolutions(self, real):
+        f = make_packet_ensemble(GRID, 1, seed=2)[0] if real else plane_wave(GRID, 5)
+        st = free_evolution_spacetime(f, T=0.1, n_time=8)
+        for t, row in zip(st.times, st.slices):
+            expected = free_evolve(f, t).values
+            np.testing.assert_allclose(row, expected.real if real else expected,
+                                       rtol=0.0, atol=1e-13 * np.max(np.abs(expected)))
 
     def test_zero_data_rejected(self):
         zero = field_from_values(GRID, np.zeros(GRID.n))

@@ -21,7 +21,13 @@ from gbolab.norms import (
     xst_components,
     xst_norm,
 )
-from gbolab.spectral import field_from_values, free_evolve, make_grid
+from gbolab.spectral import (
+    field_from_values,
+    fractional_derivative,
+    free_evolve,
+    lowpass_P0,
+    make_grid,
+)
 
 GRID = make_grid(256, 2 * np.pi)
 
@@ -157,6 +163,42 @@ def test_xst_components_sum_to_total():
     assert xst_norm(u, 0.3) == pytest.approx(
         c.sup_sobolev + c.smoothing + c.maximal + c.low_frequency, rel=1e-12
     )
+
+
+def xst_reference(u, s):
+    """The four pieces slice by slice through the public Field operators."""
+    fields = [u.slice_field(i) for i in range(u.n_times)]
+
+    def stacked(op):
+        return SpaceTimeField(u.grid, u.times, np.stack([op(f).values for f in fields]))
+
+    def mean_free(f):
+        return field_from_values(f.grid, f.values - f.mean())
+
+    def maximal(f):
+        return fractional_derivative(mean_free(f) if s < 0.25 else f, s - 0.25)
+
+    return [
+        max(sobolev_norm(f, s) for f in fields),
+        mixed_norm(stacked(lambda f: fractional_derivative(f, s + 0.5)),
+                   MixedNormSpec(p=np.inf, q=2.0, order="x_outer")),
+        mixed_norm(stacked(maximal), MixedNormSpec(p=4.0, q=np.inf, order="x_outer")),
+        mixed_norm(stacked(lowpass_P0), MixedNormSpec(p=2.0, q=np.inf, order="x_outer")),
+    ]
+
+
+@pytest.mark.parametrize("s", [0.2, 0.25, 0.3])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_xst_components_match_per_slice_reference(s, kind):
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 0.5, 9)
+    slices = 1.0 + rng.normal(size=(9, GRID.n))  # nonzero means
+    if kind == "complex":
+        slices = slices + 1j * rng.normal(size=(9, GRID.n))
+    u = SpaceTimeField(GRID, times, slices)
+    c = xst_components(u, s)
+    got = [c.sup_sobolev, c.smoothing, c.maximal, c.low_frequency]
+    np.testing.assert_allclose(got, xst_reference(u, s), rtol=1e-12, atol=0.0)
 
 
 def test_xst_rejects_bad_s():

@@ -6,6 +6,7 @@ import pytest
 from gbolab.norms import sobolev_norm
 from gbolab.solver import (
     BlowUpError,
+    _cumulative_simpson,
     SolverConfig,
     duhamel_residual,
     evolve,
@@ -178,7 +179,26 @@ def test_blowup_guard():
             evolve(u0, cfg)
 
 
+def test_blowup_guard_names_first_nonfinite_step():
+    # the data is all NaN after step 1, well before the first recorded slice
+    grid = make_grid(64, 2 * np.pi)
+    cfg = SolverConfig(k=3, dt=4e-4, t_end=4e-3, slice_stride=10)
+    u0 = gaussian(grid, amplitude=1e4, width=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError, match=r"step 1, t = 0\.0004$"):
+            evolve(u0, cfg)
+
+
 # --- Duhamel residual ----------------------------------------------------------
+
+
+def test_cumulative_simpson_exact_on_cubics():
+    h = 0.1
+    t = h * np.arange(9)
+    values = np.stack([t ** 3 - 2 * t, np.ones_like(t)], axis=1)
+    even = t[::2]
+    expected = np.stack([even ** 4 / 4 - even ** 2, even], axis=1)
+    np.testing.assert_allclose(_cumulative_simpson(values, h), expected, rtol=0, atol=1e-14)
 
 
 def test_duhamel_zero_trajectory():

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbolab.spectral import (
+    _forward,
+    _inverse,
     antiderivative,
     apply_multiplier,
     band_projections,
@@ -93,6 +95,15 @@ def test_round_trip_random(seed):
     f = field_from_values(GRID, vals)
     g = field_from_coeffs(GRID, f.coeffs)
     np.testing.assert_allclose(g.values.real, vals, atol=1e-10)
+
+
+def test_transforms_act_on_last_axis():
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(5, GRID.n)) + 1j * rng.normal(size=(5, GRID.n))
+    for transform in (_forward, _inverse):
+        whole = transform(GRID, stack)
+        rows = np.stack([transform(GRID, row) for row in stack])
+        assert np.max(np.abs(whole - rows)) <= 1e-14 * np.max(np.abs(rows))
 
 
 # --- derivative and Hilbert ------------------------------------------------

@@ -1,9 +1,9 @@
 """Norm-growth construction for the data-to-solution map at low regularity.
 
 The pipeline works in continuum frequency space: initial data concentrated
-on two symmetric frequency bands of width alpha = N^{-theta}, the cubic
-Picard term evaluated by an exact time integral over the interaction set,
-and a growth fit of the output norm against N.
+on two symmetric frequency bands of width alpha = N^{-theta}, the 4-linear
+first Picard iterate of d_x(u^4) (k = 3) evaluated by an exact time
+integral over the interaction set, and a growth fit of the norm against N.
 
 The quadruple products of band frequencies land near 0, +-2N, +-4N only;
 the interesting output is the band near 4N.  There the phase separates
@@ -11,9 +11,9 @@ into one term per factor frequency, and the fit evaluates the band by
 4-fold convolutions of one-dimensional chirps (_band_4n).  A 3-fold
 quadrature of the time kernel (e^{iTP}-1)/(iP) over the interaction set
 (_compute_on; series fallback near P = 0, no asymptotic shortcut for the
-kernel's size) covers every band and checks the fast path, and a torus
-evolution with brute-force time quadrature serves as an independent
-oracle on small instances.
+kernel's size) covers every band and checks the fast path.  An independent
+oracle evolves on a torus the positive band alone, whose 4-fold products
+are the only ones to reach 4N, and integrates by brute-force Simpson.
 """
 
 from __future__ import annotations
@@ -431,29 +431,36 @@ def torus_duhamel_oracle(
     comb of spacing alpha/modes_per_alpha (band edges handled by
     cell-average weights), the quartic is formed pointwise in physical
     space, and the time integral is brute-force Simpson with ~8 samples
-    per fastest phase oscillation.  Small N only; cost grows like N^2.
+    per fastest phase oscillation, transformed as (chunk, n) stacks.
+
+    Only the positive band is evolved: a product with a negative-band
+    factor lies at or below 2N + 3 alpha < 4N.  Shifted down by its first
+    mode, the J band modes have 4-fold sums 0 .. 4(J-1); a power-of-two
+    grid of n >= 4(J-1) + 1 points, hence 4(J-1) + 4, holds them and the
+    window, at most two modes beyond them, without wrap.  n depends on
+    modes_per_alpha alone, so the cost grows like N^2, the sample count.
     """
     if modes_per_alpha < 8:
         raise ValueError("need at least 8 modes across the band")
     sigma = evolution_sign()
     dxi = p.alpha / modes_per_alpha
-    reach = 4.2 * (p.N + p.alpha)
-    n_fft = 1 << int(np.ceil(np.log2(2.0 * reach / dxi)))
-    m = np.arange(n_fft) - n_fft // 2
-    xi = m * dxi
-
-    # cell-average weights of the band indicator, even in xi
-    lo = np.abs(xi) - dxi / 2
-    hi = np.abs(xi) + dxi / 2
+    # comb modes whose cells meet the positive band, with cell-average weights
+    m = np.arange(math.floor(p.N / dxi), math.ceil((p.N + p.alpha) / dxi) + 1)
+    lo, hi = m * dxi - dxi / 2, m * dxi + dxi / 2
     overlap = np.clip(np.minimum(hi, p.N + p.alpha) - np.maximum(lo, p.N), 0.0, None)
-    coeffs = p.amplitude * overlap / dxi
+    m = m[overlap > 0]
+    coeffs = p.amplitude * overlap[overlap > 0] / dxi
 
-    window = (xi >= 4 * p.N - dxi / 2) & (xi <= 4 * (p.N + p.alpha) + dxi / 2)
-    xi_out = xi[window]
+    m_out = np.arange(4 * m[0] - 2, 4 * m[-1] + 3)
+    xi_out = m_out * dxi
+    window = (xi_out >= 4 * p.N - dxi / 2) & (xi_out <= 4 * (p.N + p.alpha) + dxi / 2)
+    xi_out = xi_out[window]
 
-    omega = sigma * _dispersion(xi)
+    omega = sigma * _dispersion(m * dxi)
     omega_out = sigma * _dispersion(xi_out)
-    grid = make_grid(n_fft, TWO_PI / dxi)
+    n = 1 << (4 * (m.size - 1)).bit_length()
+    grid = make_grid(n, TWO_PI / dxi)
+    out_slots = (m_out[window] - 4 * m[0] + n // 2) % n
 
     p_max = 12.5 * (p.N + p.alpha) ** 2
     n_t = int(np.ceil(1.3 * p_max * p.T / np.pi)) * 2
@@ -463,11 +470,14 @@ def torus_duhamel_oracle(
     weights[2:-1:2] = 2.0
     weights *= (ts[1] - ts[0]) / 3.0
 
+    chunk = 128
     accum = np.zeros(xi_out.size, dtype=np.complex128)
-    for t, wgt in zip(ts, weights):
-        evolved = coeffs * np.exp(1j * omega * t)
-        what = _forward(grid, _inverse(grid, evolved) ** 4)
-        accum += wgt * np.exp(-1j * omega_out * t) * what[window]
+    for start in range(0, ts.size, chunk):
+        t = ts[start : start + chunk, None]
+        evolved = np.zeros((t.shape[0], n), dtype=np.complex128)
+        evolved[:, n // 2 : n // 2 + m.size] = coeffs * np.exp(1j * omega * t)
+        what = _forward(grid, _inverse(grid, evolved) ** 4)[:, out_slots]
+        accum += weights[start : start + chunk] @ (np.exp(-1j * omega_out * t) * what)
 
     vhat = 6.0 * 1j * xi_out * np.exp(1j * omega_out * p.T) * accum
     return FrequencyProfile(xi_out, vhat, dxi)

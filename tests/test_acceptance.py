@@ -320,7 +320,7 @@ def test_duhamel_residual_order(acceptance_log):
 
 
 LADDER = [64.0, 128.0, 256.0, 512.0, 1024.0]
-GROWTH_BUDGET = 900.0
+GROWTH_BUDGET = 60.0
 
 # Growth exponent the exact time kernel adds on the 4N band, where it is
 # of order 1/(12 N^2) (derivation in kernel_bracket_4n).

@@ -6,6 +6,7 @@ import pytest
 
 from gbolab.experiments import illposed
 from gbolab.experiments.illposed import (
+    TWO_PI,
     FrequencyProfile,
     IllposedParams,
     QuadratureError,
@@ -13,6 +14,7 @@ from gbolab.experiments.illposed import (
     _band_window,
     _compute_on,
     _cubic_bspline,
+    _dispersion,
     _time_kernel,
     convolution_power,
     convolution_power_oracle,
@@ -28,6 +30,7 @@ from gbolab.experiments.illposed import (
     support_audit,
     torus_duhamel_oracle,
 )
+from gbolab.spectral import _forward, _inverse, evolution_sign, make_grid
 
 CHEAP = dict(s=0.2, theta=0.2, T=1.0, freq_resolution=16)
 
@@ -264,7 +267,68 @@ class TestKernelBracket:
         assert band_norm > bracket["model"] + bracket["remainder"]
 
 
+def _full_line_oracle(p: IllposedParams, modes_per_alpha: int) -> FrequencyProfile:
+    """Reference torus oracle: both bands on a grid spanning the whole line,
+    one full-length transform pair per Simpson sample."""
+    sigma = evolution_sign()
+    dxi = p.alpha / modes_per_alpha
+    reach = 4.2 * (p.N + p.alpha)
+    n_fft = 1 << int(np.ceil(np.log2(2.0 * reach / dxi)))
+    m = np.arange(n_fft) - n_fft // 2
+    xi = m * dxi
+
+    # cell-average weights of the band indicator, even in xi
+    lo = np.abs(xi) - dxi / 2
+    hi = np.abs(xi) + dxi / 2
+    overlap = np.clip(np.minimum(hi, p.N + p.alpha) - np.maximum(lo, p.N), 0.0, None)
+    coeffs = p.amplitude * overlap / dxi
+
+    window = (xi >= 4 * p.N - dxi / 2) & (xi <= 4 * (p.N + p.alpha) + dxi / 2)
+    xi_out = xi[window]
+
+    omega = sigma * _dispersion(xi)
+    omega_out = sigma * _dispersion(xi_out)
+    grid = make_grid(n_fft, TWO_PI / dxi)
+
+    p_max = 12.5 * (p.N + p.alpha) ** 2
+    n_t = int(np.ceil(1.3 * p_max * p.T / np.pi)) * 2
+    ts = np.linspace(0.0, p.T, n_t + 1)
+    weights = np.ones(n_t + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= (ts[1] - ts[0]) / 3.0
+
+    accum = np.zeros(xi_out.size, dtype=np.complex128)
+    for t, wgt in zip(ts, weights):
+        evolved = coeffs * np.exp(1j * omega * t)
+        what = _forward(grid, _inverse(grid, evolved) ** 4)
+        accum += wgt * np.exp(-1j * omega_out * t) * what[window]
+
+    vhat = 6.0 * 1j * xi_out * np.exp(1j * omega_out * p.T) * accum
+    return FrequencyProfile(xi_out, vhat, dxi)
+
+
 class TestTorusOracle:
+    @pytest.mark.parametrize(
+        "N, modes_per_alpha",
+        [
+            # window starts one mode below the 4-fold sums
+            (16.0, 16),
+            # comb nearly aligned with N: window and sums coincide
+            (8.0, 8),
+            # tightest grid, n = 4(J - 1) + 4, window two modes past the sums
+            (9.0, 15),
+        ],
+    )
+    def test_matches_full_line_reference(self, N, modes_per_alpha):
+        p = IllposedParams(N=N, s=0.2, theta=0.2, T=1.0)
+        fast = torus_duhamel_oracle(p, modes_per_alpha)
+        ref = _full_line_oracle(p, modes_per_alpha)
+        np.testing.assert_array_equal(fast.xi, ref.xi)
+        assert fast.spacing == ref.spacing
+        scale = np.max(np.abs(ref.values))
+        assert np.max(np.abs(fast.values - ref.values)) <= 1e-12 * scale
+
     def test_agreement_small_instance(self):
         p = IllposedParams(N=16.0, s=0.2, theta=0.2, T=1.0,
                            freq_resolution=32)

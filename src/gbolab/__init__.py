@@ -3,7 +3,6 @@ Benjamin-Ono type with power nonlinearities."""
 
 from gbolab.spectral import (
     Field,
-    MultiplierSymbol,
     SpectralGrid,
     antiderivative,
     apply_multiplier,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field",
-    "MultiplierSymbol",
     "SpectralGrid",
     "antiderivative",
     "apply_multiplier",

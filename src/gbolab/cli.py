@@ -76,7 +76,6 @@ _SCHEMAS: dict[str, dict] = {
         "rescaled": (_bool, False),
         "dt": (float, _REQUIRED),
         "t_end": (float, _REQUIRED),
-        "dealias": (str, "two_thirds"),
         "slice_stride": (int, 1),
         "amplitude": (float, _REQUIRED),
         "width": (float, 1.0),
@@ -164,12 +163,10 @@ def _check_ranges(subcommand: str, params: dict) -> None:
 
 @dataclass
 class RunConfig:
-    """A validated run: subcommand, its parameter block, output sink."""
+    """A validated run: subcommand and its parameter block."""
 
     subcommand: str
     params: dict = field(default_factory=dict)
-    out_dir: str = "."
-    seed: int = 0
 
 
 def parse_config(text: str, subcommand: str) -> RunConfig:
@@ -210,7 +207,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         else:
             params[key] = default
     _check_ranges(subcommand, params)
-    return RunConfig(subcommand=subcommand, params=params, seed=params["seed"])
+    return RunConfig(subcommand=subcommand, params=params)
 
 
 def _gaussian_field(n: int, length: float, amplitude: float, width: float):
@@ -242,7 +239,6 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
         rescaled=p["rescaled"],
         dt=p["dt"],
         t_end=p["t_end"],
-        dealias=p["dealias"],
         slice_stride=p["slice_stride"],
     )
     traj = evolve(u0, solver_cfg)
@@ -262,7 +258,7 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
             f"mass drift {mass_drift:.3e} (tolerance {p['mass_tol']:.1e})",
             f"relative L2 drift {l2_drift:.3e} (tolerance {p['l2_tol']:.1e})",
         ],
-        seed=cfg.seed,
+        seed=p["seed"],
     )
 
 
@@ -303,7 +299,7 @@ def _run_gauge_residual(cfg: RunConfig) -> ExperimentReport:
             f"finest residual {residuals[-1]:.3e} "
             f"(tolerance {p['max_residual']:.1e})",
         ],
-        seed=cfg.seed,
+        seed=p["seed"],
     )
 
 
@@ -317,21 +313,22 @@ def _run_illposed(cfg: RunConfig) -> ExperimentReport:
         freq_resolution=p["freq_resolution"],
         tolerance=p["tolerance"],
     )
-    return replace(report, seed=cfg.seed)
+    return replace(report, seed=p["seed"])
 
 
 def _packet_runner(ratio):
-    return lambda p, grid, seed: ratio(
-        p["n_trials"], grid, p["T"], seed=seed, n_time=p["n_time"], rungs=p["rungs"]
+    return lambda p, grid: ratio(
+        p["n_trials"], grid, p["T"], seed=p["seed"], n_time=p["n_time"],
+        rungs=p["rungs"],
     )
 
 
-def _xst_runner(p, grid, seed):
-    ensemble = make_packet_ensemble(grid, p["n_trials"], seed=seed)
+def _xst_runner(p, grid):
+    ensemble = make_packet_ensemble(grid, p["n_trials"], seed=p["seed"])
     return xst_group_ratio(ensemble, p["s"], T=p["T"], n_time=p["n_time"], rungs=p["rungs"])
 
 
-# estimate name -> runner(params, grid, seed) -> RatioStatistics
+# estimate name -> runner(params, grid) -> RatioStatistics
 _ESTIMATE_RUNNERS = {
     "kato": _packet_runner(kato_smoothing_ratio),
     "maximal": _packet_runner(maximal_function_ratio),
@@ -342,8 +339,9 @@ _ESTIMATE_RUNNERS = {
 
 def _run_estimates(cfg: RunConfig) -> ExperimentReport:
     p = cfg.params
-    which = p["which"]
-    names = tuple(_ESTIMATE_RUNNERS) if which == "all" else tuple(which.split(","))
+    names = [name.strip() for name in p["which"].split(",")]
+    if names == ["all"]:
+        names = list(_ESTIMATE_RUNNERS)
     for name in names:
         if name not in _ESTIMATE_RUNNERS:
             raise ConfigError(f"unknown estimate {name!r}")
@@ -351,7 +349,7 @@ def _run_estimates(cfg: RunConfig) -> ExperimentReport:
     points = []
     all_ok = True
     for name in names:
-        stats = _ESTIMATE_RUNNERS[name](p, grid, cfg.seed)
+        stats = _ESTIMATE_RUNNERS[name](p, grid)
         ok = stats.passes(p["drift_limit"])
         all_ok = all_ok and ok
         for n_points, sup in stats.resolution_ladder:
@@ -364,7 +362,7 @@ def _run_estimates(cfg: RunConfig) -> ExperimentReport:
         inputs=dict(p),
         points=points,
         verdict="PASS" if all_ok else "FAIL",
-        seed=cfg.seed,
+        seed=p["seed"],
     )
 
 
@@ -396,7 +394,7 @@ def _run_admissible(cfg: RunConfig) -> ExperimentReport:
         points=points,
         verdict="FAIL" if failing else "PASS",
         notes=notes,
-        seed=cfg.seed,
+        seed=p["seed"],
     )
 
 
@@ -409,7 +407,7 @@ def _run_scaling(cfg: RunConfig) -> ExperimentReport:
     report = scaling_invariance_check(
         u0, p["lambda_list"], p["k"], p["s_list"], config=solver_cfg
     )
-    return replace(report, inputs=dict(p, **report.inputs), seed=cfg.seed)
+    return replace(report, inputs=dict(p, **report.inputs), seed=p["seed"])
 
 
 _RUNNERS = {
@@ -511,9 +509,7 @@ def main(argv=None) -> int:
         _write_failure(args.subcommand, exc, out_dir)
         return EXIT_ERROR
     if args.seed is not None:
-        cfg.seed = args.seed
         cfg.params["seed"] = args.seed
-    cfg.out_dir = str(out_dir)
 
     try:
         report = _RUNNERS[args.subcommand](cfg)

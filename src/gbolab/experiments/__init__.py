@@ -10,7 +10,6 @@ from .illposed import (
     convolution_power_oracle,
     hN_sobolev_norm,
     illposed_build_hN,
-    illposed_compute_v,
     illposed_growth_fit,
     illposed_phase_P,
     illposed_v_details,
@@ -39,7 +38,6 @@ from .reporting import (
     ExperimentReport,
     RatioStatistics,
     write_report_csv,
-    write_report_json,
 )
 from .scaling import scaling_invariance_check
 
@@ -57,7 +55,6 @@ __all__ = [
     "free_evolution_spacetime",
     "hN_sobolev_norm",
     "illposed_build_hN",
-    "illposed_compute_v",
     "illposed_growth_fit",
     "illposed_phase_P",
     "illposed_v_details",
@@ -74,6 +71,5 @@ __all__ = [
     "support_audit",
     "torus_duhamel_oracle",
     "write_report_csv",
-    "write_report_json",
     "xst_group_ratio",
 ]

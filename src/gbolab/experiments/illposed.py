@@ -321,19 +321,6 @@ def illposed_v_details(p: IllposedParams, check: bool = True, tol: float = 0.05)
     return details
 
 
-def illposed_compute_v(
-    p: IllposedParams, check: bool = True
-) -> tuple[FrequencyProfile, float]:
-    """(v-hat profile near 4N at time T, its H^s norm).
-
-    The norm reported is the 4N-band contribution, the quantity whose
-    growth in N the construction tracks; support_audit evaluates the other
-    bands by direct quadrature.
-    """
-    details = illposed_v_details(p, check=check)
-    return details["band"], details["band_norm"]
-
-
 def support_audit(p: IllposedParams, widen: float = 2.0) -> float:
     """Fraction of computed v-hat mass inside the predicted windows.
 

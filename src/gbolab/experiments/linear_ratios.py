@@ -75,13 +75,14 @@ def estimate_ratio(phi: Field, T: float, estimate: str, n_time: int = 128) -> fl
     return lhs / rhs
 
 
-def _ladder(fields, T, estimate, n_time, rungs):
+def _ladder(fields, ratio, n_time, rungs):
+    # ratio(field, n_time) on each rung, space and time refined together
     ladder = []
     ratios = None
     for r in range(rungs):
         factor = 2 ** r
         fine = [embed_field(f, factor) for f in fields]
-        ratios = [estimate_ratio(f, T, estimate, n_time * factor) for f in fine]
+        ratios = [ratio(f, n_time * factor) for f in fine]
         ladder.append((fine[0].grid.n, max(ratios)))
     return RatioStatistics(
         n_trials=len(fields),
@@ -96,7 +97,8 @@ def _packet_ladder(estimate, s_trials, grid, T, seed, n_time, rungs):
     kind = "broadband" if estimate == "lowfreq" else "modulated"
     packets = make_packet_ensemble(grid, s_trials, seed, kind=kind)
     check_wraparound(packets, T)
-    return _ladder(packets, T, estimate, n_time, rungs)
+    ratio = lambda f, n: estimate_ratio(f, T, estimate, n)
+    return _ladder(packets, ratio, n_time, rungs)
 
 
 def kato_smoothing_ratio(
@@ -152,22 +154,11 @@ def xst_group_ratio(
     if not 0 < T < 1:
         raise ValueError("the solution-space norm is used with 0 < T < 1")
     check_wraparound(ensemble, T)
-    ladder = []
-    ratios = None
-    for r in range(rungs):
-        factor = 2 ** r
-        ratios = []
-        for phi in ensemble:
-            fine = embed_field(phi, factor)
-            u = free_evolution_spacetime(fine, T, n_time * factor)
-            ratios.append(xst_norm(u, s) / sobolev_norm(fine, s))
-        ladder.append((ensemble[0].grid.n * factor, max(ratios)))
-    return RatioStatistics(
-        n_trials=len(ensemble),
-        ratios=ratios,
-        sup_ratio=max(ratios),
-        resolution_ladder=ladder,
-    )
+
+    def ratio(phi, n):
+        return xst_norm(free_evolution_spacetime(phi, T, n), s) / sobolev_norm(phi, s)
+
+    return _ladder(ensemble, ratio, n_time, rungs)
 
 
 def plane_wave_growth_exponent(

@@ -19,12 +19,11 @@ def make_packet_ensemble(
     n_trials: int,
     seed: int,
     kind: str = "modulated",
-    center_range: tuple[float, float] | None = None,
 ) -> list[Field]:
     """Draw n_trials random real packets on ``grid``.
 
     kind='modulated' centers the envelope at a log-uniform frequency in
-    center_range (default [8, xi_max/4]); kind='broadband' centers it at
+    [8, xi_max/4], so it needs xi_max > 32; kind='broadband' centers it at
     zero so low modes carry most of the mass, which is what the
     low-frequency estimate needs.  The zero mode is always exactly zero.
     """
@@ -32,13 +31,16 @@ def make_packet_ensemble(
         raise ValueError("need at least one trial")
     if kind not in ("modulated", "broadband"):
         raise ValueError(f"unknown packet kind {kind!r}")
+    lo, hi = 8.0, grid.xi_max / 4
+    if kind == "modulated" and hi <= lo:
+        raise ValueError(
+            f"modulated packets center in [8, xi_max/4], which is empty for "
+            f"xi_max = {grid.xi_max:.4g}; refine the grid or shorten the domain"
+        )
     rng = np.random.default_rng(seed)
     packets = []
     for _ in range(n_trials):
         if kind == "modulated":
-            lo, hi = center_range or (8.0, grid.xi_max / 4)
-            if not 0 < lo < hi:
-                raise ValueError("center_range must satisfy 0 < lo < hi")
             center = np.exp(rng.uniform(np.log(lo), np.log(hi)))
             width = rng.uniform(0.5, 2.0)
         else:

@@ -6,7 +6,6 @@ propagator so a saved report is interpretable without the producing session.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,12 +89,6 @@ def _plain(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
-
-
-def write_report_json(report: ExperimentReport, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_report_csv(report: ExperimentReport, path: str) -> None:

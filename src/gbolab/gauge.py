@@ -75,7 +75,7 @@ class GaugeState:
     k: int
 
 
-def gauge_transform(u: Field, k: int, half: bool = False) -> GaugeState:
+def gauge_transform(u: Field, k: int) -> GaugeState:
     """Gauge-transform a real field: w = P_+(taper * e^{-iF} * u).
 
     Parameters
@@ -84,9 +84,6 @@ def gauge_transform(u: Field, k: int, half: bool = False) -> GaugeState:
         Real field.
     k : int
         Nonlinearity power, at least 2.
-    half : bool
-        Use F = (1/2) * antiderivative(u^k), the variant appropriate for
-        the non-rescaled flow; default is the full antiderivative.
     """
     if not u.real:
         raise ValueError("gauge transform requires a real field")
@@ -94,8 +91,6 @@ def gauge_transform(u: Field, k: int, half: bool = False) -> GaugeState:
         raise ValueError(f"k must be >= 2, got {k}")
     uk = field_from_values(u.grid, u.values.real ** k)
     F = antiderivative(uk)
-    if half:
-        F = field_from_values(u.grid, 0.5 * F.values)
     taper = boundary_taper(u.grid)
     phase = np.exp(-1j * F.values)
     w = project_half_line(field_from_values(u.grid, taper * phase * u.values), "plus")
@@ -226,7 +221,7 @@ def residual_report(
     norm, resid = gauge_equation_residual(u_traj, k)
     mask = interior_window_mask(resid.grid)
     per_slice = windowed_l2(resid.slices, resid.grid, mask).tolist()
-    dt = float(np.diff(np.asarray(u_traj.times))[0])
+    dt = u_traj.uniform_step()
     report = {
         "k": k,
         "grid": {"n": resid.grid.n, "length": resid.grid.length},

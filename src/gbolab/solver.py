@@ -11,8 +11,7 @@ the free group: the linear part is advanced exactly by the e^{sigma*i*t*
 xi*|xi|} multiplier, so the scheme is exact on linear flows and the dt
 restriction comes only from the nonlinear term.  The nonlinearity is
 evaluated pseudospectrally in conservative form c * d_x(u^{k+1})/(k+1)
-(which conserves the zero mode exactly) with 2/3-rule dealiasing by
-default.
+(which conserves the zero mode exactly) with 2/3-rule dealiasing.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "stability_bound",
     "save_trajectory",
     "load_trajectory",
-    "write_ledger_csv",
 ]
 
 
@@ -74,7 +72,6 @@ class SolverConfig:
     rescaled: bool = False
     dt: float = 1e-4
     t_end: float = 1e-2
-    dealias: str = "two_thirds"
     slice_stride: int = 1
     linear_only: bool = False
 
@@ -85,8 +82,6 @@ class SolverConfig:
             raise ValueError(f"sign must be 'plus' or 'minus', got {self.sign!r}")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
-        if self.dealias not in ("two_thirds", "none"):
-            raise ValueError(f"dealias must be 'two_thirds' or 'none', got {self.dealias!r}")
         if self.slice_stride < 1:
             raise ValueError("slice_stride must be >= 1")
 
@@ -144,17 +139,15 @@ def _nonlinear_coefficient(cfg: SolverConfig) -> float:
     return -1.0 if cfg.sign == "plus" else 1.0
 
 
-def _dealias_mask(grid: SpectralGrid, mode: str) -> np.ndarray:
-    if mode == "none":
-        return np.ones(grid.n)
+def _dealias_mask(grid: SpectralGrid) -> np.ndarray:
     m = np.arange(-grid.n // 2, grid.n // 2)
     return (np.abs(m) <= grid.n // 3).astype(float)
 
 
 def _flux(grid: SpectralGrid, cfg: SolverConfig):
     """The map from real samples u to the coefficients of the conservative
-    nonlinearity c/(k+1) * d_x(u^{k+1}), dealiased as configured."""
-    symbol = _dealias_mask(grid, cfg.dealias) * (1j * grid.frequencies)
+    nonlinearity c/(k+1) * d_x(u^{k+1}), 2/3-dealiased."""
+    symbol = _dealias_mask(grid) * (1j * grid.frequencies)
     coef = _nonlinear_coefficient(cfg) / (cfg.k + 1)
     power = cfg.k + 1
     return lambda values: symbol * _forward(grid, values ** power) * coef
@@ -164,14 +157,14 @@ def nonlinear_rhs(u: Field, cfg: SolverConfig, form: str = "conservative") -> Fi
     """The nonlinear term N(u) of d_t u = -H d_xx u + N(u).
 
     form='conservative' evaluates c/(k+1) * d_x(u^{k+1}); form='product'
-    evaluates c * u^k u_x directly.  Both use the configured dealiasing.
+    evaluates c * u^k u_x directly.  Both are 2/3-dealiased.
     """
     if not u.real:
         raise ValueError("nonlinear term is defined for real fields")
     if form == "conservative":
         coeffs = _flux(u.grid, cfg)(u.values.real)
     elif form == "product":
-        mask = _dealias_mask(u.grid, cfg.dealias)
+        mask = _dealias_mask(u.grid)
         ux = field_from_coeffs(u.grid, mask * 1j * u.grid.frequencies * u.coeffs)
         prod = field_from_values(u.grid, u.values.real ** cfg.k * ux.values.real)
         coeffs = mask * prod.coeffs * _nonlinear_coefficient(cfg)
@@ -363,11 +356,3 @@ def load_trajectory(path: str) -> Trajectory:
         slices=np.asarray(payload["slices"]),
         config=cfg,
     )
-
-
-def write_ledger_csv(traj: Trajectory, path: str) -> None:
-    """Conservation ledger as CSV rows (t, mass, L2, Linf)."""
-    with open(path, "w") as fh:
-        fh.write("t,mass,L2,Linf\n")
-        for row in zip(traj.times, traj.mass, traj.l2, traj.linf):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -26,14 +26,12 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Union
 
 import numpy as np
 
 __all__ = [
     "SpectralGrid",
     "Field",
-    "MultiplierSymbol",
     "make_grid",
     "field_from_values",
     "field_from_coeffs",
@@ -189,37 +187,17 @@ def field_from_coeffs(grid: SpectralGrid, coeffs: np.ndarray) -> Field:
     return Field(grid=grid, values=values, coeffs=coeffs, real=_looks_real(values))
 
 
-@dataclass(frozen=True)
-class MultiplierSymbol:
-    """A Fourier multiplier xi -> complex, with a label for reports."""
-
-    symbol: Callable[[np.ndarray], np.ndarray]
-    name: str
-
-    def on_grid(self, grid: SpectralGrid) -> np.ndarray:
-        vals = np.asarray(self.symbol(grid.frequencies), dtype=np.complex128)
-        if vals.shape != grid.frequencies.shape:
-            vals = np.broadcast_to(vals, grid.frequencies.shape).astype(np.complex128)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"symbol {self.name!r} is unbounded on the grid")
-        return vals
-
-
-def apply_multiplier(f: Field, m: Union[MultiplierSymbol, np.ndarray]) -> Field:
+def apply_multiplier(f: Field, m: np.ndarray) -> Field:
     """Apply a Fourier multiplier to a Field.
 
-    ``m`` may be a MultiplierSymbol or a precomputed array of symbol values
-    in m-index order.  Physical values are regenerated from the new
-    coefficients.
+    ``m`` holds the symbol values on the grid in m-index order.  Physical
+    values are regenerated from the new coefficients.
     """
-    if isinstance(m, MultiplierSymbol):
-        sym = m.on_grid(f.grid)
-    else:
-        sym = np.asarray(m, dtype=np.complex128)
-        if sym.shape != (f.grid.n,):
-            raise ValueError("symbol array does not match grid")
-        if not np.all(np.isfinite(sym)):
-            raise ValueError("symbol array contains non-finite values")
+    sym = np.asarray(m, dtype=np.complex128)
+    if sym.shape != (f.grid.n,):
+        raise ValueError("symbol array does not match grid")
+    if not np.all(np.isfinite(sym)):
+        raise ValueError("symbol array contains non-finite values")
     return field_from_coeffs(f.grid, sym * f.coeffs)
 
 

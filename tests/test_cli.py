@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from gbolab import cli
@@ -77,7 +78,7 @@ amplitude = 0.1
 
     def test_seed_key_threads_through(self):
         cfg = parse_config(ADMISSIBLE_OK + "seed = 9\n", "admissible")
-        assert cfg.seed == 9
+        assert cfg.params["seed"] == 9
 
 
 class TestAdmissibleRuns:
@@ -168,8 +169,6 @@ dt = 4e-4
 t_end = 0.04
 amplitude = 10000.0
 """
-        import numpy as np
-
         with np.errstate(over="ignore", invalid="ignore"):
             code, out = run_cli(tmp_path, text, "simulate")
         assert code == 2
@@ -195,6 +194,13 @@ amplitude = 0.3
         lines = (out / "series.csv").read_text().splitlines()
         assert lines[0] == "l2,linf,mass,t"
         assert len(lines) == 2 + 5  # header + t=0 + five strided slices
+        # every row is the solver's ledger to the last bit
+        traj = evolve(cli._gaussian_field(256, 40.0, 0.3, 1.0),
+                      SolverConfig(k=12, rescaled=True, dt=4e-4, t_end=0.02,
+                                   slice_stride=10))
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert rows == np.column_stack(
+            [traj.l2, traj.linf, traj.mass, traj.times]).tolist()
 
     def test_illposed_runs_and_reports_slope(self, tmp_path):
         code, out = run_cli(tmp_path, ILLPOSED_MIN, "illposed")
@@ -220,6 +226,22 @@ rungs = 2
         data = json.loads((out / "report.json").read_text())
         names = {pt["estimate"] for pt in data["points"]}
         assert names == {"kato", "maximal", "lowfreq", "xst"}
+
+    def test_estimates_which_accepts_spaced_list(self, tmp_path):
+        text = """
+[estimates]
+which = lowfreq, kato
+n = 512
+length = 40.0
+T = 0.1
+n_trials = 1
+rungs = 2
+"""
+        code, out = run_cli(tmp_path, text, "estimates")
+        assert code == 0
+        data = json.loads((out / "report.json").read_text())
+        names = [pt["estimate"] for pt in data["points"] if "drift" in pt]
+        assert names == ["lowfreq", "kato"]
 
     def test_scaling_pass(self, tmp_path):
         text = """

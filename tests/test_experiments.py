@@ -21,7 +21,6 @@ from gbolab.experiments import (
     plane_wave_growth_exponent,
     scaling_invariance_check,
     write_report_csv,
-    write_report_json,
     xst_group_ratio,
 )
 from gbolab.norms import sobolev_norm
@@ -64,6 +63,13 @@ class TestPackets:
         fields = make_packet_ensemble(GRID, 8, seed=7, kind="broadband")
         for f in fields:
             assert max_active_frequency(f) < 8.0
+
+    def test_empty_center_band_names_xi_max(self):
+        # xi_max/4 = 5.03 < 8 on this grid, so no modulated center exists
+        coarse = make_grid(256, 40.0)
+        with pytest.raises(ValueError, match=r"\[8, xi_max/4\].*xi_max = 20\.1"):
+            make_packet_ensemble(coarse, 2, seed=0)
+        assert len(make_packet_ensemble(coarse, 2, seed=0, kind="broadband")) == 2
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -230,7 +236,7 @@ class TestReporting:
         assert stats.passes()
         assert not stats.passes(drift_limit=1.2)
 
-    def test_report_roundtrip_json(self, tmp_path):
+    def test_report_roundtrip_json(self):
         rep = ExperimentReport(
             experiment_id="demo",
             inputs={"n": 4},
@@ -239,9 +245,7 @@ class TestReporting:
             ci=0.01,
             seed=7,
         )
-        path = tmp_path / "report.json"
-        write_report_json(rep, str(path))
-        data = json.loads(path.read_text())
+        data = json.loads(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
         assert data["id"] == "demo"
         assert data["params"] == {"n": 4}
         assert data["points"] == [{"value": 1.5}]

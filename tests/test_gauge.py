@@ -88,14 +88,6 @@ def test_gauge_phase_derivative_matches_power():
     assert err < 1e-8 * max(np.max(np.abs(uk)), 1e-30)
 
 
-def test_gauge_half_variant():
-    grid = make_grid(512, 60.0)
-    u = gaussian(grid, 0.9)
-    full = gauge_transform(u, 4)
-    half = gauge_transform(u, 4, half=True)
-    np.testing.assert_allclose(half.F.values, 0.5 * full.F.values, atol=1e-14)
-
-
 def test_gauge_small_amplitude_expansion():
     # w - P_+(taper u) = P_+(taper (e^{-iF}-1) u) = O(a^{k+1})
     grid = make_grid(512, 60.0)
@@ -261,6 +253,7 @@ def test_residual_report(tmp_path):
     assert on_disk == report
     assert report["k"] == 12
     assert report["grid"] == {"n": 512, "length": 60.0}
+    assert report["dt"] == traj.uniform_step()
     assert "exp(" in report["sign_convention"]
     assert report["residual_norm"] == pytest.approx(
         gauge_equation_residual(traj, 12)[0]

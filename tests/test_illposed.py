@@ -20,7 +20,6 @@ from gbolab.experiments.illposed import (
     convolution_power_oracle,
     hN_sobolev_norm,
     illposed_build_hN,
-    illposed_compute_v,
     illposed_growth_fit,
     illposed_phase_P,
     illposed_v_details,
@@ -193,14 +192,15 @@ def cheap_params():
 class TestComputeV:
 
     def test_profile_on_top_band(self, cheap_params):
-        profile, band_norm = illposed_compute_v(cheap_params)
+        details = illposed_v_details(cheap_params)
+        profile, band_norm = details["band"], details["band_norm"]
         p = cheap_params
         assert np.all(profile.xi >= 4 * p.N)
         assert np.all(profile.xi <= 4 * (p.N + p.alpha))
         assert band_norm > 0
 
     def test_midband_nonvanishing(self, cheap_params):
-        profile, _ = illposed_compute_v(cheap_params)
+        profile = illposed_v_details(cheap_params)["band"]
         p = cheap_params
         mid = (profile.xi >= 4 * p.N + p.alpha) & (
             profile.xi <= 4 * p.N + 3 * p.alpha

@@ -17,7 +17,6 @@ from gbolab.solver import (
     save_trajectory,
     stability_bound,
     step,
-    write_ledger_csv,
 )
 from gbolab.spectral import field_from_values, free_evolve, make_grid
 
@@ -40,8 +39,6 @@ def test_config_validation():
         SolverConfig(k=2, sign="negative")
     with pytest.raises(ValueError):
         SolverConfig(k=2, dt=-1e-3)
-    with pytest.raises(ValueError):
-        SolverConfig(k=2, dealias="half")
 
 
 def test_stability_bound_enforced():
@@ -318,17 +315,3 @@ def test_trajectory_round_trip(tmp_path):
     np.testing.assert_allclose(back.mass, traj.mass, atol=0)
     np.testing.assert_allclose(back.l2, traj.l2, atol=0)
     np.testing.assert_allclose(back.linf, traj.linf, atol=0)
-
-
-def test_ledger_csv(tmp_path):
-    grid = make_grid(256, 40.0)
-    cfg = SolverConfig(k=3, dt=2e-4, t_end=1e-3)
-    traj = evolve(gaussian(grid, amplitude=0.4), cfg)
-    path = tmp_path / "ledger.csv"
-    write_ledger_csv(traj, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,mass,L2,Linf"
-    assert len(lines) == traj.n_times + 1
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == 0.0
-    assert first[2] == pytest.approx(traj.l2[0])

@@ -16,13 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments.illposed import QuadratureError, illposed_growth_fit
-from .experiments.linear_ratios import (
-    kato_smoothing_ratio,
-    lowfreq_ratio,
-    maximal_function_ratio,
-    xst_group_ratio,
-)
-from .experiments.packets import make_packet_ensemble
+from .experiments.linear_ratios import ESTIMATES, estimate_ladder
 from .experiments.reporting import ExperimentReport, write_report_csv
 from .experiments.scaling import scaling_invariance_check
 from .gauge import gauge_equation_residual
@@ -81,7 +75,6 @@ _SCHEMAS: dict[str, dict] = {
         "width": (float, 1.0),
         "mass_tol": (float, 1e-10),
         "l2_tol": (float, 1e-6),
-        "seed": (int, 0),
     },
     "gauge-residual": {
         "n": (int, _REQUIRED),
@@ -94,7 +87,6 @@ _SCHEMAS: dict[str, dict] = {
         "strides": (_ints, _REQUIRED),
         "min_ratio": (float, 8.0),
         "max_residual": (float, 1e-4),
-        "seed": (int, 0),
     },
     "illposed": {
         "s": (float, _REQUIRED),
@@ -103,7 +95,6 @@ _SCHEMAS: dict[str, dict] = {
         "N_list": (_floats, _REQUIRED),
         "freq_resolution": (int, 32),
         "tolerance": (float, 0.1),
-        "seed": (int, 0),
     },
     "estimates": {
         "which": (str, "all"),
@@ -121,7 +112,6 @@ _SCHEMAS: dict[str, dict] = {
         "s": (float, _REQUIRED),
         "k": (int, _REQUIRED),
         "eps": (float, 1e-3),
-        "seed": (int, 0),
     },
     "scaling": {
         "n": (int, _REQUIRED),
@@ -133,7 +123,6 @@ _SCHEMAS: dict[str, dict] = {
         "s_list": (_floats, _REQUIRED),
         "dt": (float, 4e-4),
         "t_end": (float, 6.4e-3),
-        "seed": (int, 0),
     },
 }
 
@@ -258,7 +247,6 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
             f"mass drift {mass_drift:.3e} (tolerance {p['mass_tol']:.1e})",
             f"relative L2 drift {l2_drift:.3e} (tolerance {p['l2_tol']:.1e})",
         ],
-        seed=p["seed"],
     )
 
 
@@ -299,13 +287,12 @@ def _run_gauge_residual(cfg: RunConfig) -> ExperimentReport:
             f"finest residual {residuals[-1]:.3e} "
             f"(tolerance {p['max_residual']:.1e})",
         ],
-        seed=p["seed"],
     )
 
 
 def _run_illposed(cfg: RunConfig) -> ExperimentReport:
     p = cfg.params
-    report = illposed_growth_fit(
+    return illposed_growth_fit(
         p["s"],
         p["theta"],
         p["T"],
@@ -313,43 +300,24 @@ def _run_illposed(cfg: RunConfig) -> ExperimentReport:
         freq_resolution=p["freq_resolution"],
         tolerance=p["tolerance"],
     )
-    return replace(report, seed=p["seed"])
-
-
-def _packet_runner(ratio):
-    return lambda p, grid: ratio(
-        p["n_trials"], grid, p["T"], seed=p["seed"], n_time=p["n_time"],
-        rungs=p["rungs"],
-    )
-
-
-def _xst_runner(p, grid):
-    ensemble = make_packet_ensemble(grid, p["n_trials"], seed=p["seed"])
-    return xst_group_ratio(ensemble, p["s"], T=p["T"], n_time=p["n_time"], rungs=p["rungs"])
-
-
-# estimate name -> runner(params, grid) -> RatioStatistics
-_ESTIMATE_RUNNERS = {
-    "kato": _packet_runner(kato_smoothing_ratio),
-    "maximal": _packet_runner(maximal_function_ratio),
-    "lowfreq": _packet_runner(lowfreq_ratio),
-    "xst": _xst_runner,
-}
 
 
 def _run_estimates(cfg: RunConfig) -> ExperimentReport:
     p = cfg.params
     names = [name.strip() for name in p["which"].split(",")]
     if names == ["all"]:
-        names = list(_ESTIMATE_RUNNERS)
-    for name in names:
-        if name not in _ESTIMATE_RUNNERS:
+        names = list(ESTIMATES)
+    for i, name in enumerate(names):
+        if name not in ESTIMATES:
             raise ConfigError(f"unknown estimate {name!r}")
+        if name in names[:i]:
+            raise ConfigError(f"estimate {name!r} listed twice")
     grid = make_grid(p["n"], p["length"])
     points = []
     all_ok = True
     for name in names:
-        stats = _ESTIMATE_RUNNERS[name](p, grid)
+        stats = estimate_ladder(name, p["n_trials"], grid, p["T"], p["seed"],
+                                n_time=p["n_time"], rungs=p["rungs"], s=p["s"])
         ok = stats.passes(p["drift_limit"])
         all_ok = all_ok and ok
         for n_points, sup in stats.resolution_ladder:
@@ -394,7 +362,6 @@ def _run_admissible(cfg: RunConfig) -> ExperimentReport:
         points=points,
         verdict="FAIL" if failing else "PASS",
         notes=notes,
-        seed=p["seed"],
     )
 
 
@@ -407,7 +374,7 @@ def _run_scaling(cfg: RunConfig) -> ExperimentReport:
     report = scaling_invariance_check(
         u0, p["lambda_list"], p["k"], p["s_list"], config=solver_cfg
     )
-    return replace(report, inputs=dict(p, **report.inputs), seed=p["seed"])
+    return replace(report, inputs=dict(p, **report.inputs))
 
 
 _RUNNERS = {
@@ -490,8 +457,9 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="INI config file")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+        if name == "estimates":
+            sp.add_argument("--seed", type=int,
+                            help="override the config seed")
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
 
@@ -508,7 +476,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _write_failure(args.subcommand, exc, out_dir)
         return EXIT_ERROR
-    if args.seed is not None:
+    if vars(args).get("seed") is not None:
         cfg.params["seed"] = args.seed
 
     try:

@@ -19,13 +19,11 @@ from .illposed import (
     torus_duhamel_oracle,
 )
 from .linear_ratios import (
+    ESTIMATES,
+    estimate_ladder,
     estimate_ratio,
     free_evolution_spacetime,
-    kato_smoothing_ratio,
-    lowfreq_ratio,
-    maximal_function_ratio,
     plane_wave_growth_exponent,
-    xst_group_ratio,
 )
 from .packets import (
     check_wraparound,
@@ -42,6 +40,7 @@ from .reporting import (
 from .scaling import scaling_invariance_check
 
 __all__ = [
+    "ESTIMATES",
     "ExperimentReport",
     "FrequencyProfile",
     "IllposedParams",
@@ -51,6 +50,7 @@ __all__ = [
     "convolution_power",
     "convolution_power_oracle",
     "embed_field",
+    "estimate_ladder",
     "estimate_ratio",
     "free_evolution_spacetime",
     "hN_sobolev_norm",
@@ -58,11 +58,8 @@ __all__ = [
     "illposed_growth_fit",
     "illposed_phase_P",
     "illposed_v_details",
-    "kato_smoothing_ratio",
     "kernel_bracket_4n",
-    "lowfreq_ratio",
     "make_packet_ensemble",
-    "maximal_function_ratio",
     "max_active_frequency",
     "oracle_agreement",
     "plane_wave",
@@ -71,5 +68,4 @@ __all__ = [
     "support_audit",
     "torus_duhamel_oracle",
     "write_report_csv",
-    "xst_group_ratio",
 ]

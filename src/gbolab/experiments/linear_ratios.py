@@ -25,6 +25,8 @@ from ..spectral import (
 from .packets import check_wraparound, embed_field, make_packet_ensemble, plane_wave
 from .reporting import RatioStatistics
 
+ESTIMATES = ("kato", "maximal", "lowfreq", "xst")
+
 _SPECS = {
     "kato": (0.5, MixedNormSpec(p=float("inf"), q=2.0, order="x_outer")),
     "maximal": (-0.25, MixedNormSpec(p=4.0, q=float("inf"), order="x_outer")),
@@ -46,119 +48,73 @@ def free_evolution_spacetime(phi: Field, T: float, n_time: int) -> SpaceTimeFiel
     return SpaceTimeField(grid, times, slices)
 
 
-def estimate_sides(phi: Field, T: float, estimate: str, n_time: int = 128):
-    """(LHS, RHS) of one linear estimate for a single field.
+def estimate_ratio(
+    phi: Field, T: float, estimate: str, n_time: int = 128, s: float = 0.45
+) -> float:
+    """LHS/RHS of one linear estimate for a single field.
 
     kato:    || D^{1/2} V(t)phi ||_{L^inf_x L^2_T}  vs  ||phi||_{L^2}
     maximal: || D^{-1/4} V(t)phi ||_{L^4_x L^inf_T} vs  ||phi||_{L^2}
     lowfreq: || P_0 V(t)phi ||_{L^2_x L^inf_T}      vs  ||P_0 phi||_{L^2}
+    xst:     || V(t)phi ||_{X^s_T}                   vs  ||phi||_{H^s}
+
+    lowfreq and xst are stated for 0 < T < 1.
     """
-    if estimate not in _SPECS:
+    if estimate not in ESTIMATES:
         raise ValueError(f"unknown estimate {estimate!r}")
-    order, spec = _SPECS[estimate]
-    if estimate == "lowfreq":
-        if not 0 < T < 1:
-            raise ValueError("the low-frequency estimate is stated for 0 < T < 1")
-        mapped = lowpass_P0(phi)
-        rhs = mapped.l2_norm()
+    if estimate in ("lowfreq", "xst") and not 0 < T < 1:
+        raise ValueError(f"the {estimate} estimate is stated for 0 < T < 1")
+    if estimate == "xst":
+        lhs = xst_norm(free_evolution_spacetime(phi, T, n_time), s)
+        rhs = sobolev_norm(phi, s)
     else:
-        mapped = fractional_derivative(phi, order)
-        rhs = phi.l2_norm()
-    lhs = mixed_norm(free_evolution_spacetime(mapped, T, n_time), spec)
-    return lhs, rhs
-
-
-def estimate_ratio(phi: Field, T: float, estimate: str, n_time: int = 128) -> float:
-    lhs, rhs = estimate_sides(phi, T, estimate, n_time)
+        order, spec = _SPECS[estimate]
+        if estimate == "lowfreq":
+            mapped = lowpass_P0(phi)
+            rhs = mapped.l2_norm()
+        else:
+            mapped = fractional_derivative(phi, order)
+            rhs = phi.l2_norm()
+        lhs = mixed_norm(free_evolution_spacetime(mapped, T, n_time), spec)
     if rhs == 0.0:
         raise ValueError("RHS norm vanishes; ratio undefined")
     return lhs / rhs
 
 
-def _ladder(fields, ratio, n_time, rungs):
-    # ratio(field, n_time) on each rung, space and time refined together
+def estimate_ladder(
+    estimate: str,
+    n_trials: int,
+    grid: SpectralGrid,
+    T: float,
+    seed: int,
+    n_time: int = 128,
+    rungs: int = 3,
+    s: float = 0.45,
+) -> RatioStatistics:
+    """Ratios of one estimate over a seeded packet ensemble, on a ladder
+    whose rung r refines space and time by 2**r.
+
+    lowfreq draws broadband packets so the lowpass block actually carries
+    mass, and needs a domain long enough that modes below 1/4 exist.  s is
+    the regularity of the xst norm; the other estimates ignore it.
+    """
+    if estimate == "lowfreq" and grid.dxi > 0.25:
+        raise ValueError("domain too short: no nonzero modes below 1/4")
+    kind = "broadband" if estimate == "lowfreq" else "modulated"
+    packets = make_packet_ensemble(grid, n_trials, seed, kind=kind)
+    check_wraparound(packets, T)
     ladder = []
-    ratios = None
     for r in range(rungs):
         factor = 2 ** r
-        fine = [embed_field(f, factor) for f in fields]
-        ratios = [ratio(f, n_time * factor) for f in fine]
+        fine = [embed_field(f, factor) for f in packets]
+        ratios = [estimate_ratio(f, T, estimate, n_time * factor, s) for f in fine]
         ladder.append((fine[0].grid.n, max(ratios)))
     return RatioStatistics(
-        n_trials=len(fields),
+        n_trials=n_trials,
         ratios=ratios,
         sup_ratio=max(ratios),
         resolution_ladder=ladder,
     )
-
-
-def _packet_ladder(estimate, s_trials, grid, T, seed, n_time, rungs):
-    # the lowpass block only carries mass on broadband packets
-    kind = "broadband" if estimate == "lowfreq" else "modulated"
-    packets = make_packet_ensemble(grid, s_trials, seed, kind=kind)
-    check_wraparound(packets, T)
-    ratio = lambda f, n: estimate_ratio(f, T, estimate, n)
-    return _ladder(packets, ratio, n_time, rungs)
-
-
-def kato_smoothing_ratio(
-    s_trials: int,
-    grid: SpectralGrid,
-    T: float,
-    seed: int,
-    n_time: int = 128,
-    rungs: int = 3,
-) -> RatioStatistics:
-    """Half-derivative smoothing ratios over a seeded packet ensemble."""
-    return _packet_ladder("kato", s_trials, grid, T, seed, n_time, rungs)
-
-
-def maximal_function_ratio(
-    s_trials: int,
-    grid: SpectralGrid,
-    T: float,
-    seed: int,
-    n_time: int = 128,
-    rungs: int = 3,
-) -> RatioStatistics:
-    """Quarter-derivative maximal-function ratios over a packet ensemble."""
-    return _packet_ladder("maximal", s_trials, grid, T, seed, n_time, rungs)
-
-
-def lowfreq_ratio(
-    s_trials: int,
-    grid: SpectralGrid,
-    T: float,
-    seed: int,
-    n_time: int = 128,
-    rungs: int = 3,
-) -> RatioStatistics:
-    """Low-frequency maximal ratios; packets are broadband so the lowpass
-    block actually carries mass.  Requires 0 < T < 1 and a domain long
-    enough that modes below 1/4 exist."""
-    if grid.dxi > 0.25:
-        raise ValueError("domain too short: no nonzero modes below 1/4")
-    return _packet_ladder("lowfreq", s_trials, grid, T, seed, n_time, rungs)
-
-
-def xst_group_ratio(
-    ensemble: list[Field],
-    s: float,
-    T: float = 0.5,
-    n_time: int = 128,
-    rungs: int = 3,
-) -> RatioStatistics:
-    """Solution-space norm of the free evolution against the data norm."""
-    if not ensemble:
-        raise ValueError("empty ensemble")
-    if not 0 < T < 1:
-        raise ValueError("the solution-space norm is used with 0 < T < 1")
-    check_wraparound(ensemble, T)
-
-    def ratio(phi, n):
-        return xst_norm(free_evolution_spacetime(phi, T, n), s) / sobolev_norm(phi, s)
-
-    return _ladder(ensemble, ratio, n_time, rungs)
 
 
 def plane_wave_growth_exponent(

@@ -346,9 +346,16 @@ def save_trajectory(traj: Trajectory, path: str) -> None:
 
 
 def load_trajectory(path: str) -> Trajectory:
+    """Read a trajectory written by ``save_trajectory``.  A ``dealias`` echo
+    in an older file must name the 2/3 rule, the one the solver applies."""
     with open(path) as fh:
         payload = json.load(fh)
-    cfg = SolverConfig(**payload["config"])
+    config = dict(payload["config"])
+    dealias = config.pop("dealias", "two_thirds")
+    if dealias != "two_thirds":
+        raise ValueError(f"dealias = {dealias!r} is not supported; "
+                         "the solver always applies the 2/3 rule")
+    cfg = SolverConfig(**config)
     grid = make_grid(payload["grid"]["n"], payload["grid"]["length"])
     return Trajectory(
         grid=grid,

@@ -24,11 +24,9 @@ from gbolab.experiments import (
     IllposedParams,
     convolution_power,
     convolution_power_oracle,
+    estimate_ladder,
     illposed_growth_fit,
-    kato_smoothing_ratio,
     kernel_bracket_4n,
-    lowfreq_ratio,
-    maximal_function_ratio,
     oracle_agreement,
     plane_wave_growth_exponent,
     scaling_invariance_check,
@@ -442,9 +440,10 @@ def test_smoothing_ratio_ladders(acceptance_log):
     t0 = time.monotonic()
     grid = make_grid(512, 40.0)
     stats = {
-        "kato": kato_smoothing_ratio(8, grid, 0.1, seed=0, rungs=3),
-        "maximal": maximal_function_ratio(8, grid, 0.1, seed=1, rungs=3),
-        "lowfreq": lowfreq_ratio(8, make_grid(512, 32.0), 0.5, seed=2, rungs=3),
+        "kato": estimate_ladder("kato", 8, grid, 0.1, seed=0, rungs=3),
+        "maximal": estimate_ladder("maximal", 8, grid, 0.1, seed=1, rungs=3),
+        "lowfreq": estimate_ladder("lowfreq", 8, make_grid(512, 32.0), 0.5,
+                                   seed=2, rungs=3),
     }
     drifts = {}
     for name, st in stats.items():

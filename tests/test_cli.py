@@ -16,6 +16,16 @@ s = 0.45
 k = 12
 """
 
+ESTIMATES_KATO = """
+[estimates]
+which = kato
+n = 512
+length = 40.0
+T = 0.1
+n_trials = 1
+rungs = 2
+"""
+
 ILLPOSED_MIN = """
 [illposed]
 s = 0.2
@@ -77,8 +87,12 @@ amplitude = 0.1
             parse_config("[admissible]\ns = snail\nk = 12\n", "admissible")
 
     def test_seed_key_threads_through(self):
-        cfg = parse_config(ADMISSIBLE_OK + "seed = 9\n", "admissible")
+        cfg = parse_config(ESTIMATES_KATO + "seed = 9\n", "estimates")
         assert cfg.params["seed"] == 9
+
+    def test_seed_key_only_where_data_is_random(self):
+        with pytest.raises(ConfigError, match="unknown key 'seed'"):
+            parse_config(ADMISSIBLE_OK + "seed = 9\n", "admissible")
 
 
 class TestAdmissibleRuns:
@@ -93,6 +107,9 @@ class TestAdmissibleRuns:
         assert len(data["points"]) == 12
         assert data["schema_version"] == 1
         assert "exp(" in data["sign_convention"]
+        # no random data, so no seed
+        assert data["seed"] is None
+        assert "seed" not in data["params"]
 
     def test_below_threshold_fails_with_n9_flagged(self, tmp_path):
         text = "[admissible]\ns = 0.40\nk = 12\n"
@@ -121,13 +138,12 @@ class TestAdmissibleRuns:
         ).read_bytes()
         assert stripped(out1 / "summary.txt") == stripped(out2 / "summary.txt")
 
-    def test_seed_flag_overrides_config(self, tmp_path):
-        code, out = run_cli(tmp_path, ADMISSIBLE_OK + "seed = 3\n",
-                            "admissible", extra=("--seed", "17"))
-        assert code == 0
-        data = json.loads((out / "report.json").read_text())
-        assert data["seed"] == 17
-        assert data["params"]["seed"] == 17
+    def test_seed_flag_rejected(self, tmp_path):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(ADMISSIBLE_OK)
+        with pytest.raises(SystemExit) as exc:
+            main(["admissible", "--config", str(cfg_file), "--seed", "3"])
+        assert exc.value.code == 2
 
 
 class TestErrorPaths:
@@ -242,6 +258,22 @@ rungs = 2
         data = json.loads((out / "report.json").read_text())
         names = [pt["estimate"] for pt in data["points"] if "drift" in pt]
         assert names == ["lowfreq", "kato"]
+
+    def test_seed_flag_overrides_config(self, tmp_path):
+        code, out = run_cli(tmp_path, ESTIMATES_KATO + "seed = 3\n",
+                            "estimates", extra=("--seed", "17"))
+        assert code == 0
+        data = json.loads((out / "report.json").read_text())
+        assert data["seed"] == 17
+        assert data["params"]["seed"] == 17
+
+    def test_estimates_repeated_name_rejected(self, tmp_path):
+        text = ESTIMATES_KATO.replace("which = kato", "which = lowfreq, lowfreq")
+        code, out = run_cli(tmp_path, text, "estimates")
+        assert code == 2
+        data = json.loads((out / "report.json").read_text())
+        assert data["error"]["type"] == "ConfigError"
+        assert "'lowfreq'" in data["error"]["message"]
 
     def test_scaling_pass(self, tmp_path):
         text = """

@@ -10,20 +10,17 @@ from gbolab.experiments import (
     RatioStatistics,
     check_wraparound,
     embed_field,
+    estimate_ladder,
     estimate_ratio,
     free_evolution_spacetime,
-    kato_smoothing_ratio,
-    lowfreq_ratio,
     make_packet_ensemble,
-    maximal_function_ratio,
     max_active_frequency,
     plane_wave,
     plane_wave_growth_exponent,
     scaling_invariance_check,
     write_report_csv,
-    xst_group_ratio,
 )
-from gbolab.norms import sobolev_norm
+from gbolab.norms import sobolev_norm, xst_norm
 from gbolab.spectral import field_from_values, free_evolve, make_grid
 
 GRID = make_grid(512, 40.0)
@@ -156,6 +153,17 @@ class TestEstimateRatios:
         measured = estimate_ratio(f, T=T, estimate="kato", n_time=256)
         assert measured == pytest.approx(np.sqrt(xi * T / GRID.length), rel=1e-6)
 
+    def test_xst_ratio_is_solution_norm_over_data_norm(self):
+        f = make_packet_ensemble(GRID, 1, seed=4)[0]
+        expected = (xst_norm(free_evolution_spacetime(f, 0.1, 64), 0.3)
+                    / sobolev_norm(f, 0.3))
+        assert estimate_ratio(f, T=0.1, estimate="xst", n_time=64, s=0.3) == expected
+
+    def test_xst_requires_unit_time_window(self):
+        f = make_packet_ensemble(GRID, 1, seed=4)[0]
+        with pytest.raises(ValueError, match="0 < T < 1"):
+            estimate_ratio(f, T=1.5, estimate="xst")
+
     def test_ratios_positive_on_packets(self):
         fields = make_packet_ensemble(GRID, 3, seed=9)
         for name in ("kato", "maximal"):
@@ -165,39 +173,38 @@ class TestEstimateRatios:
 
 class TestEnsembleLadders:
     def test_kato_ladder_drift_small(self):
-        stats = kato_smoothing_ratio(6, GRID, T=0.1, seed=21, rungs=3)
+        stats = estimate_ladder("kato", 6, GRID, T=0.1, seed=21, rungs=3)
         assert stats.n_trials == 6
         assert stats.passes(drift_limit=2.0)
         assert stats.ladder_drift < 1.1
 
     def test_maximal_ladder_drift_small(self):
-        stats = maximal_function_ratio(6, GRID, T=0.1, seed=22, rungs=3)
+        stats = estimate_ladder("maximal", 6, GRID, T=0.1, seed=22, rungs=3)
         assert stats.passes(drift_limit=2.0)
 
     def test_lowfreq_needs_fine_frequency_grid(self):
         coarse = make_grid(128, 8.0)  # dxi = 2 pi / 8 > 1/4
         with pytest.raises(ValueError):
-            lowfreq_ratio(2, coarse, T=0.5, seed=1)
+            estimate_ladder("lowfreq", 2, coarse, T=0.5, seed=1)
 
     def test_lowfreq_ladder(self):
         grid = make_grid(512, 32.0)
-        stats = lowfreq_ratio(4, grid, T=0.5, seed=23, rungs=3)
+        stats = estimate_ladder("lowfreq", 4, grid, T=0.5, seed=23, rungs=3)
         assert stats.passes(drift_limit=2.0)
 
     def test_lowfreq_requires_unit_time_window(self):
         grid = make_grid(512, 32.0)
         with pytest.raises(ValueError):
-            lowfreq_ratio(2, grid, T=1.5, seed=1)
+            estimate_ladder("lowfreq", 2, grid, T=1.5, seed=1)
 
     def test_xst_group_ladder(self):
-        fields = make_packet_ensemble(GRID, 4, seed=25)
-        stats = xst_group_ratio(fields, s=0.45, T=0.1, rungs=3)
+        stats = estimate_ladder("xst", 4, GRID, T=0.1, seed=25, rungs=3, s=0.45)
         assert stats.n_trials == 4
         assert stats.passes(drift_limit=2.0)
 
     def test_sup_ratio_stable_under_more_trials(self):
-        small = kato_smoothing_ratio(4, GRID, T=0.1, seed=30, rungs=2)
-        large = kato_smoothing_ratio(8, GRID, T=0.1, seed=30, rungs=2)
+        small = estimate_ladder("kato", 4, GRID, T=0.1, seed=30, rungs=2)
+        large = estimate_ladder("kato", 8, GRID, T=0.1, seed=30, rungs=2)
         # same seed: the first four draws coincide, so sup can only grow
         assert large.sup_ratio >= small.sup_ratio - 1e-12
 

@@ -15,7 +15,6 @@ from gbolab.gauge import (
 )
 from gbolab.solver import SolverConfig, evolve
 from gbolab.spectral import (
-    antiderivative,
     boundary_taper,
     field_from_coeffs,
     field_from_values,

@@ -1,5 +1,7 @@
 """Integrator exactness, conservation, Duhamel residual, scaling map."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -315,3 +317,24 @@ def test_trajectory_round_trip(tmp_path):
     np.testing.assert_allclose(back.mass, traj.mass, atol=0)
     np.testing.assert_allclose(back.l2, traj.l2, atol=0)
     np.testing.assert_allclose(back.linf, traj.linf, atol=0)
+
+
+@pytest.mark.parametrize("dealias", ["two_thirds", "none"])
+def test_trajectory_with_legacy_dealias_key(tmp_path, dealias):
+    # files written while the solver still had a dealias setting echo it in
+    # their config; only the 2/3 rule, the one the solver applies, loads
+    grid = make_grid(64, 20.0)
+    cfg = SolverConfig(k=3, dt=2e-4, t_end=1e-3)
+    traj = evolve(gaussian(grid), cfg)
+    path = tmp_path / "traj.json"
+    save_trajectory(traj, str(path))
+    payload = json.loads(path.read_text())
+    payload["config"]["dealias"] = dealias
+    path.write_text(json.dumps(payload))
+    if dealias == "none":
+        with pytest.raises(ValueError, match="dealias"):
+            load_trajectory(str(path))
+    else:
+        back = load_trajectory(str(path))
+        assert back.config == cfg
+        assert back.slices.tobytes() == traj.slices.tobytes()

@@ -7,11 +7,13 @@ Two flavors of the evolution are supported, selected by SolverConfig:
     rescaled:  u_t + H u_xx = 2 u^k u_x
 
 Both are integrated by an integrating-factor classical RK4 in the frame of
-the free group: the linear part is advanced exactly by the e^{sigma*i*t*
-xi*|xi|} multiplier, so the scheme is exact on linear flows and the dt
-restriction comes only from the nonlinear term.  The nonlinearity is
-evaluated pseudospectrally in conservative form c * d_x(u^{k+1})/(k+1)
-(which conserves the zero mode exactly) with 2/3-rule dealiasing.
+the free group on the raw ``np.fft.rfft`` half spectrum m = 0..n/2 of the
+samples (``irfft`` keeps the Nyquist mode real by construction): the linear
+part is advanced exactly by the e^{sigma*i*t*xi^2} multiplier, so the scheme
+is exact on linear flows and the dt restriction comes only from the
+nonlinear term.  The nonlinearity is evaluated pseudospectrally in
+conservative form c * d_x(u^{k+1})/(k+1) (which conserves the zero mode
+exactly; the power by repeated squaring) with 2/3-rule dealiasing.
 """
 
 from __future__ import annotations
@@ -25,11 +27,8 @@ from gbolab.norms import SpaceTimeField
 from gbolab.spectral import (
     Field,
     SpectralGrid,
-    _forward,
-    _inverse,
-    field_from_coeffs,
+    evolution_sign,
     field_from_values,
-    free_evolution_phases,
     make_grid,
     sign_convention_label,
 )
@@ -139,18 +138,31 @@ def _nonlinear_coefficient(cfg: SolverConfig) -> float:
     return -1.0 if cfg.sign == "plus" else 1.0
 
 
-def _dealias_mask(grid: SpectralGrid) -> np.ndarray:
-    m = np.arange(-grid.n // 2, grid.n // 2)
-    return (np.abs(m) <= grid.n // 3).astype(float)
+def _half_grid(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+    """xi_m (= -xi_{-m} exactly) and the 2/3 mask m <= n/3 on m = 0..n/2."""
+    return -grid.frequencies[grid.n // 2::-1], np.arange(grid.n // 2 + 1) <= grid.n // 3
+
+
+def _propagator(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
+    """e^{sigma*i*t*xi^2} on the rfft bins; a column of times gives rows."""
+    return np.exp(evolution_sign() * 1j * t * _half_grid(grid)[0] ** 2)
+
+
+def _power(values: np.ndarray, p: int) -> np.ndarray:
+    """values ** p (p >= 1) by repeated squaring, several times faster than
+    numpy's general power; equal to it to rounding, not bitwise."""
+    if p == 1:
+        return values
+    even = _power(values * values, p // 2)
+    return even * values if p % 2 else even
 
 
 def _flux(grid: SpectralGrid, cfg: SolverConfig):
-    """The map from real samples u to the coefficients of the conservative
-    nonlinearity c/(k+1) * d_x(u^{k+1}), 2/3-dealiased."""
-    symbol = _dealias_mask(grid) * (1j * grid.frequencies)
-    coef = _nonlinear_coefficient(cfg) / (cfg.k + 1)
-    power = cfg.k + 1
-    return lambda values: symbol * _forward(grid, values ** power) * coef
+    """The map from real samples u (last axis) to the half spectrum of the
+    conservative nonlinearity c/(k+1) * d_x(u^{k+1}), 2/3-dealiased."""
+    xi, mask = _half_grid(grid)
+    symbol = mask * (1j * xi) * (_nonlinear_coefficient(cfg) / (cfg.k + 1))
+    return lambda values: symbol * np.fft.rfft(_power(values, cfg.k + 1))
 
 
 def nonlinear_rhs(u: Field, cfg: SolverConfig, form: str = "conservative") -> Field:
@@ -161,51 +173,43 @@ def nonlinear_rhs(u: Field, cfg: SolverConfig, form: str = "conservative") -> Fi
     """
     if not u.real:
         raise ValueError("nonlinear term is defined for real fields")
+    grid, v = u.grid, u.values.real
     if form == "conservative":
-        coeffs = _flux(u.grid, cfg)(u.values.real)
+        half = _flux(grid, cfg)(v)
     elif form == "product":
-        mask = _dealias_mask(u.grid)
-        ux = field_from_coeffs(u.grid, mask * 1j * u.grid.frequencies * u.coeffs)
-        prod = field_from_values(u.grid, u.values.real ** cfg.k * ux.values.real)
-        coeffs = mask * prod.coeffs * _nonlinear_coefficient(cfg)
+        xi, mask = _half_grid(grid)
+        ux = np.fft.irfft(mask * 1j * xi * np.fft.rfft(v), grid.n)
+        half = mask * np.fft.rfft(_power(v, cfg.k) * ux) * _nonlinear_coefficient(cfg)
     else:
         raise ValueError(f"unknown form {form!r}")
-    return field_from_coeffs(u.grid, coeffs)
+    return field_from_values(grid, np.fft.irfft(half, grid.n))
 
 
 # ---------------------------------------------------------------------------
-# Integrating-factor RK4 on raw coefficient arrays.
+# Integrating-factor RK4 on rfft half spectra.
 
 
-class _Stepper:
-    """Precomputed machinery for repeated steps on one grid."""
+def _stepper(grid: SpectralGrid, cfg: SolverConfig):
+    """One IF-RK4 step of size cfg.dt on half spectra, phases precomputed."""
+    dt, flux = cfg.dt, _flux(grid, cfg)
+    E = _propagator(grid, dt / 2)
+    E2 = E ** 2
+    nonlin = lambda half: flux(np.fft.irfft(half, grid.n))
 
-    def __init__(self, grid: SpectralGrid, cfg: SolverConfig):
-        self.grid = grid
-        self.dt = cfg.dt
-        self.half_phase = free_evolution_phases(grid, cfg.dt / 2)
-        self.full_phase = self.half_phase ** 2
-        self.flux = _flux(grid, cfg)
+    def advance(half: np.ndarray) -> np.ndarray:
+        k1 = nonlin(half)
+        k2 = nonlin(E * (half + 0.5 * dt * k1))
+        k3 = nonlin(E * half + 0.5 * dt * k2)
+        k4 = nonlin(E2 * half + dt * E * k3)
+        return E2 * half + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
 
-    def nonlin(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.flux(_inverse(self.grid, coeffs).real)
-
-    def advance(self, coeffs: np.ndarray) -> np.ndarray:
-        dt, E, E2 = self.dt, self.half_phase, self.full_phase
-        k1 = self.nonlin(coeffs)
-        k2 = self.nonlin(E * (coeffs + 0.5 * dt * k1))
-        k3 = self.nonlin(E * coeffs + 0.5 * dt * k2)
-        k4 = self.nonlin(E2 * coeffs + dt * E * k3)
-        return E2 * coeffs + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+    return advance
 
 
 def step(u: Field, cfg: SolverConfig) -> Field:
-    """One integrating-factor RK4 step of size cfg.dt."""
-    if not u.real:
-        raise ValueError("solver operates on real fields")
-    cfg.validate_for_grid(u.grid)
-    stepper = _Stepper(u.grid, cfg)
-    return field_from_coeffs(u.grid, stepper.advance(u.coeffs.copy()))
+    """One integrating-factor RK4 step of size cfg.dt: evolve to t = dt."""
+    traj = evolve(u, replace(cfg, t_end=cfg.dt, slice_stride=1))
+    return field_from_values(u.grid, traj.slices[-1])
 
 
 def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
@@ -225,22 +229,22 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
         raise ValueError("t_end/dt must be a multiple of slice_stride")
 
     grid = u0.grid
-    stepper = _Stepper(grid, cfg)
-    coeffs = u0.coeffs.copy()
+    advance = _stepper(grid, cfg)
+    half = np.fft.rfft(u0.values.real)
     recorded = np.arange(0, n_steps + 1, cfg.slice_stride)
     slices = np.empty((recorded.size, grid.n))
-    slices[0] = _inverse(grid, coeffs).real
+    slices[0] = np.fft.irfft(half, grid.n)
     linf0 = float(np.max(np.abs(slices[0])))
     guard = 1e6 * linf0 if linf0 > 0 else np.inf
 
     for j in range(1, n_steps + 1):
-        coeffs = stepper.advance(coeffs)
-        if not np.isfinite(coeffs).all():
+        half = advance(half)
+        if not np.isfinite(half).all():
             raise BlowUpError(
                 f"non-finite coefficients at step {j}, t = {j * cfg.dt:.6g}"
             )
         if j % cfg.slice_stride == 0:
-            vals = _inverse(grid, coeffs).real
+            vals = np.fft.irfft(half, grid.n)
             linf = float(np.max(np.abs(vals)))
             if linf > guard or not np.isfinite(linf):
                 raise BlowUpError(
@@ -275,18 +279,17 @@ def duhamel_residual(traj: Trajectory) -> float:
     if traj.n_times < 9:
         raise ValueError("need at least 9 slices for the composite quadrature")
     h = traj.uniform_step()
-    grid = traj.grid
+    grid, u0 = traj.grid, traj.slices[0]
     times = traj.times[:, None]
 
     # integrand pulled back to t = 0:  g(tau) = V(-tau) N(u(tau))
-    g = free_evolution_phases(grid, -times) * _flux(grid, traj.config)(traj.slices)
-    u0 = field_from_values(grid, traj.slices[0])
-    predicted = free_evolution_phases(grid, times[::2]) * (
-        u0.coeffs + _cumulative_simpson(g, h)
+    g = _propagator(grid, -times) * _flux(grid, traj.config)(traj.slices)
+    predicted = _propagator(grid, times[::2]) * (
+        np.fft.rfft(u0) + _cumulative_simpson(g, h)
     )
-    err = traj.slices[::2] - _inverse(grid, predicted)
-    worst = np.sqrt(np.sum(np.abs(err) ** 2, axis=-1) * grid.dx).max()
-    return float(worst / (u0.l2_norm() or 1.0))
+    err = traj.slices[::2] - np.fft.irfft(predicted, grid.n)
+    worst = np.sqrt(np.sum(err ** 2, axis=-1) * grid.dx).max()
+    return float(worst / (np.sqrt(np.sum(u0 ** 2) * grid.dx) or 1.0))
 
 
 # ---------------------------------------------------------------------------

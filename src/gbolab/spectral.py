@@ -160,9 +160,6 @@ class Field:
     def linf_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def real_values(self) -> np.ndarray:
-        return self.values.real
-
 
 def _looks_real(values: np.ndarray) -> bool:
     scale = np.max(np.abs(values)) or 1.0

@@ -9,6 +9,8 @@ from gbolab.norms import sobolev_norm
 from gbolab.solver import (
     BlowUpError,
     _cumulative_simpson,
+    _nonlinear_coefficient,
+    _power,
     SolverConfig,
     duhamel_residual,
     evolve,
@@ -20,7 +22,14 @@ from gbolab.solver import (
     stability_bound,
     step,
 )
-from gbolab.spectral import field_from_values, free_evolve, make_grid
+from gbolab.spectral import (
+    _forward,
+    _inverse,
+    field_from_values,
+    free_evolution_phases,
+    free_evolve,
+    make_grid,
+)
 
 
 def gaussian(grid, amplitude=0.1, width=2.0, center=0.0, mod=0.0):
@@ -29,6 +38,60 @@ def gaussian(grid, amplitude=0.1, width=2.0, center=0.0, mod=0.0):
     if mod:
         vals = vals * np.cos(mod * x)
     return field_from_values(grid, vals)
+
+
+def noisy_gaussian(grid, amplitude, noise, seed=0):
+    """A Gaussian plus white noise: generic real data, Nyquist mode included."""
+    rng = np.random.default_rng(seed)
+    vals = amplitude * np.exp(-(grid.x ** 2) / 8.0) + noise * rng.normal(size=grid.n)
+    return field_from_values(grid, vals)
+
+
+# --- test-only reference: the complex stepper the half-spectrum one replaced --
+
+
+def _reference_flux(grid, cfg):
+    # zero-centred continuum-calibrated coefficients, the power by numpy's **
+    m = np.arange(-grid.n // 2, grid.n // 2)
+    symbol = (np.abs(m) <= grid.n // 3) * (1j * grid.frequencies)
+    coef = _nonlinear_coefficient(cfg) / (cfg.k + 1)
+    return lambda values: symbol * _forward(grid, values ** (cfg.k + 1)) * coef
+
+
+def _reference_evolve(u0, cfg):
+    """Recorded slices of the complex IF-RK4 on full zero-centred spectra,
+    keeping the real part of every inverse transform."""
+    grid, dt = u0.grid, cfg.dt
+    flux = _reference_flux(grid, cfg)
+    nonlin = lambda c: flux(_inverse(grid, c).real)
+    E = free_evolution_phases(grid, dt / 2)
+    E2 = E ** 2
+    coeffs = u0.coeffs.copy()
+    slices = [_inverse(grid, coeffs).real]
+    for j in range(1, cfg.n_steps() + 1):
+        k1 = nonlin(coeffs)
+        k2 = nonlin(E * (coeffs + 0.5 * dt * k1))
+        k3 = nonlin(E * coeffs + 0.5 * dt * k2)
+        k4 = nonlin(E2 * coeffs + dt * E * k3)
+        coeffs = E2 * coeffs + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+        if j % cfg.slice_stride == 0:
+            slices.append(_inverse(grid, coeffs).real)
+    return np.array(slices)
+
+
+def _reference_duhamel_residual(traj):
+    """duhamel_residual on full zero-centred spectra, error norm complex."""
+    grid, h = traj.grid, traj.uniform_step()
+    times = traj.times[:, None]
+    flux = _reference_flux(grid, traj.config)
+    g = free_evolution_phases(grid, -times) * flux(traj.slices)
+    u0 = field_from_values(grid, traj.slices[0])
+    predicted = free_evolution_phases(grid, times[::2]) * (
+        u0.coeffs + _cumulative_simpson(g, h)
+    )
+    err = traj.slices[::2] - _inverse(grid, predicted)
+    worst = np.sqrt(np.sum(np.abs(err) ** 2, axis=-1) * grid.dx).max()
+    return float(worst / u0.l2_norm())
 
 
 # --- config ------------------------------------------------------------------
@@ -99,6 +162,14 @@ def test_rhs_sign_conventions():
     np.testing.assert_allclose(resc.values, 2 * minus.values, atol=1e-14)
 
 
+def test_power_by_squaring_matches_numpy():
+    u = np.random.default_rng(3).normal(size=4096)
+    for p in range(1, 14):
+        exact = u ** p
+        rel = np.abs(_power(u, p) - exact) / np.abs(exact)
+        assert rel.max() <= 4e-15, (p, rel.max())
+
+
 # --- stepping ----------------------------------------------------------------
 
 
@@ -127,6 +198,33 @@ def test_step_equals_evolve_single():
     via_step = step(u0, cfg)
     via_evolve = evolve(u0, cfg)
     np.testing.assert_allclose(via_evolve.slices[-1], via_step.values.real, atol=1e-14)
+
+
+def test_step_on_nyquist_content_stays_real():
+    # generic real data carries a Nyquist mode; the complex stepper left an
+    # imaginary part at m = -n/2, so a second step refused the field as complex
+    grid = make_grid(64, 2 * np.pi)
+    u0 = field_from_values(grid, np.random.default_rng(0).normal(size=grid.n))
+    cfg = SolverConfig(k=3, dt=4e-4, t_end=4e-3)
+    u1 = step(u0, cfg)
+    assert u1.real and np.all(u1.values.imag == 0.0)
+    assert step(u1, cfg).real
+    assert np.isfinite(evolve(u0, cfg).slices).all()
+
+
+@pytest.mark.parametrize("n,length,k,dt,t_end", [
+    (512, 40.0, 3, 2e-4, 2e-2),
+    (2048, 60.0, 12, 4e-5, 2e-3),
+])
+def test_evolve_matches_complex_reference(n, length, k, dt, t_end):
+    grid = make_grid(n, length)
+    u0 = noisy_gaussian(grid, amplitude=0.75, noise=0.02)
+    assert abs(u0.coeffs[0]) > 1e-4 * np.abs(u0.coeffs).max()  # Nyquist content
+    cfg = SolverConfig(k=k, rescaled=True, dt=dt, t_end=t_end, slice_stride=5)
+    slices = evolve(u0, cfg).slices
+    ref = _reference_evolve(u0, cfg)
+    assert slices.shape == ref.shape
+    assert np.max(np.abs(slices - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_conservation_small_amplitude():
@@ -229,6 +327,18 @@ def test_duhamel_rejects_nonuniform_times():
     traj.times[5] += 0.25 * cfg.dt
     with pytest.raises(ValueError, match="uniformly spaced"):
         duhamel_residual(traj)
+
+
+def test_duhamel_matches_complex_reference():
+    # the residual is normalised by ||u0|| and is a difference of O(1)
+    # quantities, so the two agree to 1e-12 relative or to rounding, 1e-16
+    grid = make_grid(512, 40.0)
+    u0 = gaussian(grid, amplitude=1.1, width=1.0, mod=2.5)
+    for stride in (64, 32):
+        cfg = SolverConfig(k=12, dt=1e-4, t_end=0.0512, slice_stride=stride)
+        traj = evolve(u0, cfg)
+        ref = _reference_duhamel_residual(traj)
+        assert abs(duhamel_residual(traj) - ref) <= 1e-12 * ref + 1e-16, stride
 
 
 def test_duhamel_stride_refinement():

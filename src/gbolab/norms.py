@@ -5,11 +5,10 @@ Sobolev norms follow the transform calibration of :mod:`gbolab.spectral`:
     ||f||_{H^s}^2 = (1/2pi) * sum_m (1 + xi_m^2)^s |fhat_m|^2 * dxi
 
 with the homogeneous variant using |xi|^{2s} and dropping the zero mode.
-
-Mixed space-time norms L^p_x L^q_t / L^q_t L^p_x are computed from a slice
-array: trapezoid rule in time, uniform Riemann sum in space, max for
-infinite exponents.  The inner exponent is applied first, per the order
-declared in MixedNormSpec.
+Mixed space-time norms L^p_x L^q_t / L^q_t L^p_x of a slice array use the
+trapezoid rule in time and a Riemann sum in space (max for an infinite
+exponent), the inner exponent first.  The X^s_T pieces transform the slice
+stack once, on rfft half spectra.
 
 The admissibility predicate decides whether a derivative budget alpha is
 available at exponents (p, q): admissible means the endpoint (1/2, inf, 2),
@@ -31,9 +30,8 @@ import numpy as np
 from gbolab.spectral import (
     Field,
     SpectralGrid,
-    _forward,
     _fractional_symbol,
-    _inverse,
+    _half_grid,
     _lowpass_symbol,
     field_from_values,
 )
@@ -156,22 +154,14 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     The homogeneous variant drops the zero mode; for s < 0 it requires
     mean-zero input (the weight would have to blow up at xi = 0).
     """
+    xi, coeffs = f.grid.frequencies, f.coeffs
     if not homogeneous:
-        return float(_hs_norms(f.grid, f.coeffs, s))
-    if s < 0:
-        scale = np.max(np.abs(f.coeffs)) or 1.0
-        if np.abs(f.coeffs[f.grid.n // 2]) > 1e-10 * scale:
+        weighted = (1.0 + xi ** 2) ** s * np.abs(coeffs) ** 2
+    else:
+        if s < 0 and np.abs(coeffs[f.grid.n // 2]) > 1e-10 * (np.max(np.abs(coeffs)) or 1.0):
             raise ValueError("homogeneous norm with s < 0 requires mean-zero input")
-    xi = f.grid.frequencies
-    nz = xi != 0
-    weighted = np.abs(xi[nz]) ** (2 * s) * np.abs(f.coeffs[nz]) ** 2
+        weighted = np.abs(xi[xi != 0]) ** (2 * s) * np.abs(coeffs[xi != 0]) ** 2
     return float(np.sqrt(np.sum(weighted) * f.grid.dxi / (2 * np.pi)))
-
-
-def _hs_norms(grid: SpectralGrid, coeffs: np.ndarray, s: float) -> np.ndarray:
-    """H^s norms, weight (1+xi^2)^s, of the coefficients along the last axis."""
-    weighted = (1.0 + grid.frequencies ** 2) ** s * np.abs(coeffs) ** 2
-    return np.sqrt(np.sum(weighted, axis=-1) * grid.dxi / (2 * np.pi))
 
 
 def _lp_time(values: np.ndarray, times: np.ndarray, q: float) -> np.ndarray:
@@ -219,23 +209,27 @@ def xst_components(u: SpaceTimeField, s: float) -> XstComponents:
     sup_t H^s;  ||D^{s+1/2} u||_{L^inf_x L^2_t};
     ||D^{s-1/4} u||_{L^4_x L^inf_t};  ||P_0 u||_{L^2_x L^inf_t}.
 
-    The slice stack is transformed once; each piece is one multiplier on
-    it.  The negative-order maximal symbol vanishes at xi = 0, so that piece
-    sees the mean-free part of each slice (the mean travels with the
-    low-frequency component instead).
+    Each piece is one even multiplier on the rfft half spectra of the real
+    and imaginary parts of the slices, transformed once.  The negative-order
+    maximal symbol vanishes at xi = 0, so that piece sees the mean-free part
+    of each slice (the mean travels with the low-frequency component).
     """
     if not (0 < s < 0.5):
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
-    grid, xi = u.grid, u.grid.frequencies
-    coeffs = _forward(grid, u.slices)
+    grid, xi, v = u.grid, _half_grid(u.grid)[0], u.slices
+    half = np.fft.rfft(np.stack([v.real, v.imag]) if np.iscomplexobj(v) else v[None])
 
     def piece(symbol: np.ndarray, p: float, q: float) -> float:
-        values = _inverse(grid, symbol * coeffs)
+        values = np.fft.irfft(symbol * half, grid.n)
+        values = values[0] if len(values) == 1 else values[0] + 1j * values[1]
         return mixed_norm(SpaceTimeField(grid, u.times, values),
                           MixedNormSpec(p=p, q=q, order="x_outer"))
 
+    # bins 0 < m < n/2 stand for m and -m; raw bins are n/L x calibrated ones
+    weight = (1.0 + xi ** 2) ** s * (grid.dx ** 2 * grid.dxi / (2 * np.pi))
+    weight[1:-1] *= 2.0
     return XstComponents(
-        float(np.max(_hs_norms(grid, coeffs, s))),
+        float(np.sqrt(np.max(np.sum(weight * np.abs(half) ** 2, axis=(0, -1))))),
         piece(_fractional_symbol(xi, s + 0.5), np.inf, 2.0),
         piece(_fractional_symbol(xi, s - 0.25), 4.0, np.inf),
         piece(_lowpass_symbol(xi), 2.0, np.inf),

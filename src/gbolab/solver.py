@@ -27,7 +27,8 @@ from gbolab.norms import SpaceTimeField
 from gbolab.spectral import (
     Field,
     SpectralGrid,
-    evolution_sign,
+    _half_grid,
+    _propagator,
     field_from_values,
     make_grid,
     sign_convention_label,
@@ -136,16 +137,6 @@ def _nonlinear_coefficient(cfg: SolverConfig) -> float:
     if cfg.rescaled:
         return 2.0
     return -1.0 if cfg.sign == "plus" else 1.0
-
-
-def _half_grid(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
-    """xi_m (= -xi_{-m} exactly) and the 2/3 mask m <= n/3 on m = 0..n/2."""
-    return -grid.frequencies[grid.n // 2::-1], np.arange(grid.n // 2 + 1) <= grid.n // 3
-
-
-def _propagator(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
-    """e^{sigma*i*t*xi^2} on the rfft bins; a column of times gives rows."""
-    return np.exp(evolution_sign() * 1j * t * _half_grid(grid)[0] ** 2)
 
 
 def _power(values: np.ndarray, p: int) -> np.ndarray:

@@ -385,6 +385,16 @@ def free_evolution_phases(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarr
     return np.exp(evolution_sign() * 1j * t * xi * np.abs(xi))
 
 
+def _half_grid(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+    """xi_m (= -xi_{-m} exactly) and the 2/3 mask m <= n/3 on m = 0..n/2."""
+    return -grid.frequencies[grid.n // 2::-1], np.arange(grid.n // 2 + 1) <= grid.n // 3
+
+
+def _propagator(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
+    """e^{sigma*i*t*xi^2} on the rfft bins; a column of times gives rows."""
+    return np.exp(evolution_sign() * 1j * t * _half_grid(grid)[0] ** 2)
+
+
 # ---------------------------------------------------------------------------
 # Antiderivative and boundary handling.
 

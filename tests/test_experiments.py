@@ -20,10 +20,12 @@ from gbolab.experiments import (
     scaling_invariance_check,
     write_report_csv,
 )
+from gbolab.experiments.linear_ratios import _time_table
 from gbolab.norms import sobolev_norm, xst_norm
-from gbolab.spectral import field_from_values, free_evolve, make_grid
+from gbolab.spectral import field_from_coeffs, field_from_values, free_evolve, make_grid
 
 GRID = make_grid(512, 40.0)
+SMALL = make_grid(64, 2 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +128,30 @@ class TestEstimateRatios:
 
     @pytest.mark.parametrize("real", [True, False])
     def test_spacetime_rows_are_free_evolutions(self, real):
-        f = make_packet_ensemble(GRID, 1, seed=2)[0] if real else plane_wave(GRID, 5)
+        # White noise has Nyquist content; complex data matches free_evolve
+        # only without an m = -n/2 mode (see the Nyquist test below).
+        rng = np.random.default_rng(3)
+        if real:
+            noise = field_from_values(SMALL, rng.normal(size=SMALL.n))
+            fields = [make_packet_ensemble(GRID, 1, seed=2)[0], noise]
+        else:
+            coeffs = rng.normal(size=SMALL.n) + 1j * rng.normal(size=SMALL.n)
+            coeffs[0] = 0.0
+            fields = [plane_wave(GRID, 5), field_from_coeffs(SMALL, coeffs)]
+        for f in fields:
+            st = free_evolution_spacetime(f, T=0.1, n_time=8)
+            for t, row in zip(st.times, st.slices):
+                expected = free_evolve(f, t).values
+                np.testing.assert_allclose(row, expected.real if real else expected,
+                                           rtol=0.0, atol=1e-13 * np.max(np.abs(expected)))
+
+    def test_spacetime_nyquist_mode_moves_by_cosine(self):
+        # Re and Im evolve apart, so complex Nyquist content moves as real
+        # content does: the mode is multiplied by cos(t xi_N^2), not a phase.
+        f = field_from_values(SMALL, (1.0 + 2.0j) * SMALL.signs)
         st = free_evolution_spacetime(f, T=0.1, n_time=8)
-        for t, row in zip(st.times, st.slices):
-            expected = free_evolve(f, t).values
-            np.testing.assert_allclose(row, expected.real if real else expected,
-                                       rtol=0.0, atol=1e-13 * np.max(np.abs(expected)))
+        expected = np.cos(st.times * SMALL.xi_max ** 2)[:, None] * f.values
+        np.testing.assert_allclose(st.slices, expected, rtol=0.0, atol=1e-13)
 
     def test_zero_data_rejected(self):
         zero = field_from_values(GRID, np.zeros(GRID.n))
@@ -196,6 +216,16 @@ class TestEnsembleLadders:
         grid = make_grid(512, 32.0)
         with pytest.raises(ValueError):
             estimate_ladder("lowfreq", 2, grid, T=1.5, seed=1)
+
+    def test_one_propagator_table_per_rung(self):
+        _time_table.cache_clear()
+        estimate_ladder("kato", 4, GRID, T=0.1, seed=21, rungs=3)
+        info = _time_table.cache_info()
+        assert (info.misses, info.hits) == (3, 9)  # 4 trials on each of 3 rungs
+        table = _time_table(make_grid(4 * GRID.n, GRID.length), 0.1, 4 * 128)
+        assert _time_table.cache_info().hits == 10  # the top rung's table is held
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
 
     def test_xst_group_ladder(self):
         stats = estimate_ladder("xst", 4, GRID, T=0.1, seed=25, rungs=3, s=0.45)

@@ -12,12 +12,10 @@ from gbolab.spectral import (
     fractional_derivative,
     free_evolve,
     hilbert,
-    load_field,
     lowpass_P0,
     lp_block,
     make_grid,
     project_half_line,
-    save_field,
     spectral_derivative,
 )
 
@@ -34,12 +32,10 @@ __all__ = [
     "fractional_derivative",
     "free_evolve",
     "hilbert",
-    "load_field",
     "lowpass_P0",
     "lp_block",
     "make_grid",
     "project_half_line",
-    "save_field",
     "spectral_derivative",
     "__version__",
 ]

@@ -163,7 +163,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
 
     The document is INI-style with one section per subcommand.  Unknown
     sections and unknown keys are errors, as are missing required keys and
-    unparsable values.
+    unparsable or non-finite values.
     """
     if subcommand not in _SCHEMAS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -191,6 +191,10 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
                 params[key] = parse(section[key])
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+            if parse in (float, _floats) and not np.isfinite(params[key]).all():
+                raise ConfigError(
+                    f"bad value for {key!r}: {section[key]!r} is not finite"
+                )
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r} in [{subcommand}]")
         else:

@@ -11,11 +11,9 @@ from .illposed import (
     hN_sobolev_norm,
     illposed_build_hN,
     illposed_growth_fit,
-    illposed_phase_P,
     illposed_v_details,
     kernel_bracket_4n,
     oracle_agreement,
-    support_audit,
     torus_duhamel_oracle,
 )
 from .linear_ratios import (
@@ -56,7 +54,6 @@ __all__ = [
     "hN_sobolev_norm",
     "illposed_build_hN",
     "illposed_growth_fit",
-    "illposed_phase_P",
     "illposed_v_details",
     "kernel_bracket_4n",
     "make_packet_ensemble",
@@ -65,7 +62,6 @@ __all__ = [
     "plane_wave",
     "plane_wave_growth_exponent",
     "scaling_invariance_check",
-    "support_audit",
     "torus_duhamel_oracle",
     "write_report_csv",
 ]

@@ -9,11 +9,13 @@ The quadruple products of band frequencies land near 0, +-2N, +-4N only;
 the interesting output is the band near 4N.  There the phase separates
 into one term per factor frequency, and the fit evaluates the band by
 4-fold convolutions of one-dimensional chirps (_band_4n).  A 3-fold
-quadrature of the time kernel (e^{iTP}-1)/(iP) over the interaction set
-(_compute_on; series fallback near P = 0, no asymptotic shortcut for the
-kernel's size) covers every band and checks the fast path.  An independent
-oracle evolves on a torus the positive band alone, whose 4-fold products
-are the only ones to reach 4N, and integrates by brute-force Simpson.
+quadrature of the time kernel (e^{iTP}-1)/(iP) over the same interaction
+set (_compute_on; series fallback near P = 0, no asymptotic shortcut for
+the kernel's size) has three roles: it checks the fast path, it gives the
+mid-band value vhat_mid of each fit rung, and it is the frequency-space
+side of oracle_agreement.  An independent oracle evolves on a torus the
+positive band alone, whose 4-fold products are the only ones to reach 4N,
+and integrates by brute-force Simpson.
 """
 
 from __future__ import annotations
@@ -120,22 +122,6 @@ def _dispersion(xi):
     return xi * np.abs(xi)
 
 
-def illposed_phase_P(xi0: float, xi1: float, xi2: float, xi3: float) -> float:
-    """Resonance polynomial -2 sum_j xi_j (xi_{j-1} - xi_j), j = 1..3."""
-    return -2.0 * (
-        xi1 * (xi0 - xi1) + xi2 * (xi1 - xi2) + xi3 * (xi2 - xi3)
-    )
-
-
-def phase_from_dispersion(xi0, z1, z2, z3, z4):
-    """Same phase from dispersion differences of the four factor
-    frequencies z_i (z1+z2+z3+z4 = xi0); valid for every sign pattern."""
-    return (
-        _dispersion(z1) + _dispersion(z2) + _dispersion(z3) + _dispersion(z4)
-        - _dispersion(xi0)
-    )
-
-
 def _time_kernel(q: np.ndarray, T: float) -> np.ndarray:
     """int_0^T e^{i s q} ds = (e^{iTq} - 1)/(iq), series below |Tq| = 1e-6."""
     tq = T * q
@@ -196,29 +182,11 @@ def convolution_power_oracle(alpha: float, targets, n_quad: int = 100_000):
 # ---------------------------------------------------------------------------
 # The Picard-term quadrature.
 
-_BAND_PATTERNS = {
-    # center multiple of N, piece signs, multiplicity
-    "4N": (4.0, (1, 1, 1, 1), 1.0),
-    "2N": (2.0, (1, 1, 1, -1), 4.0),
-    "0": (0.0, (1, 1, -1, -1), 6.0),
-}
 
-
-def _band_window(p: IllposedParams, name: str) -> np.ndarray:
-    """Midpoint xi0 grid of the output window for one band."""
-    mult, signs, _ = _BAND_PATTERNS[name]
-    npos = sum(1 for s in signs if s > 0)
-    nneg = len(signs) - npos
-    lo = mult * p.N - nneg * p.alpha
-    # window covers all reachable sums: [lo, lo + 4 alpha]
+def _band_window(p: IllposedParams) -> np.ndarray:
+    """Midpoint xi0 grid of the 4N output window [4N, 4N + 4 alpha]."""
     h = p.alpha / p.freq_resolution
-    return lo + (np.arange(4 * p.freq_resolution) + 0.5) * h
-
-
-def _piece_interval(p: IllposedParams, sign: int) -> tuple[float, float]:
-    if sign > 0:
-        return p.N, p.N + p.alpha
-    return -p.N - p.alpha, -p.N
+    return 4.0 * p.N + (np.arange(4 * p.freq_resolution) + 0.5) * h
 
 
 # Fine-grid factor and series length of the separable 4N path: the
@@ -277,7 +245,7 @@ def _band_4n(
     chirp = np.exp(sigma * 1j * p.T * y2)
     ones = np.ones_like(y)
 
-    xi0 = _band_window(p, "4N")
+    xi0 = _band_window(p)
     nodes = refine * np.arange(xi0.size) + refine // 2 - 2
     eta = xi0 - 4.0 * p.N
     c = 12.0 * p.N ** 2 + 6.0 * p.N * eta + eta ** 2
@@ -290,7 +258,7 @@ def _band_4n(
     out *= sigma * 1j / c
     pref = (
         6.0 * 1j * xi0 * np.exp(sigma * 1j * p.T * _dispersion(xi0))
-        * (TWO_PI ** -3) * p.amplitude ** 4 * _BAND_PATTERNS["4N"][2]
+        * (TWO_PI ** -3) * p.amplitude ** 4
     )
     return FrequencyProfile(xi0, pref * out, p.alpha / M)
 
@@ -321,41 +289,16 @@ def illposed_v_details(p: IllposedParams, check: bool = True, tol: float = 0.05)
     return details
 
 
-def support_audit(p: IllposedParams, widen: float = 2.0) -> float:
-    """Fraction of computed v-hat mass inside the predicted windows.
-
-    Each band window is widened by ``widen`` * alpha on both sides; mass
-    outside the nominal 4-alpha window must come out zero because the
-    interaction set is empty there.
-    """
-    M = p.freq_resolution
-    h = p.alpha / M
-    total = 0.0
-    inside = 0.0
-    for name in _BAND_PATTERNS:
-        nominal = _band_window(p, name)
-        extra = int(round(widen * M))
-        lo = nominal[0] - (extra + 0.5) * h + 0.5 * h
-        xi0 = lo + np.arange(nominal.size + 2 * extra) * h
-        prof = _compute_on(p, name, xi0)
-        w = (1.0 + prof.xi ** 2) ** p.s * np.abs(prof.values) ** 2 * h
-        total += float(np.sum(w))
-        sel = (prof.xi >= nominal[0] - 0.51 * h) & (prof.xi <= nominal[-1] + 0.51 * h)
-        inside += float(np.sum(w[sel]))
-    if total == 0.0:
-        return 1.0
-    return inside / total
-
-
 def _compute_on(
-    p: IllposedParams, name: str, xi0: np.ndarray, M_inner: int | None = None
+    p: IllposedParams, xi0: np.ndarray, M_inner: int | None = None
 ) -> FrequencyProfile:
-    """3-fold midpoint quadrature of one band pattern on an explicit xi0 grid.
+    """3-fold midpoint quadrature of the 4N band on an explicit xi0 grid.
 
-    The interaction set {z in band_1 x .. x band_4 : sum z = xi0} is
+    The interaction set {z in [N, N + alpha]^4 : sum z = xi0} is
     parametrized by (z3, z4, z2) with z1 eliminated (unit Jacobian); the
     z2 interval is intersected exactly, so the set's boundary costs no
-    smearing beyond the midpoint rule.
+    smearing beyond the midpoint rule, and xi0 outside [4N, 4N + 4 alpha]
+    gets exactly zero.
 
     Refining M_inner from M to 2M is no convergence test: both node sets
     line up with the output window, and at N = 64, M = 32 the 4N-band norm
@@ -364,26 +307,24 @@ def _compute_on(
     At M_inner = r M the 4N band agrees with _band_4n at refine r to 1e-8
     in norm.
     """
-    _, signs, multiplicity = _BAND_PATTERNS[name]
     sigma = evolution_sign()
     if M_inner is None:
         M_inner = p.freq_resolution
-    b1, b2, b3, b4 = (_piece_interval(p, s) for s in signs)
+    lo_z, hi_z = p.N, p.N + p.alpha
     h34 = p.alpha / M_inner
-    z3 = b3[0] + (np.arange(M_inner) + 0.5) * h34
-    z4 = b4[0] + (np.arange(M_inner) + 0.5) * h34
+    z = lo_z + (np.arange(M_inner) + 0.5) * h34
     out = np.zeros(xi0.size, dtype=np.complex128)
     j = np.arange(M_inner)
     # chunk the z3 axis so the (z3, z4, z2) tensor stays near 64 MB
     chunk = max(1, (1 << 22) // (M_inner * M_inner))
     for start in range(0, M_inner, chunk):
-        Z3 = z3[start : start + chunk, None]
-        Z4 = z4[None, :]
+        Z3 = z[start : start + chunk, None]
+        Z4 = z[None, :]
         p34 = _dispersion(Z3) + _dispersion(Z4)
         for idx, x0 in enumerate(xi0):
             S = x0 - Z3 - Z4
-            lo = np.maximum(b2[0], S - b1[1])
-            hi = np.minimum(b2[1], S - b1[0])
+            lo = np.maximum(lo_z, S - hi_z)
+            hi = np.minimum(hi_z, S - lo_z)
             length = hi - lo
             mask = length > 0
             if not np.any(mask):
@@ -400,7 +341,7 @@ def _compute_on(
             out[idx] += np.sum(inner * mask) * h34 ** 2
     pref = (
         6.0 * 1j * xi0 * np.exp(sigma * 1j * p.T * _dispersion(xi0))
-        * (TWO_PI ** -3) * p.amplitude ** 4 * multiplicity
+        * (TWO_PI ** -3) * p.amplitude ** 4
     )
     return FrequencyProfile(xi0, pref * out, p.alpha / p.freq_resolution)
 
@@ -480,7 +421,7 @@ def oracle_agreement(p: IllposedParams, modes_per_alpha: int = 16) -> float:
     oracle = torus_duhamel_oracle(p, modes_per_alpha)
     sel = (oracle.xi >= 4 * p.N + p.alpha) & (oracle.xi <= 4 * p.N + 3 * p.alpha)
     xi_common = oracle.xi[sel]
-    main = _compute_on(p, "4N", xi_common)
+    main = _compute_on(p, xi_common)
     ref = np.abs(oracle.values[sel])
     gap = np.abs(np.abs(main.values) - ref)
     return float(np.max(gap / np.max(ref)))
@@ -522,7 +463,7 @@ def kernel_bracket_4n(p: IllposedParams) -> dict:
     N^{1 - 3s - 3 theta/2}, while model / resonant is close to
     sqrt(2) / (12 N^2 T), so the band itself grows two powers of N slower.
     """
-    xi0 = _band_window(p, "4N")
+    xi0 = _band_window(p)
     h = p.alpha / p.freq_resolution
     eta = xi0 - 4.0 * p.N
     c = 12.0 * p.N ** 2 + 6.0 * p.N * eta + eta ** 2
@@ -580,7 +521,7 @@ def illposed_growth_fit(
         p = IllposedParams(N=float(N), s=s, theta=theta, T=T,
                            freq_resolution=freq_resolution)
         details = illposed_v_details(p, check=True)
-        mid = _compute_on(p, "4N", np.array([4 * N + 2 * p.alpha]))
+        mid = _compute_on(p, np.array([4 * N + 2 * p.alpha]))
         vmid = float(np.abs(mid.values[0]))
         points.append(
             {

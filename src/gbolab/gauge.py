@@ -33,7 +33,6 @@ the largest windowed ||H w_xx|| over the interior slices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,6 @@ from gbolab.spectral import (
     hilbert,
     interior_window_mask,
     project_half_line,
-    sign_convention_label,
     spectral_derivative,
     windowed_l2,
 )
@@ -61,7 +59,6 @@ __all__ = [
     "bilinear_G_projected",
     "gauge_equation_residual",
     "windowed_residual_norm",
-    "residual_report",
 ]
 
 
@@ -212,26 +209,3 @@ def windowed_residual_norm(resid: SpaceTimeField, scale: float = 1.0) -> float:
     """Max over slices of the interior-window L2 norm, divided by ``scale``."""
     mask = interior_window_mask(resid.grid)
     return float(np.max(windowed_l2(resid.slices, resid.grid, mask)) / scale)
-
-
-def residual_report(
-    u_traj, k: int, out_path: str | None = None
-) -> dict:
-    """Run gauge_equation_residual and package the JSON report."""
-    norm, resid = gauge_equation_residual(u_traj, k)
-    mask = interior_window_mask(resid.grid)
-    per_slice = windowed_l2(resid.slices, resid.grid, mask).tolist()
-    dt = u_traj.uniform_step()
-    report = {
-        "k": k,
-        "grid": {"n": resid.grid.n, "length": resid.grid.length},
-        "dt": dt,
-        "window": "interior |x| <= L/4",
-        "residual_norm": norm,
-        "per_slice_residuals": per_slice,
-        "sign_convention": sign_convention_label(),
-    }
-    if out_path is not None:
-        with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-    return report

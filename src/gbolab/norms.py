@@ -21,9 +21,7 @@ threshold s > 5/12 and hence the minimal nonlinearity power 12.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +48,6 @@ __all__ = [
     "lemma_triplets",
     "norm_family_audit",
     "minimal_power",
-    "write_audit_csv",
 ]
 
 _TOL = 1e-12
@@ -414,26 +411,3 @@ def minimal_power(eps: float = 1e-9, k_max: int = 64) -> int:
         if _s_crit(k) >= threshold - 10 * eps:
             return k
     raise RuntimeError(f"no power up to {k_max} clears the threshold {threshold}")
-
-
-def write_audit_csv(
-    audit: Sequence[tuple[NormFamilyEntry, bool]], path: str
-) -> None:
-    """Write the audit: id, alpha, p, q, 2/p+1/q condition, alpha match, verdict."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "alpha", "p", "q", "condition_2p_1q", "alpha_matches", "verdict"])
-        for e, verdict in audit:
-            for t in e.triplets:
-                cond = 2 * _inv(t.p) + _inv(t.q)
-                boundary_ok = (np.isinf(t.p) and t.q == 2.0) or cond <= 0.5 + _TOL
-                alpha_match = abs(t.alpha - (_inv(t.p) + 2 * _inv(t.q) - 0.5)) <= _TOL
-                w.writerow([
-                    e.id,
-                    f"{t.alpha:.12g}",
-                    "inf" if np.isinf(t.p) else f"{t.p:.12g}",
-                    "inf" if np.isinf(t.q) else f"{t.q:.12g}",
-                    "PASS" if boundary_ok else "FAIL",
-                    "PASS" if alpha_match else "FAIL",
-                    "PASS" if verdict else "FAIL",
-                ])

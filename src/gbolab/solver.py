@@ -18,8 +18,7 @@ exactly; the power by repeated squaring) with 2/3-rule dealiasing.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,22 +30,18 @@ from gbolab.spectral import (
     _propagator,
     field_from_values,
     make_grid,
-    sign_convention_label,
 )
 
 __all__ = [
     "SolverConfig",
     "Trajectory",
     "BlowUpError",
-    "nonlinear_rhs",
     "step",
     "evolve",
     "duhamel_residual",
     "rescale",
     "rescale_traj",
     "stability_bound",
-    "save_trajectory",
-    "load_trajectory",
 ]
 
 
@@ -154,26 +149,6 @@ def _flux(grid: SpectralGrid, cfg: SolverConfig):
     xi, mask = _half_grid(grid)
     symbol = mask * (1j * xi) * (_nonlinear_coefficient(cfg) / (cfg.k + 1))
     return lambda values: symbol * np.fft.rfft(_power(values, cfg.k + 1))
-
-
-def nonlinear_rhs(u: Field, cfg: SolverConfig, form: str = "conservative") -> Field:
-    """The nonlinear term N(u) of d_t u = -H d_xx u + N(u).
-
-    form='conservative' evaluates c/(k+1) * d_x(u^{k+1}); form='product'
-    evaluates c * u^k u_x directly.  Both are 2/3-dealiased.
-    """
-    if not u.real:
-        raise ValueError("nonlinear term is defined for real fields")
-    grid, v = u.grid, u.values.real
-    if form == "conservative":
-        half = _flux(grid, cfg)(v)
-    elif form == "product":
-        xi, mask = _half_grid(grid)
-        ux = np.fft.irfft(mask * 1j * xi * np.fft.rfft(v), grid.n)
-        half = mask * np.fft.rfft(_power(v, cfg.k) * ux) * _nonlinear_coefficient(cfg)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return field_from_values(grid, np.fft.irfft(half, grid.n))
 
 
 # ---------------------------------------------------------------------------
@@ -312,48 +287,5 @@ def rescale_traj(traj: Trajectory, lam: float) -> Trajectory:
         grid=new_grid,
         times=traj.times / lam ** 2,
         slices=lam ** (1.0 / k) * traj.slices,
-        config=cfg,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Serialization.
-
-
-def save_trajectory(traj: Trajectory, path: str) -> None:
-    """Write a trajectory as JSON: config echo, grid, sign convention,
-    times, slices, and the conservation ledger."""
-    payload = {
-        "config": asdict(traj.config),
-        "grid": {"n": traj.grid.n, "length": traj.grid.length},
-        "sign_convention": sign_convention_label(),
-        "times": traj.times.tolist(),
-        "slices": traj.slices.tolist(),
-        "ledger": {
-            "mass": traj.mass.tolist(),
-            "l2": traj.l2.tolist(),
-            "linf": traj.linf.tolist(),
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_trajectory(path: str) -> Trajectory:
-    """Read a trajectory written by ``save_trajectory``.  A ``dealias`` echo
-    in an older file must name the 2/3 rule, the one the solver applies."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    config = dict(payload["config"])
-    dealias = config.pop("dealias", "two_thirds")
-    if dealias != "two_thirds":
-        raise ValueError(f"dealias = {dealias!r} is not supported; "
-                         "the solver always applies the 2/3 rule")
-    cfg = SolverConfig(**config)
-    grid = make_grid(payload["grid"]["n"], payload["grid"]["length"])
-    return Trajectory(
-        grid=grid,
-        times=np.asarray(payload["times"]),
-        slices=np.asarray(payload["slices"]),
         config=cfg,
     )

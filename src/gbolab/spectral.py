@@ -24,7 +24,6 @@ both P+ + P- = Id and i*H = P+ - P- with sgn(0) = 0.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,13 +49,9 @@ __all__ = [
     "antiderivative",
     "boundary_taper",
     "interior_window_mask",
-    "save_field",
-    "load_field",
 ]
 
 _REAL_TOL = 1e-12
-
-SERIALIZATION_CONVENTION = "forward = int e^{-ix xi}, discrete coefficients scaled by L/n"
 
 
 @dataclass(frozen=True)
@@ -445,39 +440,3 @@ def interior_window_mask(grid: SpectralGrid, fraction: float = 0.5) -> np.ndarra
 def windowed_l2(values: np.ndarray, grid: SpectralGrid, mask: np.ndarray) -> np.ndarray:
     """L2 norm over the last axis of samples restricted to a boolean window."""
     return np.sqrt(np.sum(np.abs(values[..., mask]) ** 2, axis=-1) * grid.dx)
-
-
-# ---------------------------------------------------------------------------
-# Serialization (CSV, m-index order).
-
-
-def save_field(f: Field, path: str) -> None:
-    """Write a Field to CSV: header lines, then rows m, x, value, coeff."""
-    with open(path, "w") as fh:
-        fh.write(f"# n={f.grid.n} length={f.grid.length!r} real={int(f.real)}\n")
-        fh.write(f"# convention: {SERIALIZATION_CONVENTION}\n")
-        fh.write("m,x,value_re,value_im,coeff_re,coeff_im\n")
-        ms = np.arange(-f.grid.n // 2, f.grid.n // 2)
-        for i, m in enumerate(ms):
-            row = (f.grid.x[i], f.values[i].real, f.values[i].imag,
-                   f.coeffs[i].real, f.coeffs[i].imag)
-            fh.write(f"{m}," + ",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_field(path: str) -> Field:
-    """Read a Field written by save_field; validates the convention tag."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        convention = fh.readline().strip()
-        if SERIALIZATION_CONVENTION not in convention:
-            raise ValueError(f"unrecognized convention line: {convention!r}")
-        parts = dict(item.split("=") for item in header.lstrip("# ").split())
-        n = int(parts["n"])
-        length = float(parts["length"])
-        body = fh.read()
-    data = np.genfromtxt(io.StringIO(body), delimiter=",", skip_header=1)
-    if data.shape != (n, 6):
-        raise ValueError(f"expected {n} rows, got {data.shape}")
-    grid = make_grid(n, length)
-    coeffs = data[:, 4] + 1j * data[:, 5]
-    return field_from_coeffs(grid, coeffs)

@@ -35,6 +35,28 @@ N_list = 8, 16, 32, 64, 128
 freq_resolution = 16
 """
 
+SIMULATE_OK = """
+[simulate]
+n = 256
+length = 40.0
+k = 12
+rescaled = yes
+dt = 4e-4
+t_end = 0.02
+slice_stride = 10
+amplitude = 0.3
+"""
+
+SCALING_OK = """
+[scaling]
+n = 256
+length = 40.0
+amplitude = 0.01
+k = 12
+lambda_list = 1.0, 2.0
+s_list = 0.3, 0.49
+"""
+
 
 def run_cli(tmp_path, config_text, subcommand, extra=()):
     tmp_path.mkdir(parents=True, exist_ok=True)
@@ -175,6 +197,21 @@ class TestErrorPaths:
         assert data["error"]["type"] == "QuadratureError"
         assert "slope" not in data
 
+    @pytest.mark.parametrize("subcommand, config, key", [
+        ("illposed", ILLPOSED_MIN.replace("theta = 0.2", "theta = nan"), "theta"),
+        ("illposed", ILLPOSED_MIN.replace("T = 1.0", "T = inf"), "T"),
+        ("scaling", SCALING_OK.replace("lambda_list = 1.0, 2.0",
+                                       "lambda_list = 1.0, nan"), "lambda_list"),
+        ("simulate", SIMULATE_OK + "mass_tol = nan\n", "mass_tol"),
+    ], ids=["illposed-theta", "illposed-T", "scaling-lambda_list",
+            "simulate-mass_tol"])
+    def test_non_finite_value_exit_two(self, tmp_path, subcommand, config, key):
+        code, out = run_cli(tmp_path, config, subcommand)
+        assert code == 2
+        data = json.loads((out / "report.json").read_text())
+        assert data["error"]["type"] == "ConfigError"
+        assert repr(key) in data["error"]["message"]
+
     def test_blowup_reported_as_error(self, tmp_path):
         text = """
 [simulate]
@@ -194,18 +231,7 @@ amplitude = 10000.0
 
 class TestOtherSubcommands:
     def test_simulate_writes_conservation_series(self, tmp_path):
-        text = """
-[simulate]
-n = 256
-length = 40.0
-k = 12
-rescaled = yes
-dt = 4e-4
-t_end = 0.02
-slice_stride = 10
-amplitude = 0.3
-"""
-        code, out = run_cli(tmp_path, text, "simulate")
+        code, out = run_cli(tmp_path, SIMULATE_OK, "simulate")
         assert code == 0
         lines = (out / "series.csv").read_text().splitlines()
         assert lines[0] == "l2,linf,mass,t"
@@ -276,16 +302,7 @@ rungs = 2
         assert "'lowfreq'" in data["error"]["message"]
 
     def test_scaling_pass(self, tmp_path):
-        text = """
-[scaling]
-n = 256
-length = 40.0
-amplitude = 0.01
-k = 12
-lambda_list = 1.0, 2.0
-s_list = 0.3, 0.49
-"""
-        code, out = run_cli(tmp_path, text, "scaling")
+        code, out = run_cli(tmp_path, SCALING_OK, "scaling")
         assert code == 0
 
     def test_gauge_residual_pass(self, tmp_path):

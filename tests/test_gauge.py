@@ -1,7 +1,5 @@
 """Gauge transform, bilinear interaction operator, gauged-equation residual."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from gbolab.gauge import (
     bilinear_G_projected,
     gauge_equation_residual,
     gauge_transform,
-    residual_report,
     windowed_residual_norm,
 )
 from gbolab.solver import SolverConfig, evolve
@@ -242,19 +239,3 @@ def test_windowed_residual_norm_scale():
     assert windowed_residual_norm(resid, 2.0) == pytest.approx(raw / 2.0)
     # the normalized figure differs from raw exactly by the reported scale
     assert norm == pytest.approx(raw / (raw / norm))
-
-
-def test_residual_report(tmp_path):
-    traj = rescaled_trajectory(stride=100)
-    path = tmp_path / "report.json"
-    report = residual_report(traj, 12, str(path))
-    on_disk = json.loads(path.read_text())
-    assert on_disk == report
-    assert report["k"] == 12
-    assert report["grid"] == {"n": 512, "length": 60.0}
-    assert report["dt"] == traj.uniform_step()
-    assert "exp(" in report["sign_convention"]
-    assert report["residual_norm"] == pytest.approx(
-        gauge_equation_residual(traj, 12)[0]
-    )
-    assert len(report["per_slice_residuals"]) == traj.n_times - 4

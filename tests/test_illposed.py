@@ -21,12 +21,9 @@ from gbolab.experiments.illposed import (
     hN_sobolev_norm,
     illposed_build_hN,
     illposed_growth_fit,
-    illposed_phase_P,
     illposed_v_details,
     kernel_bracket_4n,
     oracle_agreement,
-    phase_from_dispersion,
-    support_audit,
     torus_duhamel_oracle,
 )
 from gbolab.spectral import _forward, _inverse, evolution_sign, make_grid
@@ -87,12 +84,24 @@ class TestDataProfile:
         assert max(norms) / min(norms) < 1.05
 
 
+def _phase_polynomial(xi0, xi1, xi2, xi3):
+    """Resonance polynomial -2 sum_j xi_j (xi_{j-1} - xi_j), j = 1..3."""
+    return -2.0 * (xi1 * (xi0 - xi1) + xi2 * (xi1 - xi2) + xi3 * (xi2 - xi3))
+
+
+def _phase_from_dispersion(xi0, z1, z2, z3, z4):
+    """The same phase from dispersion differences of the four factor
+    frequencies z_i (z1 + z2 + z3 + z4 = xi0), the form _compute_on uses."""
+    return (_dispersion(z1) + _dispersion(z2) + _dispersion(z3) + _dispersion(z4)
+            - _dispersion(xi0))
+
+
 class TestPhasePolynomial:
     def test_direct_arithmetic(self):
-        assert illposed_phase_P(4.0, 3.0, 2.0, 1.0) == pytest.approx(-12.0)
+        assert _phase_polynomial(4.0, 3.0, 2.0, 1.0) == pytest.approx(-12.0)
 
     def test_coincident_frequencies_vanish(self):
-        assert illposed_phase_P(7.0, 7.0, 7.0, 7.0) == 0.0
+        assert _phase_polynomial(7.0, 7.0, 7.0, 7.0) == 0.0
 
     def test_matches_dispersion_form_on_positive_region(self):
         rng = np.random.default_rng(0)
@@ -104,8 +113,8 @@ class TestPhasePolynomial:
             # factor frequencies x0-x1, x1-x2, x2-x3, x3 all positive
             if x0 - x1 <= 0:
                 continue
-            poly = illposed_phase_P(x0, x1, x2, x3)
-            disp = phase_from_dispersion(x0, x0 - x1, x1 - x2, x2 - x3, x3)
+            poly = _phase_polynomial(x0, x1, x2, x3)
+            disp = _phase_from_dispersion(x0, x0 - x1, x1 - x2, x2 - x3, x3)
             assert poly == pytest.approx(disp, abs=1e-10 * max(1.0, abs(poly)))
 
     def test_band_magnitude_of_order_N_squared(self):
@@ -118,7 +127,7 @@ class TestPhasePolynomial:
             x2 = x3 + f[2]
             x1 = x2 + f[1]
             x0 = x1 + f[0]
-            vals.append(abs(illposed_phase_P(x0, x1, x2, x3)) / N ** 2)
+            vals.append(abs(_phase_polynomial(x0, x1, x2, x3)) / N ** 2)
         assert 4.0 < min(vals) and max(vals) < 30.0
 
 
@@ -208,7 +217,18 @@ class TestComputeV:
         assert np.all(np.abs(profile.values[mid]) > 0)
 
     def test_support_audit_mass_in_bands(self, cheap_params):
-        assert support_audit(cheap_params) >= 0.999
+        # the interaction set is empty off [4N, 4N + 4 alpha], so on a window
+        # widened by 2 alpha each side the quadrature must give exact zeros
+        p = cheap_params
+        M = p.freq_resolution
+        h = p.alpha / M
+        xi0 = _band_window(p)[0] + np.arange(-2 * M, 6 * M) * h
+        prof = _compute_on(p, xi0)
+        mass = (1.0 + xi0 ** 2) ** p.s * np.abs(prof.values) ** 2 * h
+        inside = (xi0 >= 4 * p.N) & (xi0 <= 4 * (p.N + p.alpha))
+        assert inside.sum() == 4 * M
+        assert np.sum(mass[~inside]) == 0.0
+        assert np.sum(mass[inside]) > 0.0
 
     def test_refinement_check_passes_default_tol(self, cheap_params):
         details = illposed_v_details(cheap_params, check=True)
@@ -225,7 +245,7 @@ class TestSeparableBand:
     def test_matches_direct_quadrature_pointwise(self, cheap_params):
         p = cheap_params
         fast = _band_4n(p)
-        direct = _compute_on(p, "4N", _band_window(p, "4N"), 4 * p.freq_resolution)
+        direct = _compute_on(p, _band_window(p), 4 * p.freq_resolution)
         np.testing.assert_array_equal(fast.xi, direct.xi)
         scale = np.max(np.abs(direct.values))
         assert np.max(np.abs(fast.values - direct.values)) <= 1e-5 * scale
@@ -261,7 +281,7 @@ class TestKernelBracket:
             illposed, "_time_kernel", lambda q, T: np.full(q.shape, T, complex)
         )
         p = cheap_params
-        band_norm = _compute_on(p, "4N", _band_window(p, "4N")).hs_norm(p.s)
+        band_norm = _compute_on(p, _band_window(p)).hs_norm(p.s)
         bracket = kernel_bracket_4n(cheap_params)
         assert band_norm == pytest.approx(bracket["resonant"], rel=1e-2)
         assert band_norm > bracket["model"] + bracket["remainder"]

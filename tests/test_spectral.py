@@ -19,12 +19,10 @@ from gbolab.spectral import (
     free_evolve,
     hilbert,
     interior_window_mask,
-    load_field,
     lowpass_P0,
     lp_block,
     make_grid,
     project_half_line,
-    save_field,
     sign_convention_label,
     spectral_derivative,
     tilde_projection,
@@ -351,26 +349,3 @@ def test_interior_window():
     mask = interior_window_mask(GRID)
     assert mask.sum() == pytest.approx(GRID.n / 2, abs=2)
     assert np.all(np.abs(GRID.x[mask]) <= GRID.length / 4 + 1e-12)
-
-
-# --- serialization ----------------------------------------------------------
-
-
-def test_save_load_round_trip(tmp_path):
-    f = band_limited(GRID, 22)
-    path = tmp_path / "field.csv"
-    save_field(f, str(path))
-    g = load_field(str(path))
-    assert g.grid == f.grid
-    np.testing.assert_allclose(g.values, f.values, atol=1e-12)
-    np.testing.assert_allclose(g.coeffs, f.coeffs, atol=1e-12)
-
-
-def test_load_rejects_wrong_convention(tmp_path):
-    f = band_limited(GRID, 23)
-    path = tmp_path / "field.csv"
-    save_field(f, str(path))
-    text = path.read_text().replace("L/n", "n/L")
-    path.write_text(text)
-    with pytest.raises(ValueError):
-        load_field(str(path))

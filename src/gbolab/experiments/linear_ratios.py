@@ -38,9 +38,8 @@ def _time_table(grid: SpectralGrid, T: float, n_time: int) -> np.ndarray:
 
 
 def free_evolution_spacetime(phi: Field, T: float, n_time: int) -> SpaceTimeField:
-    """Sample V(t)phi on n_time+1 uniform times covering [0, T].  Re phi and
-    Im phi evolve apart on rfft half spectra, so the Nyquist mode of complex
-    data moves by cos(t*xi_N^2) as in the solver, not by free_evolve's phase."""
+    """Sample V(t)phi on n_time+1 uniform times covering [0, T]: row i is
+    free_evolve(phi, t_i), with Re phi and Im phi evolved on rfft half spectra."""
     if T <= 0:
         raise ValueError("T must be positive")
     if n_time < 2:

@@ -10,9 +10,10 @@ The bilinear operator G is defined on the frequency side by
     Ghat(xi) = (dxi / 4pi) * (1/xi) * sum_{xi1} xi1*(xi-xi1)
                * [sgn(xi1) + sgn(xi-xi1)] * fhat(xi1) * ghat(xi-xi1)
 
-for xi != 0 and Ghat(0) = 0; the convolution is linear (out-of-band treated
-as zero).  The constant is calibrated so that the two physical-space
-identities hold exactly:
+for xi != 0 and Ghat(0) = 0, with xi, sgn(xi) and 1/xi all 0 on the Nyquist
+mode; the convolution is linear (out-of-band treated as zero).  The
+constant is calibrated so that the two physical-space identities hold
+exactly:
 
     G(f,f) = dx^{-1}(f_x * H f_x)
     G(f,g) = dx^{-1}(-i P_+f_x P_+g_x + i P_-f_x P_-g_x)
@@ -106,11 +107,11 @@ def bilinear_G_direct(f: Field, g: Field) -> Field:
     """G by the explicit frequency-kernel sum (linear convolution)."""
     if f.grid != g.grid:
         raise ValueError("fields must share a grid")
-    xi = f.grid.frequencies
-    n = f.grid.n
-    term = _linear_convolution_band(np.abs(xi) * f.coeffs, xi * g.coeffs)
-    term = term + _linear_convolution_band(xi * f.coeffs, np.abs(xi) * g.coeffs)
-    out = np.zeros(n, dtype=np.complex128)
+    xi = f.grid.sgn * np.abs(f.grid.frequencies)
+    abs_xi = f.grid.sgn * xi  # the kernel's sgn(xi)*xi, so 0 on the Nyquist mode too
+    term = _linear_convolution_band(abs_xi * f.coeffs, xi * g.coeffs)
+    term = term + _linear_convolution_band(xi * f.coeffs, abs_xi * g.coeffs)
+    out = np.zeros(f.grid.n, dtype=np.complex128)
     nz = xi != 0
     out[nz] = term[nz] * f.grid.dxi / (4.0 * np.pi * xi[nz])
     return field_from_coeffs(f.grid, out)
@@ -125,7 +126,7 @@ def bilinear_G_projected(f: Field, g: Field) -> Field:
     plus = project_half_line(fx, "plus").values * project_half_line(gx, "plus").values
     minus = project_half_line(fx, "minus").values * project_half_line(gx, "minus").values
     h = field_from_values(f.grid, -1j * plus + 1j * minus)
-    xi = f.grid.frequencies
+    xi = f.grid.sgn * np.abs(f.grid.frequencies)
     sym = np.zeros(f.grid.n, dtype=np.complex128)
     nz = xi != 0
     sym[nz] = 1.0 / (1j * xi[nz])

@@ -8,8 +8,8 @@ Two flavors of the evolution are supported, selected by SolverConfig:
 
 Both are integrated by an integrating-factor classical RK4 in the frame of
 the free group on the raw ``np.fft.rfft`` half spectrum m = 0..n/2 of the
-samples (``irfft`` keeps the Nyquist mode real by construction): the linear
-part is advanced exactly by the e^{sigma*i*t*xi^2} multiplier, so the scheme
+samples: the linear part is advanced exactly by the free propagator (its
+odd dispersion vanishes on the Nyquist mode, which stays put), so the scheme
 is exact on linear flows and the dt restriction comes only from the
 nonlinear term.  The nonlinearity is evaluated pseudospectrally in
 conservative form c * d_x(u^{k+1})/(k+1) (which conserves the zero mode

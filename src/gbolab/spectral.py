@@ -13,13 +13,14 @@ Plancherel reads  int |f|^2 dx = (1/2pi) int |fhat|^2 dxi.
 
 Multiplier operators act diagonally on coefficients:
 
-    hilbert             -i*sgn(xi),  sgn(0) = 0
+    hilbert             -i*sgn(xi)
     fractional D^a      |xi|^a      (|0|^a := 0 for a < 0, mean-zero input)
-    project_half_line   indicator of xi > 0 (or < 0), zero mode weight 1/2
-    free_evolve         e^{sigma*i*t*xi*|xi|}, sigma fixed by residual test
+    project_half_line   (1 +- sgn(xi))/2, zero and Nyquist modes weight 1/2
+    free_evolve         e^{sigma*i*t*sgn(xi)*xi^2}, sigma fixed by residual test
 
-The half-weight split of the zero mode is the unique convention satisfying
-both P+ + P- = Id and i*H = P+ - P- with sgn(0) = 0.
+Every odd symbol is sgn(xi) times an even one, with SpectralGrid.sgn = 0 on
+the self-conjugate modes m = 0 and m = -n/2; so real data stay real, and
+P+ + P- = Id and i*H = P+ - P- hold exactly.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ class SpectralGrid:
     frequencies: np.ndarray = field(repr=False, compare=False)
     # (-1)^m, the phase of the grid origin at -L/2; read by every transform
     signs: np.ndarray = field(repr=False, compare=False)
+    # sgn(xi_m), 0 at m = 0 and m = -n/2: every odd symbol is sgn times an even one
+    sgn: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dx(self) -> float:
@@ -106,8 +109,9 @@ def make_grid(n: int, length: float) -> SpectralGrid:
     x = -length / 2 + np.arange(n) * (length / n)
     frequencies = 2.0 * np.pi * m / length
     signs = np.where(m % 2 == 0, 1.0, -1.0)
+    sgn = np.where(m == -n // 2, 0.0, np.sign(m))
     return SpectralGrid(n=n, length=float(length), x=x, frequencies=frequencies,
-                        signs=signs)
+                        signs=signs, sgn=sgn)
 
 
 # Both transforms act on the last axis, so one call transforms a whole
@@ -194,23 +198,23 @@ def apply_multiplier(f: Field, m: np.ndarray) -> Field:
 
 
 def spectral_derivative(f: Field, ramp_slope: float = 0.0) -> Field:
-    """First derivative by the i*xi multiplier.
+    """First derivative by the i*sgn(xi)*|xi| multiplier.
 
     ``ramp_slope`` declares that f contains a known non-periodic linear part
     ramp_slope*(x + L/2) (as produced by antiderivative); that part is
     removed before transforming and contributes its exact constant slope.
     """
+    symbol = 1j * f.grid.sgn * np.abs(f.grid.frequencies)
     if ramp_slope == 0.0:
-        return apply_multiplier(f, 1j * f.grid.frequencies)
+        return apply_multiplier(f, symbol)
     ramp = ramp_slope * (f.grid.x + f.grid.length / 2)
-    periodic = field_from_values(f.grid, f.values - ramp)
-    deriv = apply_multiplier(periodic, 1j * periodic.grid.frequencies)
+    deriv = apply_multiplier(field_from_values(f.grid, f.values - ramp), symbol)
     return field_from_values(f.grid, deriv.values + ramp_slope)
 
 
 def hilbert(f: Field) -> Field:
-    """Hilbert transform: multiplier -i*sgn(xi) with sgn(0) = 0."""
-    return apply_multiplier(f, -1j * np.sign(f.grid.frequencies))
+    """Hilbert transform: multiplier -i*sgn(xi)."""
+    return apply_multiplier(f, -1j * f.grid.sgn)
 
 
 def fractional_derivative(f: Field, alpha: float) -> Field:
@@ -241,19 +245,12 @@ def _fractional_symbol(xi: np.ndarray, alpha: float) -> np.ndarray:
 def project_half_line(f: Field, side: str) -> Field:
     """Frequency projection onto xi > 0 (side='plus') or xi < 0 ('minus').
 
-    The zero mode is shared with weight 1/2 on each side, so that
-    plus + minus = Id and i*hilbert = plus - minus hold exactly.
+    The symbol (1 +- sgn(xi))/2 gives the zero and Nyquist modes weight 1/2,
+    so that plus + minus = Id and i*hilbert = plus - minus hold exactly.
     """
-    xi = f.grid.frequencies
-    if side == "plus":
-        sym = np.where(xi > 0, 1.0, 0.0)
-    elif side == "minus":
-        sym = np.where(xi < 0, 1.0, 0.0)
-    else:
+    if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    sym = sym.astype(np.complex128)
-    sym[f.grid.n // 2] = 0.5
-    return apply_multiplier(f, sym)
+    return apply_multiplier(f, 0.5 + (0.5 if side == "plus" else -0.5) * f.grid.sgn)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +323,9 @@ def band_projections(f: Field, j: int, side: str) -> Field:
 # Free evolution.
 #
 # The linear flow d_t u + H d_x^2 u = 0 diagonalizes to
-# d_t uhat = -i xi |xi| uhat, so the propagator multiplier is
-# e^{-i t xi |xi|}.  evolution_sign() re-derives the sign at runtime from a
-# centered-difference residual test instead of trusting the formula.
+# d_t uhat = -i xi |xi| uhat; the propagator multiplier e^{-i t sgn(xi) xi^2}
+# is 1 on the Nyquist mode.  evolution_sign() re-derives the sign at runtime
+# from a centered-difference residual test instead of trusting the formula.
 
 _SIGN_CACHE: dict[str, int] = {}
 
@@ -376,8 +373,7 @@ def free_evolution_phases(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarr
 
     A column of times ``t[:, None]`` gives one row of phases per time.
     """
-    xi = grid.frequencies
-    return np.exp(evolution_sign() * 1j * t * xi * np.abs(xi))
+    return np.exp(evolution_sign() * 1j * t * (grid.sgn * grid.frequencies ** 2))
 
 
 def _half_grid(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -386,8 +382,10 @@ def _half_grid(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _propagator(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
-    """e^{sigma*i*t*xi^2} on the rfft bins; a column of times gives rows."""
-    return np.exp(evolution_sign() * 1j * t * _half_grid(grid)[0] ** 2)
+    """free_evolution_phases(grid, -t) on the rfft bins, bin m holding mode
+    -m; a column of times gives rows."""
+    sgn_xi2 = (grid.sgn * grid.frequencies ** 2)[grid.n // 2::-1]
+    return np.exp(evolution_sign() * -1j * t * sgn_xi2)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +395,14 @@ def _propagator(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
 def antiderivative(f: Field) -> Field:
     """Antiderivative F with F(-L/2) = 0, the vanishing-at-minus-infinity surrogate.
 
-    The mean-zero part is integrated by division by i*xi; the mean m
-    contributes the non-periodic ramp m*(x + L/2).  Callers that
-    differentiate F spectrally must pass ramp_slope = mean(f) to
-    spectral_derivative, and callers that exponentiate F should taper
+    The mean-zero part is integrated by the odd symbol 1/(i*xi), 0 on the
+    Nyquist mode; the mean m contributes the non-periodic ramp m*(x + L/2).
+    Callers that differentiate F spectrally must pass ramp_slope = mean(f)
+    to spectral_derivative, and callers that exponentiate F should taper
     (see boundary_taper).
     """
     grid = f.grid
-    xi = grid.frequencies
+    xi = grid.sgn * np.abs(grid.frequencies)
     dc = grid.n // 2
     mean = f.coeffs[dc] / grid.length
 

@@ -59,10 +59,16 @@ def test_gauge_requires_real_and_power():
 
 
 def test_gauge_output_positive_frequencies_only():
+    # modes -n/2+1..-1 vanish; the self-conjugate m = -n/2, like m = 0, is
+    # split between P+ and P-, so w keeps half of it
     grid = make_grid(512, 60.0)
-    state = gauge_transform(gaussian(grid, 0.8), 12)
-    neg = state.w.coeffs[: grid.n // 2]
+    u = gaussian(grid, 0.8)
+    state = gauge_transform(u, 12)
+    neg = state.w.coeffs[1 : grid.n // 2]
     assert np.max(np.abs(neg)) < 1e-12 * max(state.w.l2_norm(), 1e-30)
+    gauged = boundary_taper(grid) * np.exp(-1j * state.F.values) * u.values
+    nyquist = field_from_values(grid, gauged).coeffs[0]
+    assert nyquist != 0.0 and state.w.coeffs[0] == 0.5 * nyquist
 
 
 def test_gauge_norm_bounded_by_input():
@@ -157,6 +163,18 @@ def test_G_direct_vs_projected():
         b = bilinear_G_projected(f, g)
         scale = max(np.max(np.abs(a.coeffs)), 1e-30)
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("G", [bilinear_G_direct, bilinear_G_projected])
+def test_G_keeps_real_data_real(G):
+    # white noise fills the self-conjugate Nyquist mode, on which the
+    # kernel's xi, sgn(xi) and 1/xi all vanish
+    grid = make_grid(64, 2 * np.pi)
+    rng = np.random.default_rng(0)
+    f = field_from_values(grid, rng.normal(size=grid.n))
+    g = field_from_values(grid, rng.normal(size=grid.n))
+    out = G(f, g)
+    assert np.max(np.abs(out.values.imag)) <= 1e-13 * np.max(np.abs(out.values))
 
 
 def test_G_physical_space_identity():

@@ -47,6 +47,12 @@ def band_limited(grid, seed, max_mode=None):
     return field_from_coeffs(grid, coeffs)
 
 
+def white_noise():
+    """Real n = 64 samples with generic content on the Nyquist mode m = -n/2."""
+    grid = make_grid(64, 2 * np.pi)
+    return field_from_values(grid, np.random.default_rng(0).normal(size=grid.n))
+
+
 # --- transform calibration -------------------------------------------------
 
 
@@ -120,6 +126,15 @@ def test_hilbert_of_cos():
     np.testing.assert_allclose(hilbert(g).values.real, -np.cos(GRID.x), atol=1e-12)
 
 
+@pytest.mark.parametrize("op", [spectral_derivative, hilbert, antiderivative])
+def test_odd_symbols_keep_real_data_real(op):
+    # each odd symbol vanishes on the self-conjugate Nyquist mode
+    f = white_noise()
+    out = op(f)
+    assert out.real
+    assert np.max(np.abs(out.values.imag)) <= 1e-13 * f.linf_norm()
+
+
 def test_hilbert_squared_is_minus_identity_off_mean():
     f = band_limited(GRID, 2)
     mean_free = field_from_values(GRID, f.values - f.mean())
@@ -165,17 +180,17 @@ def test_unbounded_symbol_rejected():
 
 
 def test_projections_sum_to_identity():
-    f = band_limited(GRID, 5)
-    total = project_half_line(f, "plus").values + project_half_line(f, "minus").values
-    np.testing.assert_allclose(total, f.values, atol=1e-11)
+    for f in (band_limited(GRID, 5), white_noise()):
+        total = project_half_line(f, "plus").values + project_half_line(f, "minus").values
+        np.testing.assert_allclose(total, f.values, atol=1e-11)
 
 
 def test_ih_equals_plus_minus_difference():
-    # i*H = P+ - P-, zero mode included (both sides kill it).
-    f = band_limited(GRID, 6)
-    lhs = 1j * hilbert(f).values
-    rhs = project_half_line(f, "plus").values - project_half_line(f, "minus").values
-    np.testing.assert_allclose(lhs, rhs, atol=1e-11)
+    # i*H = P+ - P-, zero and Nyquist modes included (both sides kill them).
+    for f in (band_limited(GRID, 6), white_noise()):
+        lhs = 1j * hilbert(f).values
+        rhs = project_half_line(f, "plus").values - project_half_line(f, "minus").values
+        np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
 
 def test_projection_idempotent_off_zero_mode():
@@ -187,10 +202,10 @@ def test_projection_idempotent_off_zero_mode():
 
 
 def test_projection_of_real_field_conjugate_symmetry():
-    f = band_limited(GRID, 8)
-    p = project_half_line(f, "plus")
-    m = project_half_line(f, "minus")
-    np.testing.assert_allclose(p.values, np.conj(m.values), atol=1e-11)
+    for f in (band_limited(GRID, 8), white_noise()):
+        p = project_half_line(f, "plus")
+        m = project_half_line(f, "minus")
+        np.testing.assert_allclose(p.values, np.conj(m.values), atol=1e-11)
 
 
 # --- dyadic decomposition --------------------------------------------------
@@ -299,10 +314,14 @@ def test_free_evolution_unitary():
 
 
 def test_free_evolution_preserves_realness():
-    # xi|xi| is odd, so the flow maps real data to real data.
+    # xi|xi| is odd, so the flow maps real data to real data; on the Nyquist
+    # mode it vanishes, as every odd symbol does.
     f = band_limited(GRID, 19)
     u = free_evolve(f, 0.41)
     assert np.max(np.abs(u.values.imag)) < 1e-10
+    f = white_noise()
+    u = free_evolve(f, 0.01)
+    assert u.real and np.max(np.abs(u.values.imag)) <= 1e-13 * f.linf_norm()
 
 
 # --- antiderivative ---------------------------------------------------------

@@ -316,7 +316,17 @@ def _run_estimates(cfg: RunConfig) -> ExperimentReport:
             raise ConfigError(f"unknown estimate {name!r}")
         if name in names[:i]:
             raise ConfigError(f"estimate {name!r} listed twice")
+    # the ranges estimate_ladder would only reject after the earlier ladders ran
+    if "xst" in names and not 0 < p["s"] < 0.5:
+        raise ConfigError(f"s must lie in (0, 1/2) for the xst estimate, "
+                          f"got {p['s']}")
+    if ("lowfreq" in names or "xst" in names) and not p["T"] < 1:
+        raise ConfigError(f"T must lie in (0, 1) for the lowfreq and xst "
+                          f"estimates, got {p['T']}")
     grid = make_grid(p["n"], p["length"])
+    if "lowfreq" in names and grid.dxi > 0.25:
+        raise ConfigError(f"length must be at least 8 pi for the lowfreq "
+                          f"estimate, got {p['length']}")
     points = []
     all_ok = True
     for name in names:

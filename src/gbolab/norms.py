@@ -6,9 +6,10 @@ Sobolev norms follow the transform calibration of :mod:`gbolab.spectral`:
 
 with the homogeneous variant using |xi|^{2s} and dropping the zero mode.
 Mixed space-time norms L^p_x L^q_t / L^q_t L^p_x of a slice array use the
-trapezoid rule in time and a Riemann sum in space (max for an infinite
-exponent), the inner exponent first.  The X^s_T pieces transform the slice
-stack once, on rfft half spectra.
+trapezoid rule in time, applied as one product of its weights with the
+stack (exact on non-uniform times), and a Riemann sum in space (max for an
+infinite exponent), the inner exponent first.  The X^s_T pieces transform
+the slice stack once, on rfft half spectra.
 
 The admissibility predicate decides whether a derivative budget alpha is
 available at exponents (p, q): admissible means the endpoint (1/2, inf, 2),
@@ -162,13 +163,16 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
 
 
 def _lp_time(values: np.ndarray, times: np.ndarray, q: float) -> np.ndarray:
-    """L^q norm along axis 0 (time) by trapezoid rule."""
+    """L^q norm along axis 0 (time) by the trapezoid rule, as one weighted
+    sum: w_i = (t_{i+1} - t_{i-1})/2 inside, half a step at each end."""
     if np.isinf(q):
         return np.max(np.abs(values), axis=0)
     if times.size == 1:
         raise ValueError("finite time exponent needs at least two time samples")
+    half = np.diff(times) / 2.0
+    weights = np.append(half, 0.0) + np.insert(half, 0, 0.0)
     buf = np.abs(values)  # |v|^q in one buffer: a fresh one costs page faults
-    return np.trapezoid(np.power(buf, q, out=buf), times, axis=0) ** (1.0 / q)
+    return (weights @ np.power(buf, q, out=buf)) ** (1.0 / q)
 
 
 def _lp_space(values: np.ndarray, dx: float, p: float) -> np.ndarray:

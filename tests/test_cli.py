@@ -301,6 +301,36 @@ rungs = 2
         assert data["error"]["type"] == "ConfigError"
         assert "'lowfreq'" in data["error"]["message"]
 
+    def test_estimates_single_rung_is_an_error(self, tmp_path):
+        text = ESTIMATES_KATO.replace("rungs = 2", "rungs = 1")
+        code, out = run_cli(tmp_path, text, "estimates")
+        assert code == 2
+        data = json.loads((out / "report.json").read_text())
+        assert data["verdict"] == "ERROR"
+        assert "at least two rungs" in data["error"]["message"]
+
+    @pytest.mark.parametrize("key, edits", [
+        ("s", {"which = kato": "which = kato, xst\ns = 0.7"}),
+        ("T", {"which = kato": "which = kato, lowfreq", "T = 0.1": "T = 1.5"}),
+        ("T", {"which = kato": "which = kato, xst", "T = 0.1": "T = 1.0"}),
+        ("length", {"which = kato": "which = kato, lowfreq",
+                    "length = 40.0": "length = 20.0"}),
+    ])
+    def test_estimates_ranges_checked_before_any_ladder(
+            self, tmp_path, monkeypatch, key, edits):
+        def no_ladder(*args, **kwargs):
+            raise AssertionError("a ladder ran before the ranges were checked")
+
+        monkeypatch.setattr(cli, "estimate_ladder", no_ladder)
+        text = ESTIMATES_KATO
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        code, out = run_cli(tmp_path, text, "estimates")
+        assert code == 2
+        data = json.loads((out / "report.json").read_text())
+        assert data["error"]["type"] == "ConfigError"
+        assert data["error"]["message"].startswith(f"{key} must")
+
     def test_scaling_pass(self, tmp_path):
         code, out = run_cli(tmp_path, SCALING_OK, "scaling")
         assert code == 0

@@ -20,7 +20,7 @@ from gbolab.experiments import (
     scaling_invariance_check,
     write_report_csv,
 )
-from gbolab.experiments.linear_ratios import _time_table
+from gbolab.experiments.linear_ratios import ESTIMATES, _time_table
 from gbolab.norms import sobolev_norm, xst_norm
 from gbolab.spectral import field_from_coeffs, field_from_values, free_evolve, make_grid
 
@@ -216,14 +216,22 @@ class TestEnsembleLadders:
             estimate_ladder("lowfreq", 2, grid, T=1.5, seed=1)
 
     def test_one_propagator_table_per_rung(self):
+        # the four ladders of one estimates run: one grid, one T, one seed
         _time_table.cache_clear()
-        estimate_ladder("kato", 4, GRID, T=0.1, seed=21, rungs=3)
+        for name in ESTIMATES:
+            estimate_ladder(name, 4, GRID, T=0.1, seed=21, rungs=3)
         info = _time_table.cache_info()
-        assert (info.misses, info.hits) == (3, 9)  # 4 trials on each of 3 rungs
+        # 4 ladders x 3 rungs x 4 trials, one table per rung in total
+        assert (info.misses, info.hits) == (3, 45)
         table = _time_table(make_grid(4 * GRID.n, GRID.length), 0.1, 4 * 128)
-        assert _time_table.cache_info().hits == 10  # the top rung's table is held
+        assert _time_table.cache_info().hits == 46  # the top rung's table is held
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
+
+    @pytest.mark.parametrize("rungs", [0, 1])
+    def test_ladder_needs_two_rungs(self, rungs):
+        with pytest.raises(ValueError, match="at least two rungs"):
+            estimate_ladder("kato", 2, GRID, T=0.1, seed=21, rungs=rungs)
 
     def test_xst_group_ladder(self):
         stats = estimate_ladder("xst", 4, GRID, T=0.1, seed=25, rungs=3, s=0.45)

@@ -75,6 +75,25 @@ def test_orderings_agree_for_equal_exponents():
         assert abs(a - b) < 1e-10 * a
 
 
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("order", ["x_outer", "t_outer"])
+def test_weighted_time_sum_matches_trapezoid_on_nonuniform_times(q, order):
+    rng = np.random.default_rng(13)
+    times = np.cumsum(rng.uniform(0.01, 0.2, size=41))
+    slices = rng.normal(size=(41, GRID.n)) + 1j * rng.normal(size=(41, GRID.n))
+    got = mixed_norm(SpaceTimeField(GRID, times, slices),
+                     MixedNormSpec(p=3.0, q=q, order=order))
+
+    def lp_time(v):
+        return np.trapezoid(np.abs(v) ** q, times, axis=0) ** (1 / q)
+
+    def lp_space(v):
+        return (np.sum(np.abs(v) ** 3.0, axis=-1) * GRID.dx) ** (1 / 3.0)
+
+    want = lp_space(lp_time(slices)) if order == "x_outer" else lp_time(lp_space(slices))
+    assert got == pytest.approx(want, rel=1e-13)
+
+
 @given(st.floats(min_value=-5, max_value=5))
 @settings(max_examples=20, deadline=None)
 def test_mixed_norm_homogeneity(c):

@@ -256,6 +256,8 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
 
 def _run_gauge_residual(cfg: RunConfig) -> ExperimentReport:
     p = cfg.params
+    if p["k"] < 2:
+        raise ConfigError(f"k must be >= 2 for the gauge transform, got {p['k']}")
     strides = sorted(set(p["strides"]), reverse=True)
     if len(strides) < 2:
         raise ConfigError("need at least two distinct strides")
@@ -263,16 +265,21 @@ def _run_gauge_residual(cfg: RunConfig) -> ExperimentReport:
     for s in strides:
         if s % base:
             raise ConfigError("strides must be multiples of the smallest")
-    u0 = _gaussian_field(p["n"], p["length"], p["amplitude"], p["width"])
     solver_cfg = SolverConfig(
         k=p["k"], rescaled=True, dt=p["dt"], t_end=p["t_end"], slice_stride=base
     )
+    # the residual's interior stencil needs 5 slices at the coarsest stride
+    n_coarse = solver_cfg.n_steps() // strides[0] + 1
+    if n_coarse < 5:
+        raise ConfigError(f"strides: the coarsest stride {strides[0]} leaves "
+                          f"{n_coarse} slices, fewer than the 5 the residual needs")
+    u0 = _gaussian_field(p["n"], p["length"], p["amplitude"], p["width"])
     traj = evolve(u0, solver_cfg)
     points = []
     residuals = []
     for s in strides:
         sub = _subsample(traj, s // base)
-        res, _ = gauge_equation_residual(sub, p["k"])
+        res, _ = gauge_equation_residual(sub)
         residuals.append(res)
         points.append(
             {"stride": s, "dt_slice": s * p["dt"], "residual": float(res)}
@@ -385,9 +392,7 @@ def _run_scaling(cfg: RunConfig) -> ExperimentReport:
     solver_cfg = SolverConfig(
         k=p["k"], rescaled=True, dt=p["dt"], t_end=p["t_end"]
     )
-    report = scaling_invariance_check(
-        u0, p["lambda_list"], p["k"], p["s_list"], config=solver_cfg
-    )
+    report = scaling_invariance_check(u0, p["lambda_list"], p["s_list"], solver_cfg)
     return replace(report, inputs=dict(p, **report.inputs))
 
 

@@ -65,13 +65,15 @@ def _packet(grid: SpectralGrid, amplitude: float, center: float,
     return field_from_coeffs(grid, out)
 
 
-def max_active_frequency(f: Field, rel_tol: float = 1e-12) -> float:
-    """Largest |xi| carrying more than rel_tol of the peak coefficient."""
+def max_active_frequency(f: Field) -> float:
+    """Largest |xi| carrying more than 1e-12 of the peak coefficient: a
+    Gaussian packet has content at every mode, and below that level it is
+    rounding, not data."""
     mags = np.abs(f.coeffs)
     peak = np.max(mags)
     if peak == 0:
         return 0.0
-    active = np.abs(f.grid.frequencies)[mags > rel_tol * peak]
+    active = np.abs(f.grid.frequencies)[mags > 1e-12 * peak]
     return float(np.max(active)) if active.size else 0.0
 
 

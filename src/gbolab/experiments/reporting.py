@@ -24,15 +24,21 @@ class RatioStatistics:
     ladder.
     """
 
-    n_trials: int
     ratios: list
-    sup_ratio: float
     resolution_ladder: list
 
     def __post_init__(self):
         arr = np.asarray(self.ratios, dtype=float)
         if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0)):
             raise ValueError("ratios must be positive and finite")
+
+    @property
+    def n_trials(self) -> int:
+        return len(self.ratios)
+
+    @property
+    def sup_ratio(self) -> float:
+        return max(self.ratios)
 
     @property
     def ladder_drift(self) -> float:
@@ -60,8 +66,6 @@ class ExperimentReport:
     verdict: str = "PASS"
     notes: list = field(default_factory=list)
     seed: int | None = None
-    sign_convention: str = field(default_factory=sign_convention_label)
-    code_version: str = __version__
 
     def to_dict(self) -> dict:
         return {
@@ -73,8 +77,8 @@ class ExperimentReport:
             "verdict": self.verdict,
             "notes": list(self.notes),
             "seed": self.seed,
-            "sign_convention": self.sign_convention,
-            "code_version": self.code_version,
+            "sign_convention": sign_convention_label(),
+            "code_version": __version__,
         }
 
 

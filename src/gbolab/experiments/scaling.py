@@ -23,20 +23,15 @@ from .reporting import ExperimentReport
 __all__ = ["scaling_invariance_check"]
 
 
-def _default_config(k: int) -> SolverConfig:
-    return SolverConfig(k=k, sign="minus", rescaled=True, dt=4e-4, t_end=6.4e-3)
-
-
 def scaling_invariance_check(
     u0: Field,
     lambda_list: Sequence[float],
-    k: int,
     s_list: Sequence[float],
-    config: SolverConfig | None = None,
+    config: SolverConfig,
 ) -> ExperimentReport:
     """Check the norm power law and flow commutation for each lambda.
 
-    For every lam and s the measured ratio
+    The power k is config.k.  For every lam and s the measured ratio
     ``sobolev_norm(rescale(u0, lam, k), s) / sobolev_norm(u0, s)`` is
     compared to ``lam ** (s + 1/k - 1/2)``; at the critical index the law
     predicts exactly 1.  Flow commutation evolves ``u0`` with ``config``,
@@ -46,15 +41,11 @@ def scaling_invariance_check(
     1e-10 and every commutation defect stays below 1e-6 relative to the
     slice magnitude.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    cfg = config if config is not None else _default_config(k)
-    if cfg.k != k:
-        cfg = replace(cfg, k=k)
+    k = config.k
     critical = 0.5 - 1.0 / k
 
     base_norms = {s: sobolev_norm(u0, s, homogeneous=True) for s in s_list}
-    base_traj = evolve(u0, cfg)
+    base_traj = evolve(u0, config)
 
     points = []
     worst_norm = 0.0
@@ -78,7 +69,7 @@ def scaling_invariance_check(
             )
 
         mapped = rescale_traj(base_traj, lam)
-        lam_cfg = replace(cfg, dt=cfg.dt / lam ** 2, t_end=cfg.t_end / lam ** 2)
+        lam_cfg = replace(config, dt=config.dt / lam ** 2, t_end=config.t_end / lam ** 2)
         direct = evolve(scaled, lam_cfg)
         scale = max(np.max(np.abs(direct.slices)), 1e-300)
         defect = float(np.max(np.abs(mapped.slices - direct.slices)) / scale)
@@ -93,8 +84,8 @@ def scaling_invariance_check(
             "lambda_list": [float(v) for v in lambda_list],
             "s_list": [float(v) for v in s_list],
             "critical_index": critical,
-            "dt": cfg.dt,
-            "t_end": cfg.t_end,
+            "dt": config.dt,
+            "t_end": config.t_end,
         },
         points=points,
         verdict=verdict,

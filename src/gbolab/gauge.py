@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gbolab.norms import SpaceTimeField
+from gbolab.solver import Trajectory
 from gbolab.spectral import (
     Field,
     antiderivative,
@@ -65,12 +66,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaugeState:
-    """A field together with its gauge phase and gauged variable."""
+    """The gauge phase F and the gauged variable w of a field."""
 
-    u: Field
     F: Field
     w: Field
-    k: int
 
 
 def gauge_transform(u: Field, k: int) -> GaugeState:
@@ -92,7 +91,7 @@ def gauge_transform(u: Field, k: int) -> GaugeState:
     taper = boundary_taper(u.grid)
     phase = np.exp(-1j * F.values)
     w = project_half_line(field_from_values(u.grid, taper * phase * u.values), "plus")
-    return GaugeState(u=u, F=F, w=w, k=k)
+    return GaugeState(F=F, w=w)
 
 
 def _linear_convolution_band(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,25 +139,22 @@ def _fourth_order_time_derivative(slices: np.ndarray, dt: float) -> np.ndarray:
     ) / (12.0 * dt)
 
 
-def _require_rescaled(u_traj) -> None:
-    cfg = getattr(u_traj, "config", None)
-    if cfg is None or not getattr(cfg, "rescaled", False):
+def gauge_equation_residual(u_traj: Trajectory) -> tuple[float, SpaceTimeField]:
+    """Residual of the gauged evolution identity along a computed trajectory.
+
+    ``u_traj`` must be a solver trajectory of the rescaled flow
+    u_t + H u_xx = 2 u^k u_x (k read from its config) with at least 5
+    uniformly spaced slices.  Returns (max windowed residual over interior
+    slices, residual samples as a SpaceTimeField on the interior slice
+    times).  The residual norm is relative to the largest windowed
+    ||H w_xx||.
+    """
+    if not u_traj.config.rescaled:
         raise ValueError(
             "trajectory is not flagged as rescaled-equation output; "
             "run the solver with rescaled=True"
         )
-
-
-def gauge_equation_residual(u_traj, k: int) -> tuple[float, SpaceTimeField]:
-    """Residual of the gauged evolution identity along a computed trajectory.
-
-    ``u_traj`` must be a solver trajectory of the rescaled flow
-    u_t + H u_xx = 2 u^k u_x with at least 5 uniformly spaced slices.
-    Returns (max windowed residual over interior slices, residual samples
-    as a SpaceTimeField on the interior slice times).  The residual norm is
-    relative to the largest windowed ||H w_xx||.
-    """
-    _require_rescaled(u_traj)
+    k = u_traj.config.k
     if u_traj.n_times < 5:
         raise ValueError("need at least 5 time slices for the interior stencil")
     dt = u_traj.uniform_step()

@@ -5,10 +5,10 @@ Sobolev norms follow the transform calibration of :mod:`gbolab.spectral`:
     ||f||_{H^s}^2 = (1/2pi) * sum_m (1 + xi_m^2)^s |fhat_m|^2 * dxi
 
 with the homogeneous variant using |xi|^{2s} and dropping the zero mode.
-Mixed space-time norms L^p_x L^q_t / L^q_t L^p_x of a slice array use the
-trapezoid rule in time, applied as one product of its weights with the
-stack (exact on non-uniform times), and a Riemann sum in space (max for an
-infinite exponent), the inner exponent first.  The X^s_T pieces transform
+The mixed space-time norm L^p_x L^q_t of a slice array takes the time norm
+first, by the trapezoid rule applied as one product of its weights with the
+stack (exact on non-uniform times), then the space norm by a Riemann sum
+(max for an infinite exponent).  The X^s_T pieces transform
 the slice stack once, on rfft half spectra.
 
 The admissibility predicate decides whether a derivative budget alpha is
@@ -37,7 +37,6 @@ from gbolab.spectral import (
 
 __all__ = [
     "SpaceTimeField",
-    "MixedNormSpec",
     "AdmissibleTriplet",
     "NormFamilyEntry",
     "XstComponents",
@@ -92,25 +91,6 @@ class SpaceTimeField:
         if steps.size == 0 or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
             raise ValueError("slices must be uniformly spaced in time")
         return float(steps[0])
-
-
-@dataclass(frozen=True)
-class MixedNormSpec:
-    """Exponents and nesting order for a mixed norm.
-
-    order='x_outer' means L^p_x L^q_t (time norm inside), 't_outer' means
-    L^q_t L^p_x.  Infinite exponents are float('inf').
-    """
-
-    p: float
-    q: float
-    order: str = "x_outer"
-
-    def __post_init__(self):
-        if self.order not in ("x_outer", "t_outer"):
-            raise ValueError(f"order must be 'x_outer' or 't_outer', got {self.order!r}")
-        if self.p < 1 or self.q < 1:
-            raise ValueError("exponents must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -183,13 +163,13 @@ def _lp_space(values: np.ndarray, dx: float, p: float) -> np.ndarray:
     return (np.sum(np.power(buf, p, out=buf), axis=-1) * dx) ** (1.0 / p)
 
 
-def mixed_norm(u: SpaceTimeField, spec: MixedNormSpec) -> float:
-    """Mixed space-time norm of a slice array per ``spec``."""
-    if spec.order == "x_outer":
-        inner = _lp_time(u.slices, u.times, spec.q)        # shape (n,)
-        return float(_lp_space(inner[None, :], u.grid.dx, spec.p)[0])
-    inner = _lp_space(u.slices, u.grid.dx, spec.p)         # shape (nt,)
-    return float(_lp_time(inner[:, None], u.times, spec.q)[0])
+def mixed_norm(u: SpaceTimeField, p: float, q: float) -> float:
+    """The L^p_x L^q_t norm of a slice array (time norm inside); infinite
+    exponents are float('inf')."""
+    if not (p >= 1 and q >= 1):
+        raise ValueError(f"exponents must be >= 1, got p = {p}, q = {q}")
+    inner = _lp_time(u.slices, u.times, q)        # shape (n,)
+    return float(_lp_space(inner[None, :], u.grid.dx, p)[0])
 
 
 @dataclass(frozen=True)
@@ -225,8 +205,7 @@ def xst_components(u: SpaceTimeField, s: float) -> XstComponents:
     def piece(symbol: np.ndarray, p: float, q: float) -> float:
         values = np.fft.irfft(symbol * half, grid.n)
         values = values[0] if len(values) == 1 else values[0] + 1j * values[1]
-        return mixed_norm(SpaceTimeField(grid, u.times, values),
-                          MixedNormSpec(p=p, q=q, order="x_outer"))
+        return mixed_norm(SpaceTimeField(grid, u.times, values), p, q)
 
     # bins 0 < m < n/2 stand for m and -m; raw bins are n/L x calibrated ones
     weight = (1.0 + xi ** 2) ** s * (grid.dx ** 2 * grid.dxi / (2 * np.pi))
@@ -285,7 +264,9 @@ def lemma_triplets(s: float) -> list[AdmissibleTriplet]:
 #
 # s_k = 1/2 - 1/k is the scaling-critical index at nonlinearity power k.
 # Entries N2..N8 trade a positive power of the timespan (t_power_flag) for
-# a small shift delta in the time exponent; N1 and N9..N12 do not.
+# a small shift delta in the time exponent; N1 and N9..N12 do not.  Any
+# small delta > 0 serves; the audit fixes one.
+_DELTA = 1e-3
 
 
 def _s_crit(k: int) -> float:
@@ -298,17 +279,14 @@ def _verdict(e: NormFamilyEntry) -> bool:
     )
 
 
-def norm_family_audit(
-    s: float, k: int, eps: float, delta: float = 1e-3
-) -> list[tuple[NormFamilyEntry, bool]]:
+def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntry, bool]]:
     """Audit the twelve-member norm family at regularity s, power k, slack eps.
 
     Returns (entry, verdict) pairs for N1..N12.  Each entry carries the
     norm's own exponents, the admissibility triplet(s) it reduces to
-    (including the delta adjustments in the time exponent where a timespan
-    power is traded), and its explicit side conditions.  ``delta`` is that
-    small trade parameter; ``eps`` enters the fixed-exponent entries N9 and
-    N11.
+    (including the _DELTA adjustments in the time exponent where a timespan
+    power is traded), and its explicit side conditions.  ``eps`` enters the
+    fixed-exponent entries N9 and N11.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -316,7 +294,7 @@ def norm_family_audit(
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    sk = _s_crit(k)
+    sk, delta = _s_crit(k), _DELTA
     out: list[tuple[NormFamilyEntry, bool]] = []
 
     def emit(e: NormFamilyEntry) -> None:
@@ -390,14 +368,15 @@ def norm_family_audit(
     return out
 
 
-def minimal_power(eps: float = 1e-9, k_max: int = 64) -> int:
+def minimal_power() -> int:
     """Least nonlinearity power whose critical index clears the audit.
 
     The threshold is re-derived, not hard-coded: bisection locates the
     regularity where the N9 reduction triplet turns admissible (in the
-    eps -> 0 limit), and the answer is the least k with
-    s_k = 1/2 - 1/k at or above that threshold.
+    eps -> 0 limit, here eps = 1e-9), and the answer is the least k up to
+    64 with s_k = 1/2 - 1/k at or above that threshold.
     """
+    eps, k_max = 1e-9, 64
     lo, hi = 0.25, 0.5 - 1e-12
 
     def n9_ok(s: float) -> bool:

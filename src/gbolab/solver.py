@@ -55,11 +55,9 @@ class SolverConfig:
     """Parameters of one run.
 
     ``sign`` is the nonlinearity sign of the standard flow ('plus' or
-    'minus'); it is ignored when ``rescaled`` is set.  ``linear_only`` is a
-    test hook that disables the nonlinearity entirely by giving it a zero
-    coefficient.  The step size must satisfy dt <= 0.5/xi_max^2 on the
-    grid it is used with (checked when a grid is available, see
-    validate_for_grid).
+    'minus'); it is ignored when ``rescaled`` is set.  The step size must
+    satisfy dt <= 0.5/xi_max^2 on the grid it is used with (checked when a
+    grid is available, see validate_for_grid).
     """
 
     k: int
@@ -68,15 +66,16 @@ class SolverConfig:
     dt: float = 1e-4
     t_end: float = 1e-2
     slice_stride: int = 1
-    linear_only: bool = False
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.sign not in ("plus", "minus"):
             raise ValueError(f"sign must be 'plus' or 'minus', got {self.sign!r}")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
+            raise ValueError(
+                f"dt and t_end must be positive and finite, got {self.dt}, {self.t_end}"
+            )
         if self.slice_stride < 1:
             raise ValueError("slice_stride must be >= 1")
 
@@ -105,7 +104,7 @@ class Trajectory(SpaceTimeField):
     conservation ledger (per-slice mass, L2 and L-inf) is read off the
     slices."""
 
-    config: SolverConfig = None
+    config: SolverConfig
 
     @property
     def mass(self) -> np.ndarray:
@@ -127,8 +126,6 @@ class Trajectory(SpaceTimeField):
 def _nonlinear_coefficient(cfg: SolverConfig) -> float:
     # RHS convention d_t u = -H d_xx u + N(u):
     # rescaled flow has N = 2 u^k u_x; the standard flow N = -sign*u^k*u_x.
-    if cfg.linear_only:
-        return 0.0
     if cfg.rescaled:
         return 2.0
     return -1.0 if cfg.sign == "plus" else 1.0

@@ -103,8 +103,8 @@ def make_grid(n: int, length: float) -> SpectralGrid:
     """
     if n < 8 or (n & (n - 1)) != 0:
         raise ValueError(f"n must be a power of two >= 8, got {n}")
-    if length <= 0:
-        raise ValueError(f"length must be positive, got {length}")
+    if not 0 < length < np.inf:
+        raise ValueError(f"length must be positive and finite, got {length}")
     m = np.arange(-n // 2, n // 2)
     x = -length / 2 + np.arange(n) * (length / n)
     frequencies = 2.0 * np.pi * m / length
@@ -197,19 +197,9 @@ def apply_multiplier(f: Field, m: np.ndarray) -> Field:
     return field_from_coeffs(f.grid, sym * f.coeffs)
 
 
-def spectral_derivative(f: Field, ramp_slope: float = 0.0) -> Field:
-    """First derivative by the i*sgn(xi)*|xi| multiplier.
-
-    ``ramp_slope`` declares that f contains a known non-periodic linear part
-    ramp_slope*(x + L/2) (as produced by antiderivative); that part is
-    removed before transforming and contributes its exact constant slope.
-    """
-    symbol = 1j * f.grid.sgn * np.abs(f.grid.frequencies)
-    if ramp_slope == 0.0:
-        return apply_multiplier(f, symbol)
-    ramp = ramp_slope * (f.grid.x + f.grid.length / 2)
-    deriv = apply_multiplier(field_from_values(f.grid, f.values - ramp), symbol)
-    return field_from_values(f.grid, deriv.values + ramp_slope)
+def spectral_derivative(f: Field) -> Field:
+    """First derivative by the i*sgn(xi)*|xi| multiplier (periodic f)."""
+    return apply_multiplier(f, 1j * f.grid.sgn * np.abs(f.grid.frequencies))
 
 
 def hilbert(f: Field) -> Field:
@@ -397,9 +387,9 @@ def antiderivative(f: Field) -> Field:
 
     The mean-zero part is integrated by the odd symbol 1/(i*xi), 0 on the
     Nyquist mode; the mean m contributes the non-periodic ramp m*(x + L/2).
-    Callers that differentiate F spectrally must pass ramp_slope = mean(f)
-    to spectral_derivative, and callers that exponentiate F should taper
-    (see boundary_taper).
+    Callers that differentiate F spectrally must first subtract that ramp
+    (spectral_derivative assumes a periodic field) and add back its slope m,
+    and callers that exponentiate F should taper (see boundary_taper).
     """
     grid = f.grid
     xi = grid.sgn * np.abs(grid.frequencies)
@@ -416,23 +406,23 @@ def antiderivative(f: Field) -> Field:
     return field_from_values(grid, periodic - left_value + ramp)
 
 
-def boundary_taper(grid: SpectralGrid, fraction: float = 0.1) -> np.ndarray:
-    """Smooth window equal to 1 except in the outer ``fraction`` of the domain.
+def boundary_taper(grid: SpectralGrid) -> np.ndarray:
+    """Smooth window equal to 1 except in the outer tenth of the domain.
 
     The transition lives entirely inside the outer strips (each of width
-    fraction*L/2), decaying smoothly to 0 at the domain edge.
+    L/20), decaying smoothly to 0 at the domain edge; a tenth keeps it well
+    clear of the central half that interior_window_mask measures.
     """
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must be in (0, 1)")
     half = grid.length / 2
-    start = half * (1.0 - fraction)
+    start = 0.9 * half
     t = (np.abs(grid.x) - start) / (half - start)
     return 1.0 - _smooth_step(t)
 
 
-def interior_window_mask(grid: SpectralGrid, fraction: float = 0.5) -> np.ndarray:
-    """Boolean mask of the centered window covering ``fraction`` of the domain."""
-    return np.abs(grid.x) <= fraction * grid.length / 2
+def interior_window_mask(grid: SpectralGrid) -> np.ndarray:
+    """Boolean mask of the centered window covering half of the domain,
+    where the tapered boundary strips cannot reach."""
+    return np.abs(grid.x) <= grid.length / 4
 
 
 def windowed_l2(values: np.ndarray, grid: SpectralGrid, mask: np.ndarray) -> np.ndarray:

@@ -234,7 +234,7 @@ def test_scaling_symmetry(acceptance_log):
     grid = make_grid(256, 40.0)
     u0 = gaussian(grid, 0.01)
     cfg = SolverConfig(k=12, rescaled=True, dt=5e-4, t_end=0.05)
-    report = scaling_invariance_check(u0, [2.0], 12, [0.3, 5.0 / 12.0, 0.49], cfg)
+    report = scaling_invariance_check(u0, [2.0], [0.3, 5.0 / 12.0, 0.49], cfg)
 
     norm_points = [p for p in report.points if "norm_ratio" in p]
     worst_gap = max(p["gap"] for p in norm_points)
@@ -270,7 +270,7 @@ def test_gauge_residual_ladder(acceptance_log):
     cfg = SolverConfig(k=12, rescaled=True, dt=4e-5, t_end=0.16, slice_stride=125)
     traj = evolve(u0, cfg)
     norms = [
-        gauge_equation_residual(_subsample(traj, every), 12)[0]
+        gauge_equation_residual(_subsample(traj, every))[0]
         for every in (4, 2, 1)
     ]
     r1 = norms[0] / norms[1]

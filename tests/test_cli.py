@@ -47,6 +47,17 @@ slice_stride = 10
 amplitude = 0.3
 """
 
+GAUGE_OK = """
+[gauge-residual]
+n = 512
+length = 60.0
+k = 12
+amplitude = 0.75
+dt = 2e-4
+t_end = 0.16
+strides = 100, 50, 25
+"""
+
 SCALING_OK = """
 [scaling]
 n = 256
@@ -336,22 +347,39 @@ rungs = 2
         assert code == 0
 
     def test_gauge_residual_pass(self, tmp_path):
-        text = """
-[gauge-residual]
-n = 512
-length = 60.0
-k = 12
-amplitude = 0.75
-dt = 2e-4
-t_end = 0.16
-strides = 100, 50, 25
-"""
-        code, out = run_cli(tmp_path, text, "gauge-residual")
+        code, out = run_cli(tmp_path, GAUGE_OK, "gauge-residual")
         assert code == 0
         data = json.loads((out / "report.json").read_text())
         finest = data["points"][-1]
         assert finest["stride"] == 25
         assert finest["residual"] < 1e-4
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("k", ("k = 12", "k = 1")),
+    # 800 steps: the coarsest stride 250 leaves slices 0, 250, 500, 750
+    ("strides", ("strides = 100, 50, 25", "strides = 250, 50, 25")),
+])
+def test_gauge_residual_config_checked_before_evolve(tmp_path, monkeypatch, key, edit):
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolve ran before the config was checked")
+
+    monkeypatch.setattr(cli, "evolve", no_evolve)
+    code, out = run_cli(tmp_path, GAUGE_OK.replace(*edit), "gauge-residual")
+    assert code == 2
+    data = json.loads((out / "report.json").read_text())
+    assert data["error"]["type"] == "ConfigError"
+    assert data["error"]["message"].startswith(key)
+
+
+def test_illposed_equal_rungs_exit_two(tmp_path):
+    text = ILLPOSED_MIN.replace("N_list = 8, 16, 32, 64, 128",
+                                "N_list = 64, 64, 64, 64, 64")
+    code, out = run_cli(tmp_path, text, "illposed")
+    assert code == 2
+    data = json.loads((out / "report.json").read_text())
+    assert data["error"]["type"] == "ValueError"
+    assert "N_list" in data["error"]["message"]
 
 
 def test_subsample_thins_the_ledger_bit_for_bit():

@@ -85,8 +85,11 @@ def test_gauge_phase_derivative_matches_power():
     state = gauge_transform(u, k)
     uk = u.values.real ** k
     slope = float(np.mean(uk))
-    dF = spectral_derivative(state.F, ramp_slope=slope)
-    err = np.max(np.abs(dF.values.real - uk))
+    # F carries the mean of u^k as the ramp slope * (x + L/2); remove it
+    # before differentiating, since spectral_derivative assumes periodicity
+    ramp = slope * (grid.x + grid.length / 2)
+    dF = spectral_derivative(field_from_values(grid, state.F.values - ramp))
+    err = np.max(np.abs(dF.values.real + slope - uk))
     assert err < 1e-8 * max(np.max(np.abs(uk)), 1e-30)
 
 
@@ -210,7 +213,7 @@ def test_residual_requires_rescaled_flag():
     cfg = SolverConfig(k=12, dt=2e-4, t_end=2e-3)
     traj = evolve(gaussian(grid, 0.3), cfg)
     with pytest.raises(ValueError):
-        gauge_equation_residual(traj, 12)
+        gauge_equation_residual(traj)
 
 
 def test_residual_requires_five_slices():
@@ -218,7 +221,7 @@ def test_residual_requires_five_slices():
     cfg = SolverConfig(k=12, rescaled=True, dt=2e-4, t_end=6e-4)
     traj = evolve(gaussian(grid, 0.3), cfg)
     with pytest.raises(ValueError):
-        gauge_equation_residual(traj, 12)
+        gauge_equation_residual(traj)
 
 
 def test_residual_rejects_nonuniform_times():
@@ -227,14 +230,14 @@ def test_residual_rejects_nonuniform_times():
     traj = evolve(gaussian(grid, 0.3), cfg)
     traj.times[5] += 0.25 * cfg.dt
     with pytest.raises(ValueError, match="uniformly spaced"):
-        gauge_equation_residual(traj, 12)
+        gauge_equation_residual(traj)
 
 
 def test_residual_zero_trajectory():
     grid = make_grid(256, 40.0)
     cfg = SolverConfig(k=12, rescaled=True, dt=2e-4, t_end=2e-3)
     traj = evolve(field_from_values(grid, np.zeros(grid.n)), cfg)
-    norm, _ = gauge_equation_residual(traj, 12)
+    norm, _ = gauge_equation_residual(traj)
     assert norm == 0.0
 
 
@@ -242,7 +245,7 @@ def test_residual_refines_with_slice_spacing():
     norms = []
     for stride in (100, 50, 25):
         traj = rescaled_trajectory(stride=stride)
-        norm, _ = gauge_equation_residual(traj, 12)
+        norm, _ = gauge_equation_residual(traj)
         norms.append(norm)
     assert norms[0] / norms[1] >= 8.0, norms
     assert norms[1] / norms[2] >= 8.0, norms
@@ -251,7 +254,7 @@ def test_residual_refines_with_slice_spacing():
 
 def test_windowed_residual_norm_scale():
     traj = rescaled_trajectory(stride=100)
-    norm, resid = gauge_equation_residual(traj, 12)
+    norm, resid = gauge_equation_residual(traj)
     raw = windowed_residual_norm(resid, 1.0)
     assert raw > 0.0
     assert windowed_residual_norm(resid, 2.0) == pytest.approx(raw / 2.0)

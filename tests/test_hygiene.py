@@ -1,6 +1,7 @@
 """Source hygiene: every module under src/ and tests/ uses each name it
-imports, every name a module lists in ``__all__`` is bound in it, and every
-exported name has a reader under src/ or perfbench/ or serves a lab check."""
+imports, every name a module lists in ``__all__`` is bound in it, every
+exported name has a reader under src/ or perfbench/ or serves a lab check,
+and so does every option (a defaulted parameter or dataclass field)."""
 
 import ast
 from pathlib import Path
@@ -30,6 +31,12 @@ LAB_CHECKS = (
     "plane_wave_growth_exponent",  # acceptance 8
     "step",  # README: integrating-factor RK4, one step as a Field map
     "tilde_projection",  # acceptance 1
+)
+
+# Options, as "owner.name", that nothing under src/ or perfbench/ sets, kept
+# because a check needs values other than the default.
+OPTION_CHECKS = (
+    "torus_duhamel_oracle.modes_per_alpha",  # three comb geometries against the full-line reference
 )
 
 
@@ -106,6 +113,88 @@ def _unread_exports(modules: list[ast.Module], readers: list[ast.Module]) -> set
     return {name for tree in modules for name in _all_names(tree)} - read
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(ast.unparse(d).split("(")[0].endswith("dataclass")
+               for d in node.decorator_list)
+
+
+def _options(modules: list[ast.Module]) -> dict[str, tuple[int | None, str]]:
+    """Every option of the modules' public functions, methods and
+    dataclasses: "owner.name" -> (positional index or None, default's dump).
+    A method's index leaves out self; a dataclass field counts the fields
+    of the dataclass bases named in the same modules first."""
+    options, fields = {}, {}
+
+    def add_function(owner: str, fn: ast.FunctionDef, skip: int) -> None:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for index, default in enumerate(args.defaults, start=first):
+            options[f"{owner}.{positional[index].arg}"] = (index - skip, ast.dump(default))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                options[f"{owner}.{arg.arg}"] = (None, ast.dump(default))
+
+    classes = [node for tree in modules for node in tree.body
+               if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
+    for tree in modules:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                add_function(node.name, node, 0)
+    for cls in classes:
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                add_function(node.name, node, 1)
+        if _is_dataclass(cls):
+            fields[cls.name] = [n for n in cls.body if isinstance(n, ast.AnnAssign)]
+    for cls in classes:
+        if cls.name not in fields:
+            continue
+        inherited = [f for base in cls.bases
+                     for f in fields.get(getattr(base, "id", ""), [])]
+        for index, node in enumerate(inherited + fields[cls.name]):
+            value = node.value
+            if node in inherited or value is None:
+                continue
+            if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+                given = {kw.arg: kw.value for kw in value.keywords}
+                value = given.get("default", given.get("default_factory"))
+                if value is None:
+                    continue
+            options[f"{cls.name}.{node.target.id}"] = (index, ast.dump(value))
+    return options
+
+
+def _unset_options(modules: list[ast.Module], readers: list[ast.Module]) -> set[str]:
+    """Options of the modules that no reader sets to a value other than the
+    default: by keyword, by a positional argument at the option's index, by
+    a keyword of ``replace(...)``, or by an attribute assignment."""
+    options = _options(modules)
+    set_names = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                set_names |= {key for t in targets if isinstance(t, ast.Attribute)
+                              for key in options if key.endswith(f".{t.attr}")}
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee == "replace":
+                set_names |= {key for kw in node.keywords for key in options
+                              if key.endswith(f".{kw.arg}")}
+                continue
+            given = [(f"{callee}.{kw.arg}", kw.value) for kw in node.keywords]
+            for index, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                given += [(key, arg) for key, (at, _) in options.items()
+                          if key.startswith(f"{callee}.") and at == index]
+            set_names |= {key for key, value in given
+                          if key in options and ast.dump(value) != options[key][1]}
+    return set(options) - set_names
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     used = _used_names(tree)
     return [f"{name} (line {line})"
@@ -131,6 +220,36 @@ def test_checks_catch_what_they_name():
                     "def loop(n):\n    return loop(n - 1)\n")
     user = ast.parse("import lib\nlib.used()\n")
     assert _unread_exports([lib], [lib, user]) == {"unused", "loop"}
+
+
+def test_option_guard_catches_what_it_names():
+    lib = ast.parse(
+        "from dataclasses import dataclass, field, replace\n"
+        "@dataclass\nclass Base:\n    a: int = 0\n"
+        "@dataclass(frozen=True)\nclass Cfg(Base):\n"
+        "    b: int = 1\n    c: list = field(default_factory=list)\n"
+        "    d: int = 3\n    e: int = 4\n    f: int = field(repr=False)\n"
+        "    def scaled(self, by=2.0):\n        return by\n"
+        "def run(x, pos=1, kw=2, same=3, unset=0, *, only=4):\n    return x\n"
+        "def _private(hidden=5):\n    return hidden\n")
+    user = ast.parse(
+        "cfg = Cfg(0, 7)\ncfg.c = [1]\nreplace(cfg, d=9)\ncfg.scaled(3.0)\n"
+        "run(0, 5, kw=6, same=3)\nrun(0, *rest, only=8)\n")
+    assert _unset_options([lib], [lib, user]) == {"Base.a", "Cfg.e", "run.same",
+                                                  "run.unset"}
+
+
+def test_every_option_is_set_or_serves_a_check():
+    src = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+    bench = [ast.parse(path.read_text(), filename=str(path)) for path in PERFBENCH]
+    unset = _unset_options(src, src + bench)
+    assert not unset - set(OPTION_CHECKS), (
+        f"options that nothing under src/ or perfbench/ sets: "
+        f"{sorted(unset - set(OPTION_CHECKS))}; make them constants or name "
+        f"the check they serve in OPTION_CHECKS")
+    assert not set(OPTION_CHECKS) - unset, (
+        f"OPTION_CHECKS lists options that are now set or gone: "
+        f"{sorted(set(OPTION_CHECKS) - unset)}")
 
 
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=_id)

@@ -231,12 +231,13 @@ class TestComputeV:
         assert np.sum(mass[inside]) > 0.0
 
     def test_refinement_check_passes_default_tol(self, cheap_params):
-        details = illposed_v_details(cheap_params, check=True)
+        details = illposed_v_details(cheap_params)
         assert details["refinement_disagreement"] <= 0.05
 
-    def test_refinement_check_can_fail(self, cheap_params):
+    def test_refinement_check_can_fail(self, cheap_params, monkeypatch):
+        monkeypatch.setattr(illposed, "_REFINEMENT_TOL", 1e-9)
         with pytest.raises(QuadratureError):
-            illposed_v_details(cheap_params, check=True, tol=1e-9)
+            illposed_v_details(cheap_params)
 
 
 class TestSeparableBand:
@@ -272,7 +273,7 @@ class TestKernelBracket:
         )
 
     def test_band_norm_inside_bracket(self, cheap_params):
-        band_norm = illposed_v_details(cheap_params, check=False)["band_norm"]
+        band_norm = illposed_v_details(cheap_params)["band_norm"]
         bracket = kernel_bracket_4n(cheap_params)
         assert abs(band_norm - bracket["model"]) <= bracket["remainder"]
 
@@ -373,6 +374,15 @@ class TestGrowthFit:
         with pytest.raises(ValueError, match="geometric"):
             illposed_growth_fit(0.2, 0.2, 1.0, [8.0, 16.0, 32.0, 64.0, 100.0],
                                 freq_resolution=16)
+
+    def test_equal_rungs_rejected_before_any_rung(self, monkeypatch):
+        # ratio 1 is geometric too, but the fit on one log N is singular
+        def no_rung(p):
+            raise AssertionError("a rung ran before N_list was checked")
+
+        monkeypatch.setattr(illposed, "illposed_v_details", no_rung)
+        with pytest.raises(ValueError, match="N_list .* ratio above 1"):
+            illposed_growth_fit(0.2, 0.2, 1.0, [64.0] * 5, freq_resolution=16)
 
     def test_requires_five_points(self):
         with pytest.raises(ValueError, match="5"):

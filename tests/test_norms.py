@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gbolab.norms import (
     AdmissibleTriplet,
-    MixedNormSpec,
     SpaceTimeField,
     is_one_admissible,
     lemma_triplets,
@@ -40,7 +39,7 @@ def constant_field(value, n_times=9, T=1.0, grid=GRID):
 
 def test_constant_l2x_l4t():
     u = constant_field(1.0)
-    got = mixed_norm(u, MixedNormSpec(p=2.0, q=4.0, order="x_outer"))
+    got = mixed_norm(u, 2.0, 4.0)
     assert abs(got - np.sqrt(2 * np.pi)) < 1e-12
 
 
@@ -50,47 +49,40 @@ def test_separable_factorization():
     h = 1.0 + 0.5 * np.sin(2 * np.pi * times)
     u = SpaceTimeField(GRID, times, np.outer(h, g))
     for p, q in [(2.0, 4.0), (3.0, 2.0)]:
-        for order in ("x_outer", "t_outer"):
-            got = mixed_norm(u, MixedNormSpec(p=p, q=q, order=order))
-            gp = (np.sum(np.abs(g) ** p) * GRID.dx) ** (1 / p)
-            hq = np.trapezoid(np.abs(h) ** q, times) ** (1 / q)
-            assert abs(got - gp * hq) < 1e-6 * gp * hq
+        got = mixed_norm(u, p, q)
+        gp = (np.sum(np.abs(g) ** p) * GRID.dx) ** (1 / p)
+        hq = np.trapezoid(np.abs(h) ** q, times) ** (1 / q)
+        assert abs(got - gp * hq) < 1e-6 * gp * hq
 
 
 def test_cos_l2x_linf_t():
     times = np.linspace(0.0, 1.0, 9)
     slices = np.tile(np.cos(GRID.x), (9, 1))
     u = SpaceTimeField(GRID, times, slices)
-    got = mixed_norm(u, MixedNormSpec(p=2.0, q=np.inf, order="x_outer"))
+    got = mixed_norm(u, 2.0, np.inf)
     assert abs(got - np.sqrt(np.pi)) < 1e-12
 
 
 def test_orderings_agree_for_equal_exponents():
+    # with p = q the nesting is immaterial: L^p_x L^p_t = L^p_t L^p_x
     rng = np.random.default_rng(3)
     times = np.linspace(0.0, 1.0, 33)
     u = SpaceTimeField(GRID, times, rng.normal(size=(33, GRID.n)))
     for p in (2.0, 4.0):
-        a = mixed_norm(u, MixedNormSpec(p=p, q=p, order="x_outer"))
-        b = mixed_norm(u, MixedNormSpec(p=p, q=p, order="t_outer"))
-        assert abs(a - b) < 1e-10 * a
+        space = np.sum(np.abs(u.slices) ** p, axis=-1) * GRID.dx
+        t_outer = np.trapezoid(space, times) ** (1 / p)
+        assert abs(mixed_norm(u, p, p) - t_outer) < 1e-10 * t_outer
 
 
-@pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
-@pytest.mark.parametrize("order", ["x_outer", "t_outer"])
-def test_weighted_time_sum_matches_trapezoid_on_nonuniform_times(q, order):
+# the id names the nesting: L^p_x L^q_t, space outermost
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0], ids=lambda q: f"x_outer-{q}")
+def test_weighted_time_sum_matches_trapezoid_on_nonuniform_times(q):
     rng = np.random.default_rng(13)
     times = np.cumsum(rng.uniform(0.01, 0.2, size=41))
     slices = rng.normal(size=(41, GRID.n)) + 1j * rng.normal(size=(41, GRID.n))
-    got = mixed_norm(SpaceTimeField(GRID, times, slices),
-                     MixedNormSpec(p=3.0, q=q, order=order))
-
-    def lp_time(v):
-        return np.trapezoid(np.abs(v) ** q, times, axis=0) ** (1 / q)
-
-    def lp_space(v):
-        return (np.sum(np.abs(v) ** 3.0, axis=-1) * GRID.dx) ** (1 / 3.0)
-
-    want = lp_space(lp_time(slices)) if order == "x_outer" else lp_time(lp_space(slices))
+    got = mixed_norm(SpaceTimeField(GRID, times, slices), 3.0, q)
+    lp_time = np.trapezoid(np.abs(slices) ** q, times, axis=0) ** (1 / q)
+    want = (np.sum(lp_time ** 3.0) * GRID.dx) ** (1 / 3.0)
     assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -102,8 +94,8 @@ def test_mixed_norm_homogeneity(c):
     base = rng.normal(size=(17, GRID.n))
     u = SpaceTimeField(GRID, times, base)
     cu = SpaceTimeField(GRID, times, c * base)
-    spec = MixedNormSpec(p=4.0, q=2.0, order="t_outer")
-    assert mixed_norm(cu, spec) == pytest.approx(abs(c) * mixed_norm(u, spec), abs=1e-12)
+    assert mixed_norm(cu, 4.0, 2.0) == pytest.approx(abs(c) * mixed_norm(u, 4.0, 2.0),
+                                                     abs=1e-12)
 
 
 def test_mixed_norm_monotone():
@@ -111,9 +103,8 @@ def test_mixed_norm_monotone():
     times = np.linspace(0.0, 1.0, 17)
     small = rng.normal(size=(17, GRID.n))
     big = small * (1.0 + rng.uniform(size=small.shape))
-    spec = MixedNormSpec(p=3.0, q=5.0)
-    assert mixed_norm(SpaceTimeField(GRID, times, big), spec) >= mixed_norm(
-        SpaceTimeField(GRID, times, small), spec
+    assert mixed_norm(SpaceTimeField(GRID, times, big), 3.0, 5.0) >= mixed_norm(
+        SpaceTimeField(GRID, times, small), 3.0, 5.0
     )
 
 
@@ -122,10 +113,11 @@ def test_spacetime_field_validation():
         SpaceTimeField(GRID, np.array([]), np.zeros((0, GRID.n)))
     with pytest.raises(ValueError):
         SpaceTimeField(GRID, np.array([0.0, 0.0]), np.zeros((2, GRID.n)))
+    u = constant_field(1.0)
     with pytest.raises(ValueError):
-        MixedNormSpec(p=0.5, q=2.0)
+        mixed_norm(u, 0.5, 2.0)
     with pytest.raises(ValueError):
-        MixedNormSpec(p=2.0, q=2.0, order="sideways")
+        mixed_norm(u, 2.0, np.nan)
 
 
 # --- Sobolev norms -----------------------------------------------------------
@@ -196,10 +188,9 @@ def xst_reference(u, s):
 
     return [
         max(sobolev_norm(f, s) for f in fields),
-        mixed_norm(stacked(lambda f: fractional_derivative(f, s + 0.5)),
-                   MixedNormSpec(p=np.inf, q=2.0, order="x_outer")),
-        mixed_norm(stacked(maximal), MixedNormSpec(p=4.0, q=np.inf, order="x_outer")),
-        mixed_norm(stacked(lowpass_P0), MixedNormSpec(p=2.0, q=np.inf, order="x_outer")),
+        mixed_norm(stacked(lambda f: fractional_derivative(f, s + 0.5)), np.inf, 2.0),
+        mixed_norm(stacked(maximal), 4.0, np.inf),
+        mixed_norm(stacked(lowpass_P0), 2.0, np.inf),
     ]
 
 
@@ -268,8 +259,8 @@ def test_lemma_triplets_admissible():
 # --- norm-family audit -------------------------------------------------------
 
 
-def audit_map(s, k, eps, **kw):
-    return {e.id: verdict for e, verdict in norm_family_audit(s, k, eps, **kw)}
+def audit_map(s, k, eps):
+    return {e.id: verdict for e, verdict in norm_family_audit(s, k, eps)}
 
 
 def test_audit_all_pass_at_reference_point():

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments.illposed import QuadratureError, illposed_growth_fit
-from .experiments.linear_ratios import ESTIMATES, estimate_ladder
+from .experiments.linear_ratios import ESTIMATES, _check_estimate, estimate_ladder
 from .experiments.reporting import ExperimentReport, write_report_csv
 from .experiments.scaling import scaling_invariance_check
 from .gauge import gauge_equation_residual
@@ -318,22 +318,14 @@ def _run_estimates(cfg: RunConfig) -> ExperimentReport:
     names = [name.strip() for name in p["which"].split(",")]
     if names == ["all"]:
         names = list(ESTIMATES)
-    for i, name in enumerate(names):
-        if name not in ESTIMATES:
-            raise ConfigError(f"unknown estimate {name!r}")
+    grid = make_grid(p["n"], p["length"])
+    for i, name in enumerate(names):  # every range, before the first ladder runs
         if name in names[:i]:
             raise ConfigError(f"estimate {name!r} listed twice")
-    # the ranges estimate_ladder would only reject after the earlier ladders ran
-    if "xst" in names and not 0 < p["s"] < 0.5:
-        raise ConfigError(f"s must lie in (0, 1/2) for the xst estimate, "
-                          f"got {p['s']}")
-    if ("lowfreq" in names or "xst" in names) and not p["T"] < 1:
-        raise ConfigError(f"T must lie in (0, 1) for the lowfreq and xst "
-                          f"estimates, got {p['T']}")
-    grid = make_grid(p["n"], p["length"])
-    if "lowfreq" in names and grid.dxi > 0.25:
-        raise ConfigError(f"length must be at least 8 pi for the lowfreq "
-                          f"estimate, got {p['length']}")
+        try:
+            _check_estimate(name, grid, p["T"], p["s"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     points = []
     all_ok = True
     for name in names:

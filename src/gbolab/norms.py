@@ -6,10 +6,11 @@ Sobolev norms follow the transform calibration of :mod:`gbolab.spectral`:
 
 with the homogeneous variant using |xi|^{2s} and dropping the zero mode.
 The mixed space-time norm L^p_x L^q_t of a slice array takes the time norm
-first, by the trapezoid rule applied as one product of its weights with the
-stack (exact on non-uniform times), then the space norm by a Riemann sum
-(max for an infinite exponent).  The X^s_T pieces transform
-the slice stack once, on rfft half spectra.
+first, by the trapezoid rule as one weighted sum of |v|^q over the times
+(exact on non-uniform times), then the space norm by a Riemann sum (max for
+an infinite exponent).  It and the X^s_T pieces walk the slice stack in row
+blocks of a fixed byte size (the pieces on each block's rfft half spectra),
+so no temporary is the size of the stack.
 
 The admissibility predicate decides whether a derivative budget alpha is
 available at exponents (p, q): admissible means the endpoint (1/2, inf, 2),
@@ -142,25 +143,45 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     return float(np.sqrt(np.sum(weighted) * f.grid.dxi / (2 * np.pi)))
 
 
-def _lp_time(values: np.ndarray, times: np.ndarray, q: float) -> np.ndarray:
-    """L^q norm along axis 0 (time) by the trapezoid rule, as one weighted
-    sum: w_i = (t_{i+1} - t_{i-1})/2 inside, half a step at each end."""
-    if np.isinf(q):
-        return np.max(np.abs(values), axis=0)
-    if times.size == 1:
+# The space-time kernels walk a slice stack in row blocks of about 512 kB, so
+# no temporary is ever the size of the stack: each block's |v|^q, half
+# spectra and filtered pieces stay in cache, and the allocator hands the
+# same memory to the next block instead of mapping fresh pages that fault in
+# once and are freed.  128-512 kB measured the same at the top estimates
+# rung (513 x 2048); 2 MB was slower.
+_BLOCK_BYTES = 512 * 1024
+
+
+def _row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive rows, about _BLOCK_BYTES (and at least one row) a block."""
+    rows = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(i, i + rows) for i in range(0, n_rows, rows)]
+
+
+def _time_weights(times: np.ndarray, q: float) -> np.ndarray:
+    """Trapezoid weights, so that the L^q time norm is one weighted sum:
+    w_i = (t_{i+1} - t_{i-1})/2 inside, half a step at each end."""
+    if times.size == 1 and not np.isinf(q):
         raise ValueError("finite time exponent needs at least two time samples")
     half = np.diff(times) / 2.0
-    weights = np.append(half, 0.0) + np.insert(half, 0, 0.0)
-    buf = np.abs(values)  # |v|^q in one buffer: a fresh one costs page faults
-    return (weights @ np.power(buf, q, out=buf)) ** (1.0 / q)
+    return np.append(half, 0.0) + np.insert(half, 0, 0.0)
 
 
-def _lp_space(values: np.ndarray, dx: float, p: float) -> np.ndarray:
-    """L^p norm along the last axis (space) by uniform Riemann sum."""
+def _add_block(acc: np.ndarray, mag: np.ndarray, w: np.ndarray, q: float) -> None:
+    """Fold one row block of |v| (overwritten) into the running time norm:
+    the max for q = inf, else the weighted sum w @ |v|^q."""
+    if np.isinf(q):
+        np.maximum(acc, np.max(mag, axis=0), out=acc)
+    else:
+        acc += w @ np.power(mag, q, out=mag)
+
+
+def _space_norm(acc: np.ndarray, q: float, dx: float, p: float) -> float:
+    """The L^p_x norm (Riemann sum) of the time norm held in acc."""
+    inner = acc if np.isinf(q) else acc ** (1.0 / q)
     if np.isinf(p):
-        return np.max(np.abs(values), axis=-1)
-    buf = np.abs(values)
-    return (np.sum(np.power(buf, p, out=buf), axis=-1) * dx) ** (1.0 / p)
+        return float(np.max(inner))
+    return float((np.sum(inner ** p) * dx) ** (1.0 / p))
 
 
 def mixed_norm(u: SpaceTimeField, p: float, q: float) -> float:
@@ -168,8 +189,10 @@ def mixed_norm(u: SpaceTimeField, p: float, q: float) -> float:
     exponents are float('inf')."""
     if not (p >= 1 and q >= 1):
         raise ValueError(f"exponents must be >= 1, got p = {p}, q = {q}")
-    inner = _lp_time(u.slices, u.times, q)        # shape (n,)
-    return float(_lp_space(inner[None, :], u.grid.dx, p)[0])
+    w, acc = _time_weights(u.times, q), np.zeros(u.grid.n)
+    for rows in _row_blocks(u.n_times, u.slices[0].nbytes):
+        _add_block(acc, np.abs(u.slices[rows]), w[rows], q)
+    return _space_norm(acc, q, u.grid.dx, p)
 
 
 @dataclass(frozen=True)
@@ -193,29 +216,35 @@ def xst_components(u: SpaceTimeField, s: float) -> XstComponents:
     ||D^{s-1/4} u||_{L^4_x L^inf_t};  ||P_0 u||_{L^2_x L^inf_t}.
 
     Each piece is one even multiplier on the rfft half spectra of the real
-    and imaginary parts of the slices, transformed once.  The negative-order
-    maximal symbol vanishes at xi = 0, so that piece sees the mean-free part
-    of each slice (the mean travels with the low-frequency component).
+    and imaginary parts of the slices, a block of rows at a time.  The
+    negative-order maximal symbol vanishes at xi = 0, so that piece sees the
+    mean-free part of each slice (the mean travels with the low-frequency
+    component).
     """
     if not (0 < s < 0.5):
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
     grid, xi, v = u.grid, _half_grid(u.grid)[0], u.slices
-    half = np.fft.rfft(np.stack([v.real, v.imag]) if np.iscomplexobj(v) else v[None])
-
-    def piece(symbol: np.ndarray, p: float, q: float) -> float:
-        values = np.fft.irfft(symbol * half, grid.n)
-        values = values[0] if len(values) == 1 else values[0] + 1j * values[1]
-        return mixed_norm(SpaceTimeField(grid, u.times, values), p, q)
-
     # bins 0 < m < n/2 stand for m and -m; raw bins are n/L x calibrated ones
     weight = (1.0 + xi ** 2) ** s * (grid.dx ** 2 * grid.dxi / (2 * np.pi))
     weight[1:-1] *= 2.0
-    return XstComponents(
-        float(np.sqrt(np.max(np.sum(weight * np.abs(half) ** 2, axis=(0, -1))))),
-        piece(_fractional_symbol(xi, s + 0.5), np.inf, 2.0),
-        piece(_fractional_symbol(xi, s - 0.25), 4.0, np.inf),
-        piece(_lowpass_symbol(xi), 2.0, np.inf),
-    )
+    pieces = [(_fractional_symbol(xi, s + 0.5), np.inf, 2.0),
+              (_fractional_symbol(xi, s - 0.25), 4.0, np.inf),
+              (_lowpass_symbol(xi), 2.0, np.inf)]
+    w, sup_hs = _time_weights(u.times, 2.0), 0.0
+    accs = [np.zeros(grid.n) for _ in pieces]
+    for rows in _row_blocks(u.n_times, v[0].nbytes):
+        block = v[rows]
+        half = np.fft.rfft(np.stack([block.real, block.imag])
+                           if np.iscomplexobj(v) else block[None])
+        hs = np.sum(weight * np.abs(half) ** 2, axis=(0, -1))
+        sup_hs = np.maximum(sup_hs, np.max(hs))
+        for (symbol, _, q), acc in zip(pieces, accs):
+            parts = np.fft.irfft(symbol * half, grid.n)
+            mag = np.abs(parts[0], out=parts[0]) if len(parts) == 1 else np.hypot(*parts)
+            _add_block(acc, mag, w[rows], q)
+            del parts, mag  # free this piece's rows before the next one's
+    return XstComponents(float(np.sqrt(sup_hs)), *(
+        _space_norm(acc, q, grid.dx, p) for (_, p, q), acc in zip(pieces, accs)))
 
 
 def xst_norm(u: SpaceTimeField, s: float) -> float:

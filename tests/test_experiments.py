@@ -1,6 +1,7 @@
 """Packets, ratio experiments, reporting, and the scaling-law check."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from gbolab.experiments import (
     write_report_csv,
 )
 from gbolab.experiments.linear_ratios import ESTIMATES, _time_table
-from gbolab.norms import sobolev_norm, xst_norm
+from gbolab.norms import mixed_norm, sobolev_norm, xst_components, xst_norm
 from gbolab.solver import SolverConfig
 from gbolab.spectral import field_from_coeffs, field_from_values, free_evolve, make_grid
 
@@ -137,7 +138,11 @@ class TestEstimateRatios:
             fields = [make_packet_ensemble(GRID, 1, seed=2)[0], noise]
         else:
             coeffs = rng.normal(size=SMALL.n) + 1j * rng.normal(size=SMALL.n)
-            fields = [plane_wave(GRID, 5), field_from_coeffs(SMALL, coeffs)]
+            # two complex rows a row block: the nine rows span five blocks
+            wide = make_grid(16384, 40.0)
+            packet = np.exp(-wide.x ** 2 + 30j * wide.x)
+            fields = [plane_wave(GRID, 5), field_from_coeffs(SMALL, coeffs),
+                      field_from_values(wide, packet)]
         for f in fields:
             st = free_evolution_spacetime(f, T=0.1, n_time=8)
             for t, row in zip(st.times, st.slices):
@@ -152,6 +157,34 @@ class TestEstimateRatios:
         st = free_evolution_spacetime(f, T=0.1, n_time=8)
         expected = np.broadcast_to(f.values, st.slices.shape)
         np.testing.assert_allclose(st.slices, expected, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, T):
+        f = plane_wave(GRID, 4)
+        with pytest.raises(ValueError, match="finite"):
+            free_evolution_spacetime(f, T, n_time=8)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_ratio(f, T, estimate="kato")
+
+    def test_kernels_hold_no_stack_sized_temporaries(self):
+        # the top estimates rung: 513 slices of 2048 points, 8.4 MB a stack
+        grid = make_grid(2048, 40.0)
+        phi = make_packet_ensemble(grid, 1, seed=3)[0]
+        st = free_evolution_spacetime(phi, 0.1, n_time=512)  # caches the table
+        stack = st.slices.nbytes
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: xst_components(st, 0.45)) < stack / 4
+        assert peak(lambda: mixed_norm(st, np.inf, 2.0)) < stack / 4
+        assert peak(lambda: mixed_norm(st, 4.0, np.inf)) < stack / 4
+        assert peak(lambda: free_evolution_spacetime(phi, 0.1, 512)) < stack + 2e6
 
     def test_zero_data_rejected(self):
         zero = field_from_values(GRID, np.zeros(GRID.n))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbolab.norms import (
+    _BLOCK_BYTES,
     AdmissibleTriplet,
     SpaceTimeField,
     is_one_admissible,
@@ -26,6 +27,10 @@ from gbolab.spectral import (
 )
 
 GRID = make_grid(256, 2 * np.pi)
+# 16 real or 8 complex rows a block: 53 rows span four or seven row blocks,
+# the last one partial
+WIDE = make_grid(4096, 2 * np.pi)
+WIDE_ROWS = 3 * (_BLOCK_BYTES // (8 * WIDE.n)) + 5
 
 
 def constant_field(value, n_times=9, T=1.0, grid=GRID):
@@ -74,14 +79,30 @@ def test_orderings_agree_for_equal_exponents():
         assert abs(mixed_norm(u, p, p) - t_outer) < 1e-10 * t_outer
 
 
-# the id names the nesting: L^p_x L^q_t, space outermost
-@pytest.mark.parametrize("q", [2.0, 3.0, 4.0], ids=lambda q: f"x_outer-{q}")
-def test_weighted_time_sum_matches_trapezoid_on_nonuniform_times(q):
+# the id names the nesting: L^p_x L^q_t, space outermost; a "blocks" stack
+# spans four row blocks, the last one partial, and its time step grows
+# tenfold across the first block edge
+@pytest.mark.parametrize("q, blocks", [
+    pytest.param(2.0, False, id="x_outer-2.0"),
+    pytest.param(3.0, False, id="x_outer-3.0"),
+    pytest.param(4.0, False, id="x_outer-4.0"),
+    pytest.param(3.0, True, id="x_outer-3.0-blocks"),
+    pytest.param(np.inf, True, id="x_outer-inf-blocks"),
+])
+def test_weighted_time_sum_matches_trapezoid_on_nonuniform_times(q, blocks):
     rng = np.random.default_rng(13)
-    times = np.cumsum(rng.uniform(0.01, 0.2, size=41))
-    slices = rng.normal(size=(41, GRID.n)) + 1j * rng.normal(size=(41, GRID.n))
+    per_block = _BLOCK_BYTES // (16 * GRID.n)  # complex rows
+    n_times = 3 * per_block + 5 if blocks else 41
+    steps = rng.uniform(0.01, 0.2, size=n_times)
+    if blocks:
+        steps[per_block:] *= 10.0
+    times = np.cumsum(steps)
+    slices = rng.normal(size=(n_times, GRID.n)) + 1j * rng.normal(size=(n_times, GRID.n))
     got = mixed_norm(SpaceTimeField(GRID, times, slices), 3.0, q)
-    lp_time = np.trapezoid(np.abs(slices) ** q, times, axis=0) ** (1 / q)
+    if np.isinf(q):
+        lp_time = np.max(np.abs(slices), axis=0)
+    else:
+        lp_time = np.trapezoid(np.abs(slices) ** q, times, axis=0) ** (1 / q)
     want = (np.sum(lp_time ** 3.0) * GRID.dx) ** (1 / 3.0)
     assert got == pytest.approx(want, rel=1e-13)
 
@@ -195,14 +216,15 @@ def xst_reference(u, s):
 
 
 @pytest.mark.parametrize("s", [0.2, 0.25, 0.3])
-@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["real", "complex", "real_blocks", "complex_blocks"])
 def test_xst_components_match_per_slice_reference(s, kind):
     rng = np.random.default_rng(11)
-    times = np.linspace(0.0, 0.5, 9)
-    slices = 1.0 + rng.normal(size=(9, GRID.n))  # nonzero means
-    if kind == "complex":
-        slices = slices + 1j * rng.normal(size=(9, GRID.n))
-    u = SpaceTimeField(GRID, times, slices)
+    grid, n_times = (WIDE, WIDE_ROWS) if kind.endswith("blocks") else (GRID, 9)
+    times = np.linspace(0.0, 0.5, n_times)
+    slices = 1.0 + rng.normal(size=(n_times, grid.n))  # nonzero means
+    if kind.startswith("complex"):
+        slices = slices + 1j * rng.normal(size=(n_times, grid.n))
+    u = SpaceTimeField(grid, times, slices)
     c = xst_components(u, s)
     got = [c.sup_sobolev, c.smoothing, c.maximal, c.low_frequency]
     np.testing.assert_allclose(got, xst_reference(u, s), rtol=1e-12, atol=0.0)

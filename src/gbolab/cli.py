@@ -9,20 +9,20 @@ import configparser
 import io
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .experiments.illposed import QuadratureError, illposed_growth_fit
-from .experiments.linear_ratios import ESTIMATES, _check_estimate, estimate_ladder
+from .experiments.illposed import QuadratureError, _fit_rungs, illposed_growth_fit
+from .experiments.linear_ratios import ESTIMATES, _check_ladder, estimate_ladder
 from .experiments.reporting import ExperimentReport, write_report_csv
 from .experiments.scaling import scaling_invariance_check
-from .gauge import gauge_equation_residual
+from .gauge import _check_gauge, gauge_equation_residual
 from .norms import norm_family_audit
-from .solver import BlowUpError, SolverConfig, Trajectory, evolve
-from .spectral import field_from_values, make_grid
+from .solver import BlowUpError, SolverConfig, Trajectory, _check_lambdas, evolve
+from .spectral import Field, SpectralGrid, field_from_values, make_grid
 
 SCHEMA_VERSION = 1
 
@@ -126,36 +126,18 @@ _SCHEMAS: dict[str, dict] = {
     },
 }
 
-
-_POSITIVE_KEYS = frozenset(
-    {
-        "n", "length", "k", "dt", "t_end", "T", "amplitude", "width",
-        "n_trials", "n_time", "rungs", "freq_resolution", "eps", "theta",
-        "tolerance", "min_ratio", "max_residual", "drift_limit", "mass_tol",
-        "l2_tol", "slice_stride",
-    }
-)
-_POSITIVE_LIST_KEYS = frozenset({"strides", "N_list", "lambda_list"})
-
-
-def _check_ranges(subcommand: str, params: dict) -> None:
-    for key, value in params.items():
-        if key in _POSITIVE_KEYS and value <= 0:
-            raise ConfigError(
-                f"{key} must be positive in [{subcommand}], got {value}"
-            )
-        if key in _POSITIVE_LIST_KEYS and any(v <= 0 for v in value):
-            raise ConfigError(
-                f"every entry of {key} must be positive in [{subcommand}]"
-            )
+# The CLI's own data and threshold keys; the library states every other range.
+_POSITIVE_KEYS = frozenset({"amplitude", "width", "tolerance", "min_ratio", "max_residual",
+                            "drift_limit", "mass_tol", "l2_tol", "strides"})
 
 
 @dataclass
 class RunConfig:
-    """A validated run: subcommand and its parameter block."""
+    """A validated run: subcommand, parameters, and the objects built from them."""
 
     subcommand: str
-    params: dict = field(default_factory=dict)
+    params: dict
+    objects: object
 
 
 def parse_config(text: str, subcommand: str) -> RunConfig:
@@ -163,7 +145,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
 
     The document is INI-style with one section per subcommand.  Unknown
     sections and unknown keys are errors, as are missing required keys and
-    unparsable or non-finite values.
+    unparsable, non-finite or out-of-range values (the ranges: _OBJECTS).
     """
     if subcommand not in _SCHEMAS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -195,12 +177,18 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
                 raise ConfigError(
                     f"bad value for {key!r}: {section[key]!r} is not finite"
                 )
+            if key in _POSITIVE_KEYS and not np.all(np.asarray(params[key]) > 0):
+                raise ConfigError(f"{key} must be positive in [{subcommand}], "
+                                  f"got {section[key]!r}")
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r} in [{subcommand}]")
         else:
             params[key] = default
-    _check_ranges(subcommand, params)
-    return RunConfig(subcommand=subcommand, params=params)
+    try:
+        objects = _OBJECTS[subcommand](params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return RunConfig(subcommand=subcommand, params=params, objects=objects)
 
 
 def _gaussian_field(n: int, length: float, amplitude: float, width: float):
@@ -220,21 +208,65 @@ def _subsample(traj: Trajectory, every: int) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
+# Each section's cheap library objects: parse_config builds them, so their range
+# checks run before any work, and the runners take them from RunConfig.
+
+
+def _flow(cfg: SolverConfig, p: dict) -> tuple[Field, SolverConfig]:
+    """The section's Gaussian data, and cfg checked against its grid."""
+    u0 = _gaussian_field(p["n"], p["length"], p["amplitude"], p["width"])
+    cfg.validate_for_grid(u0.grid)
+    cfg.n_steps()
+    return u0, cfg
+
+
+def _residual_ladder(p: dict) -> tuple[list[int], Field, SolverConfig]:
+    """The distinct strides, coarsest first, the data, and the finest stride's config."""
+    strides = sorted(set(p["strides"]), reverse=True)
+    if len(strides) < 2 or any(s % strides[-1] for s in strides):
+        raise ConfigError("strides must be two or more distinct multiples of the smallest")
+    u0, cfg = _flow(SolverConfig(k=p["k"], rescaled=True, dt=p["dt"], t_end=p["t_end"],
+                                 slice_stride=strides[-1]), p)
+    _check_gauge(p["k"], cfg.n_steps() // strides[0] + 1)
+    return strides, u0, cfg
+
+
+def _estimate_ladders(p: dict) -> tuple[list[str], SpectralGrid]:
+    names = [name.strip() for name in p["which"].split(",")]
+    names = list(ESTIMATES) if names == ["all"] else names
+    grid = make_grid(p["n"], p["length"])
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"estimate {name!r} listed twice")
+        _check_ladder(name, p["n_trials"], grid, p["T"], p["n_time"], p["rungs"], p["s"])
+    return names, grid
+
+
+def _scaling_flow(p: dict) -> tuple[Field, SolverConfig]:
+    _check_lambdas(p["lambda_list"])
+    return _flow(SolverConfig(k=p["k"], rescaled=True, dt=p["dt"], t_end=p["t_end"]), p)
+
+
+_OBJECTS = {
+    "simulate": lambda p: _flow(SolverConfig(
+        k=p["k"], sign=p["sign"], rescaled=p["rescaled"], dt=p["dt"], t_end=p["t_end"],
+        slice_stride=p["slice_stride"]), p),
+    "gauge-residual": _residual_ladder,
+    "illposed": lambda p: _fit_rungs(p["s"], p["theta"], p["T"], p["N_list"],
+                                     p["freq_resolution"]),
+    "estimates": _estimate_ladders,
+    "admissible": lambda p: norm_family_audit(p["s"], p["k"], p["eps"]),
+    "scaling": _scaling_flow,
+}
+
+
+# ---------------------------------------------------------------------------
 # Runners: RunConfig -> ExperimentReport.
 
 
 def _run_simulate(cfg: RunConfig) -> ExperimentReport:
     p = cfg.params
-    u0 = _gaussian_field(p["n"], p["length"], p["amplitude"], p["width"])
-    solver_cfg = SolverConfig(
-        k=p["k"],
-        sign=p["sign"],
-        rescaled=p["rescaled"],
-        dt=p["dt"],
-        t_end=p["t_end"],
-        slice_stride=p["slice_stride"],
-    )
-    traj = evolve(u0, solver_cfg)
+    traj = evolve(*cfg.objects)
     points = [
         {"t": float(t), "mass": float(m), "l2": float(l), "linf": float(li)}
         for t, m, l, li in zip(traj.times, traj.mass, traj.l2, traj.linf)
@@ -256,24 +288,8 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
 
 def _run_gauge_residual(cfg: RunConfig) -> ExperimentReport:
     p = cfg.params
-    if p["k"] < 2:
-        raise ConfigError(f"k must be >= 2 for the gauge transform, got {p['k']}")
-    strides = sorted(set(p["strides"]), reverse=True)
-    if len(strides) < 2:
-        raise ConfigError("need at least two distinct strides")
+    strides, u0, solver_cfg = cfg.objects
     base = strides[-1]
-    for s in strides:
-        if s % base:
-            raise ConfigError("strides must be multiples of the smallest")
-    solver_cfg = SolverConfig(
-        k=p["k"], rescaled=True, dt=p["dt"], t_end=p["t_end"], slice_stride=base
-    )
-    # the residual's interior stencil needs 5 slices at the coarsest stride
-    n_coarse = solver_cfg.n_steps() // strides[0] + 1
-    if n_coarse < 5:
-        raise ConfigError(f"strides: the coarsest stride {strides[0]} leaves "
-                          f"{n_coarse} slices, fewer than the 5 the residual needs")
-    u0 = _gaussian_field(p["n"], p["length"], p["amplitude"], p["width"])
     traj = evolve(u0, solver_cfg)
     points = []
     residuals = []
@@ -301,31 +317,9 @@ def _run_gauge_residual(cfg: RunConfig) -> ExperimentReport:
     )
 
 
-def _run_illposed(cfg: RunConfig) -> ExperimentReport:
-    p = cfg.params
-    return illposed_growth_fit(
-        p["s"],
-        p["theta"],
-        p["T"],
-        p["N_list"],
-        freq_resolution=p["freq_resolution"],
-        tolerance=p["tolerance"],
-    )
-
-
 def _run_estimates(cfg: RunConfig) -> ExperimentReport:
     p = cfg.params
-    names = [name.strip() for name in p["which"].split(",")]
-    if names == ["all"]:
-        names = list(ESTIMATES)
-    grid = make_grid(p["n"], p["length"])
-    for i, name in enumerate(names):  # every range, before the first ladder runs
-        if name in names[:i]:
-            raise ConfigError(f"estimate {name!r} listed twice")
-        try:
-            _check_estimate(name, grid, p["T"], p["s"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    names, grid = cfg.objects
     points = []
     all_ok = True
     for name in names:
@@ -349,10 +343,9 @@ def _run_estimates(cfg: RunConfig) -> ExperimentReport:
 
 def _run_admissible(cfg: RunConfig) -> ExperimentReport:
     p = cfg.params
-    audit = norm_family_audit(p["s"], p["k"], p["eps"])
     points = []
     failing = []
-    for entry, ok in audit:
+    for entry, ok in cfg.objects:
         points.append(
             {
                 "id": entry.id,
@@ -380,10 +373,7 @@ def _run_admissible(cfg: RunConfig) -> ExperimentReport:
 
 def _run_scaling(cfg: RunConfig) -> ExperimentReport:
     p = cfg.params
-    u0 = _gaussian_field(p["n"], p["length"], p["amplitude"], p["width"])
-    solver_cfg = SolverConfig(
-        k=p["k"], rescaled=True, dt=p["dt"], t_end=p["t_end"]
-    )
+    u0, solver_cfg = cfg.objects
     report = scaling_invariance_check(u0, p["lambda_list"], p["s_list"], solver_cfg)
     return replace(report, inputs=dict(p, **report.inputs))
 
@@ -391,7 +381,9 @@ def _run_scaling(cfg: RunConfig) -> ExperimentReport:
 _RUNNERS = {
     "simulate": _run_simulate,
     "gauge-residual": _run_gauge_residual,
-    "illposed": _run_illposed,
+    "illposed": lambda cfg: illposed_growth_fit(
+        cfg.params["s"], cfg.params["theta"], cfg.params["T"], cfg.params["N_list"],
+        freq_resolution=cfg.params["freq_resolution"], tolerance=cfg.params["tolerance"]),
     "estimates": _run_estimates,
     "admissible": _run_admissible,
     "scaling": _run_scaling,
@@ -475,24 +467,11 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        _write_failure(args.subcommand, exc, out_dir)
-        return EXIT_ERROR
-
-    try:
-        cfg = parse_config(text, args.subcommand)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_failure(args.subcommand, exc, out_dir)
-        return EXIT_ERROR
-    if vars(args).get("seed") is not None:
-        cfg.params["seed"] = args.seed
-
-    try:
+        cfg = parse_config(Path(args.config).read_text(), args.subcommand)
+        if vars(args).get("seed") is not None:
+            cfg.params["seed"] = args.seed
         report = _RUNNERS[args.subcommand](cfg)
-    except (ConfigError, ValueError, QuadratureError, BlowUpError) as exc:
+    except (OSError, ValueError, QuadratureError, BlowUpError) as exc:  # ConfigError too
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         _write_failure(args.subcommand, exc, out_dir)
         return EXIT_ERROR

@@ -18,7 +18,8 @@ import numpy as np
 
 from ..norms import SpaceTimeField, _row_blocks, mixed_norm, sobolev_norm, xst_norm
 from ..spectral import Field, SpectralGrid, _propagator, fractional_derivative, lowpass_P0
-from .packets import check_wraparound, embed_field, make_packet_ensemble, plane_wave
+from .packets import (_check_ensemble, check_wraparound, embed_field,
+                      make_packet_ensemble, plane_wave)
 from .reporting import RatioStatistics
 
 ESTIMATES = ("kato", "maximal", "lowfreq", "xst")
@@ -50,10 +51,7 @@ def free_evolution_spacetime(phi: Field, T: float, n_time: int) -> SpaceTimeFiel
     """Sample V(t)phi on n_time+1 uniform times covering [0, T]: row i is
     free_evolve(phi, t_i), with Re phi and Im phi evolved on rfft half
     spectra, a block of rows at a time."""
-    if not 0 < T < np.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
-    if n_time < 2:
-        raise ValueError("need at least two time intervals")
+    _check_time(T, n_time)
     grid, table = phi.grid, _time_table(phi.grid, T, n_time)
     parts = [phi.values.real] if phi.real else [phi.values.real, phi.values.imag]
     halves = [np.fft.rfft(part) for part in parts]
@@ -65,19 +63,38 @@ def free_evolution_spacetime(phi: Field, T: float, n_time: int) -> SpaceTimeFiel
     return SpaceTimeField(grid, np.linspace(0.0, T, n_time + 1), slices)
 
 
-def _check_estimate(estimate: str, grid: SpectralGrid, T: float, s: float) -> None:
+def _check_time(T: float, n_time: int) -> None:
+    if not 0 < T < np.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+    if n_time < 2:
+        raise ValueError(f"n_time must be at least 2, got {n_time}")
+
+
+def _check_estimate(estimate: str, grid: SpectralGrid, T: float, s: float, n_time: int) -> None:
     """The ranges an estimate is stated on, checked before any work: xst needs
     0 < s < 1/2, lowfreq and xst need T < 1, and lowfreq needs a nonzero
     mode below 1/4, so that its broadband packets put mass under P_0."""
     if estimate not in ESTIMATES:
         raise ValueError(f"unknown estimate {estimate!r}")
-    if estimate in ("lowfreq", "xst") and not 0 < T < 1:
+    _check_time(T, n_time)
+    if estimate in ("lowfreq", "xst") and not T < 1:
         raise ValueError(f"T must satisfy 0 < T < 1 for the {estimate} estimate, got {T}")
     if estimate == "xst" and not 0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2) for the xst estimate, got {s}")
     if estimate == "lowfreq" and grid.dxi > 0.25:
         raise ValueError(f"length must be at least 8 pi for the lowfreq estimate, "
                          f"got {grid.length}")
+
+
+def _check_ladder(estimate: str, n_trials: int, grid: SpectralGrid, T: float,
+                  n_time: int, rungs: int, s: float) -> str:
+    """Every range of estimate_ladder, before any work; returns its packet kind."""
+    _check_estimate(estimate, grid, T, s, n_time)
+    if rungs < 2:
+        raise ValueError(f"a ladder needs at least two rungs, got {rungs}")
+    kind = "broadband" if estimate == "lowfreq" else "modulated"
+    _check_ensemble(grid, n_trials, kind)
+    return kind
 
 
 def estimate_ratio(
@@ -92,7 +109,7 @@ def estimate_ratio(
 
     lowfreq and xst are stated for 0 < T < 1.
     """
-    _check_estimate(estimate, phi.grid, T, s)
+    _check_estimate(estimate, phi.grid, T, s, n_time)
     if estimate == "xst":
         lhs = xst_norm(free_evolution_spacetime(phi, T, n_time), s)
         rhs = sobolev_norm(phi, s)
@@ -128,10 +145,7 @@ def estimate_ladder(
     mass, and needs a domain long enough that modes below 1/4 exist.  s is
     the regularity of the xst norm; the other estimates ignore it.
     """
-    _check_estimate(estimate, grid, T, s)
-    if rungs < 2:
-        raise ValueError(f"a ladder needs at least two rungs, got {rungs}")
-    kind = "broadband" if estimate == "lowfreq" else "modulated"
+    kind = _check_ladder(estimate, n_trials, grid, T, n_time, rungs, s)
     packets = make_packet_ensemble(grid, n_trials, seed, kind=kind)
     check_wraparound(packets, T)
     ladder = []

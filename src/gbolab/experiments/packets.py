@@ -27,16 +27,8 @@ def make_packet_ensemble(
     zero so low modes carry most of the mass, which is what the
     low-frequency estimate needs.  The zero mode is always exactly zero.
     """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
-    if kind not in ("modulated", "broadband"):
-        raise ValueError(f"unknown packet kind {kind!r}")
+    _check_ensemble(grid, n_trials, kind)
     lo, hi = 8.0, grid.xi_max / 4
-    if kind == "modulated" and hi <= lo:
-        raise ValueError(
-            f"modulated packets center in [8, xi_max/4], which is empty for "
-            f"xi_max = {grid.xi_max:.4g}; refine the grid or shorten the domain"
-        )
     rng = np.random.default_rng(seed)
     packets = []
     for _ in range(n_trials):
@@ -50,6 +42,16 @@ def make_packet_ensemble(
         amplitude = rng.uniform(0.5, 2.0)
         packets.append(_packet(grid, amplitude, center, width, x0))
     return packets
+
+
+def _check_ensemble(grid: SpectralGrid, n_trials: int, kind: str) -> None:
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    if kind not in ("modulated", "broadband"):
+        raise ValueError(f"unknown packet kind {kind!r}")
+    if kind == "modulated" and grid.xi_max / 4 <= 8.0:
+        raise ValueError(f"n must make xi_max/4 exceed 8, as modulated packets center in "
+                         f"[8, xi_max/4]; got xi_max = {grid.xi_max:.4g}")
 
 
 def _packet(grid: SpectralGrid, amplitude: float, center: float,

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ..norms import sobolev_norm
-from ..solver import SolverConfig, evolve, rescale, rescale_traj
+from ..solver import SolverConfig, _check_lambdas, evolve, rescale, rescale_traj
 from ..spectral import Field
 from .reporting import ExperimentReport
 
@@ -41,6 +41,7 @@ def scaling_invariance_check(
     1e-10 and every commutation defect stays below 1e-6 relative to the
     slice magnitude.
     """
+    _check_lambdas(lambda_list)
     k = config.k
     critical = 0.5 - 1.0 / k
 

@@ -72,6 +72,14 @@ class GaugeState:
     w: Field
 
 
+def _check_gauge(k: int, n_slices: int = 5) -> None:
+    """The gauge transform needs k >= 2; the residual's time stencil 5 slices."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2 for the gauge transform, got {k}")
+    if n_slices < 5:
+        raise ValueError(f"strides: the coarsest leaves {n_slices} slices; the residual needs 5")
+
+
 def gauge_transform(u: Field, k: int) -> GaugeState:
     """Gauge-transform a real field: w = P_+(taper * e^{-iF} * u).
 
@@ -84,8 +92,7 @@ def gauge_transform(u: Field, k: int) -> GaugeState:
     """
     if not u.real:
         raise ValueError("gauge transform requires a real field")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _check_gauge(k)
     uk = field_from_values(u.grid, u.values.real ** k)
     F = antiderivative(uk)
     taper = boundary_taper(u.grid)
@@ -155,8 +162,7 @@ def gauge_equation_residual(u_traj: Trajectory) -> tuple[float, SpaceTimeField]:
             "run the solver with rescaled=True"
         )
     k = u_traj.config.k
-    if u_traj.n_times < 5:
-        raise ValueError("need at least 5 time slices for the interior stencil")
+    _check_gauge(k, u_traj.n_times)
     dt = u_traj.uniform_step()
 
     grid = u_traj.grid

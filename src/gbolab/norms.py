@@ -318,11 +318,11 @@ def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntr
     fixed-exponent entries N9 and N11.
     """
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise ValueError(f"k must be >= 2 for the norm family, got {k}")
     if not (0 < s < 0.5):
-        raise ValueError(f"s must lie in (0, 1/2), got {s}")
+        raise ValueError(f"s must lie in (0, 1/2) for the norm family, got {s}")
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ValueError(f"eps must be positive, got {eps}")
     sk, delta = _s_crit(k), _DELTA
     out: list[tuple[NormFamilyEntry, bool]] = []
 

@@ -90,6 +90,8 @@ class SolverConfig:
         steps = round(self.t_end / self.dt)
         if steps < 1 or abs(steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError("t_end must be an integer multiple of dt")
+        if steps % self.slice_stride:
+            raise ValueError("t_end/dt must be a multiple of slice_stride")
         return steps
 
 
@@ -188,8 +190,6 @@ def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:
         raise ValueError("solver operates on real fields")
     cfg.validate_for_grid(u0.grid)
     n_steps = cfg.n_steps()
-    if n_steps % cfg.slice_stride != 0:
-        raise ValueError("t_end/dt must be a multiple of slice_stride")
 
     grid = u0.grid
     advance = _stepper(grid, cfg)
@@ -259,16 +259,18 @@ def duhamel_residual(traj: Trajectory) -> float:
 # Scaling map.
 
 
+def _check_lambdas(lambdas) -> None:
+    if min(lambdas) <= 0:
+        raise ValueError(f"lambda (each of lambda_list) must be positive, got {min(lambdas)}")
+
+
 def rescale(u0: Field, lam: float, k: int) -> Field:
     """The scaling companion lam^{1/k} u(lam * x) on the grid of length L/lam.
 
     The rescaled grid shares the point count, so the samples are exactly
     the pointwise-scaled originals (lam * x'_j = x_j); no interpolation.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_lambdas([lam])
     new_grid = make_grid(u0.grid.n, u0.grid.length / lam)
     return field_from_values(new_grid, lam ** (1.0 / k) * u0.values)
 

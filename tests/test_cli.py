@@ -1,6 +1,9 @@
 """Config parsing, subcommand dispatch, artifacts, exit codes."""
 
+import configparser
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -112,7 +115,7 @@ dt = 0
 t_end = 0.01
 amplitude = 0.1
 """
-        with pytest.raises(ConfigError, match="dt must be positive"):
+        with pytest.raises(ConfigError, match="dt and t_end must be positive"):
             parse_config(text, "simulate")
 
     def test_unparsable_value(self):
@@ -326,6 +329,9 @@ rungs = 2
         ("T", {"which = kato": "which = kato, xst", "T = 0.1": "T = 1.0"}),
         ("length", {"which = kato": "which = kato, lowfreq",
                     "length = 40.0": "length = 20.0"}),
+        # xi_max/4 = 2.5 leaves the modulated kato packets no centre in [8, xi_max/4];
+        # the broadband lowfreq ladder listed first does not need one
+        ("n", {"which = kato": "which = lowfreq, kato", "n = 512": "n = 128"}),
     ])
     def test_estimates_ranges_checked_before_any_ladder(
             self, tmp_path, monkeypatch, key, edits):
@@ -372,14 +378,137 @@ def test_gauge_residual_config_checked_before_evolve(tmp_path, monkeypatch, key,
     assert data["error"]["message"].startswith(key)
 
 
+# One out-of-range value, or several, for every numeric key of every section,
+# each on a config that otherwise passes.  The library states each range except
+# those of the CLI's own data and threshold keys; every one must fail in
+# parse_config, as a ConfigError naming its key, before the runner starts.
+RANGE_BASE = {
+    "simulate": SIMULATE_OK,
+    "gauge-residual": GAUGE_OK,
+    "illposed": ILLPOSED_MIN,
+    "estimates": ESTIMATES_KATO.replace("which = kato", "which = all"),
+    "admissible": ADMISSIBLE_OK,
+    "scaling": SCALING_OK,
+}
+OUT_OF_RANGE = {
+    ("simulate", "n"): ["12"],
+    ("simulate", "length"): ["0"],
+    ("simulate", "k"): ["0"],
+    ("simulate", "sign"): ["up"],  # not numeric, but the library checks it too
+    # 0.01 exceeds the stability bound 0.5/xi_max^2 = 1.2e-3 of n = 256, L = 40
+    ("simulate", "dt"): ["0", "0.01"],
+    ("simulate", "t_end"): ["0", "0.0201"],  # 0.0201 is no multiple of dt
+    ("simulate", "slice_stride"): ["0", "3"],  # 3 does not divide the 50 steps
+    ("simulate", "amplitude"): ["0"],
+    ("simulate", "width"): ["0"],
+    ("simulate", "mass_tol"): ["0"],
+    ("simulate", "l2_tol"): ["-1e-6"],
+    ("gauge-residual", "n"): ["100"],
+    ("gauge-residual", "length"): ["-60"],
+    ("gauge-residual", "k"): ["1"],
+    ("gauge-residual", "amplitude"): ["0"],
+    ("gauge-residual", "width"): ["0"],
+    # 1e-3 exceeds the stability bound 7.0e-4 of n = 512, L = 60
+    ("gauge-residual", "dt"): ["0", "1e-3"],
+    ("gauge-residual", "t_end"): ["0"],
+    # 800 steps: stride 400 leaves 3 slices, fewer than the residual's 5
+    ("gauge-residual", "strides"): ["100, 0", "", "100", "100, 30", "400, 200"],
+    ("gauge-residual", "min_ratio"): ["0"],
+    ("gauge-residual", "max_residual"): ["0"],
+    ("illposed", "theta"): ["0"],
+    ("illposed", "T"): ["0"],
+    ("illposed", "N_list"): ["0, 16, 32, 64, 128", "8, 16, 32, 64"],
+    ("illposed", "freq_resolution"): ["8"],
+    ("illposed", "tolerance"): ["0"],
+    ("estimates", "n"): ["12"],
+    ("estimates", "length"): ["0"],
+    ("estimates", "T"): ["0"],
+    ("estimates", "n_trials"): ["0"],
+    ("estimates", "n_time"): ["1"],
+    ("estimates", "rungs"): ["1"],
+    ("estimates", "s"): ["0.7"],
+    ("estimates", "drift_limit"): ["0"],
+    ("admissible", "s"): ["0.6"],
+    ("admissible", "k"): ["1"],
+    ("admissible", "eps"): ["0"],
+    ("scaling", "n"): ["12"],
+    ("scaling", "length"): ["0"],
+    ("scaling", "amplitude"): ["0"],
+    ("scaling", "width"): ["0"],
+    ("scaling", "k"): ["0"],
+    ("scaling", "lambda_list"): ["1.0, 0"],
+    ("scaling", "dt"): ["0"],
+    ("scaling", "t_end"): ["0"],
+}
+WITHOUT_RANGE = {
+    # numpy's generator rejects negative seeds itself; gbolab states no range
+    ("estimates", "seed"),
+    # the growth fit and the scaling law are stated for every real regularity
+    ("illposed", "s"),
+    ("scaling", "s_list"),
+}
+
+
+def _range_cases():
+    cases = []
+    for subcommand, schema in cli._SCHEMAS.items():
+        for key, (parse, _) in schema.items():
+            numeric = parse in (int, float, cli._floats, cli._ints)
+            if (subcommand, key) in WITHOUT_RANGE or not (
+                    numeric or (subcommand, key) in OUT_OF_RANGE):
+                continue
+            # a numeric key without an entry fails below, so a new key needs one
+            for value in OUT_OF_RANGE.get((subcommand, key), [None]):
+                cases.append(pytest.param(subcommand, key, value,
+                                          id=f"{subcommand}-{key}={value}"))
+    return cases
+
+
+@pytest.mark.parametrize("subcommand, key, value", _range_cases())
+def test_every_range_fails_in_parse_config(tmp_path, monkeypatch, subcommand, key,
+                                           value):
+    assert value is not None, f"no out-of-range value for [{subcommand}] {key}"
+
+    def no_runner(cfg):
+        raise AssertionError("the runner started before the ranges were checked")
+
+    monkeypatch.setattr(cli, "_RUNNERS", {name: no_runner for name in cli._RUNNERS})
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read_string(RANGE_BASE[subcommand])
+    cp[subcommand][key] = value
+    text = io.StringIO()
+    cp.write(text)
+    code, out = run_cli(tmp_path, text.getvalue(), subcommand)
+    assert code == 2
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["type"] == "ConfigError"
+    assert re.search(rf"(?<!\w){key}(?!\w)", error["message"]), error["message"]
+
+
 def test_illposed_equal_rungs_exit_two(tmp_path):
     text = ILLPOSED_MIN.replace("N_list = 8, 16, 32, 64, 128",
                                 "N_list = 64, 64, 64, 64, 64")
     code, out = run_cli(tmp_path, text, "illposed")
     assert code == 2
     data = json.loads((out / "report.json").read_text())
-    assert data["error"]["type"] == "ValueError"
+    assert data["error"]["type"] == "ConfigError"
     assert "N_list" in data["error"]["message"]
+
+
+def test_illposed_divergent_rung_fails_in_parse_config(tmp_path, monkeypatch):
+    # at N = 1/16 the 4N band's series diverges (4 alpha^2 >= 12 N^2)
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit started before the rungs were checked")
+
+    monkeypatch.setattr(cli, "illposed_growth_fit", no_fit)
+    text = ILLPOSED_MIN.replace("N_list = 8, 16, 32, 64, 128",
+                                "N_list = 0.0625, 0.125, 0.25, 0.5, 1")
+    code, out = run_cli(tmp_path, text, "illposed")
+    assert code == 2
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["type"] == "ConfigError"
+    assert "diverges at N = 0.0625" in error["message"]
 
 
 def test_subsample_thins_the_ledger_bit_for_bit():

@@ -22,6 +22,7 @@ from gbolab.experiments import (
     scaling_invariance_check,
     write_report_csv,
 )
+from gbolab.experiments import scaling
 from gbolab.experiments.linear_ratios import ESTIMATES, _time_table
 from gbolab.norms import mixed_norm, sobolev_norm, xst_components, xst_norm
 from gbolab.solver import SolverConfig
@@ -385,6 +386,14 @@ class TestScalingCheck:
         rep = scaling_invariance_check(small_bump, [2.0], [0.3], SCALING_CFG)
         (flow_pt,) = [pt for pt in rep.points if "flow_defect" in pt]
         assert flow_pt["flow_defect"] <= 1e-6
+
+    def test_bad_lambda_rejected_before_evolve(self, small_bump, monkeypatch):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran before lambda_list was checked")
+
+        monkeypatch.setattr(scaling, "evolve", no_evolve)
+        with pytest.raises(ValueError, match="lambda_list"):
+            scaling_invariance_check(small_bump, [2.0, 0.0], [0.3], SCALING_CFG)
 
     def test_bad_k_rejected(self):
         # the check takes k from its SolverConfig, which rejects k < 1

@@ -238,7 +238,8 @@ def _estimate_ladders(p: dict) -> tuple[list[str], SpectralGrid]:
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ConfigError(f"estimate {name!r} listed twice")
-        _check_ladder(name, p["n_trials"], grid, p["T"], p["n_time"], p["rungs"], p["s"])
+        _check_ladder(name, p["n_trials"], grid, p["T"], p["seed"], p["n_time"],
+                      p["rungs"], p["s"])
     return names, grid
 
 
@@ -295,11 +296,9 @@ def _run_gauge_residual(cfg: RunConfig) -> ExperimentReport:
     residuals = []
     for s in strides:
         sub = _subsample(traj, s // base)
-        res, _ = gauge_equation_residual(sub)
+        res = gauge_equation_residual(sub)
         residuals.append(res)
-        points.append(
-            {"stride": s, "dt_slice": s * p["dt"], "residual": float(res)}
-        )
+        points.append({"stride": s, "dt_slice": s * p["dt"], "residual": res})
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     ok = all(r >= p["min_ratio"] for r in ratios) and (
         residuals[-1] <= p["max_residual"]

@@ -7,7 +7,6 @@ from .illposed import (
     IllposedParams,
     QuadratureError,
     convolution_power,
-    convolution_power_oracle,
     hN_sobolev_norm,
     illposed_build_hN,
     illposed_growth_fit,
@@ -46,7 +45,6 @@ __all__ = [
     "RatioStatistics",
     "check_wraparound",
     "convolution_power",
-    "convolution_power_oracle",
     "embed_field",
     "estimate_ladder",
     "estimate_ratio",

@@ -58,7 +58,15 @@ class IllposedParams:
                 )
         if self.freq_resolution < 16:
             raise ValueError("freq_resolution must be at least 16")
-        if 4.0 * self.alpha ** 2 >= 12.0 * self.N ** 2:
+        with np.errstate(over="ignore"):  # an overflow to inf fails the phase rule
+            c = _resonance(np.float64(self.N), np.array([0.0, 4.0 * self.alpha]))
+        if not self.T * c[1] * 2.0 ** -53 <= 1e-3:
+            raise ValueError(
+                f"N = {self.N:g} and T = {self.T:g} put the 4N band's phase "
+                f"T c(4 alpha) = {self.T * c[1]:.3g} rad beyond float64, which rounds "
+                f"it by more than 1e-3 rad; take a smaller N_list or T"
+            )
+        if 4.0 * self.alpha ** 2 >= c[0]:
             raise ValueError(
                 f"the series in S / c diverges at N = {self.N} (4 alpha^2 >= 12 N^2)"
             )
@@ -162,37 +170,32 @@ def _convolve4(a, b, c, d, h: float) -> np.ndarray:
     return np.convolve(np.convolve(a, b) * h, np.convolve(c, d) * h) * h
 
 
-def convolution_power_oracle(alpha: float, targets):
-    """Independent high-resolution values of the 4-fold self-convolution.
-
-    Uses the closed-form tent chi*chi (elementary) and one fine midpoint
-    quadrature for tent*tent, evaluated at the requested abscissae.  Its
-    100,000 nodes put the quadrature error near 2e-10 relative, far below
-    the percent-level gaps it is compared against.
-    """
-    n_quad = 100_000
-    targets = np.asarray(targets, dtype=float)
-
-    def tent(y):
-        return np.clip(alpha - np.abs(np.asarray(y) - alpha), 0.0, None)
-
-    h = 2.0 * alpha / n_quad
-    y = (np.arange(n_quad) + 0.5) * h
-    ty = tent(y)
-    out = np.empty(targets.size)
-    for i, x in enumerate(targets):
-        out[i] = np.sum(ty * tent(x - y)) * h
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The Picard-term quadrature.
 
 
-def _band_window(p: IllposedParams) -> np.ndarray:
-    """Midpoint xi0 grid of the 4N output window [4N, 4N + 4 alpha]."""
+def _resonance(N, eta):
+    """c(eta) = 12 N^2 + 6 N eta + eta^2: on the 4N band, at xi0 = 4N + eta,
+    the phase is P = -c(eta) + sum y_i^2 (see kernel_bracket_4n)."""
+    return 12.0 * N ** 2 + 6.0 * N * eta + eta ** 2
+
+
+def _band_window(p: IllposedParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Midpoint xi0 grid of the 4N output window [4N, 4N + 4 alpha], with
+    eta = xi0 - 4N and c(eta)."""
     h = p.alpha / p.freq_resolution
-    return 4.0 * p.N + (np.arange(4 * p.freq_resolution) + 0.5) * h
+    xi0 = 4.0 * p.N + (np.arange(4 * p.freq_resolution) + 0.5) * h
+    eta = xi0 - 4.0 * p.N
+    return xi0, eta, _resonance(p.N, eta)
+
+
+def _prefactor(p: IllposedParams, xi0: np.ndarray) -> np.ndarray:
+    """6 i xi0 e^{i sigma T xi0 |xi0|} (2 pi)^-3 A^4, the Picard term's factor
+    outside the fiber integral of the time kernel."""
+    return (
+        6.0 * 1j * xi0 * np.exp(evolution_sign() * 1j * p.T * _dispersion(xi0))
+        * (TWO_PI ** -3) * p.amplitude ** 4
+    )
 
 
 # Fine-grid factor and series length of the separable 4N path: the
@@ -247,10 +250,8 @@ def _band_4n(
     chirp = np.exp(sigma * 1j * p.T * y2)
     ones = np.ones_like(y)
 
-    xi0 = _band_window(p)
+    xi0, _, c = _band_window(p)
     nodes = refine * np.arange(xi0.size) + refine // 2 - 2
-    eta = xi0 - 4.0 * p.N
-    c = 12.0 * p.N ** 2 + 6.0 * p.N * eta + eta ** 2
     rotation = np.exp(-sigma * 1j * p.T * c)
     out = np.zeros(xi0.size, dtype=np.complex128)
     for m in range(terms):
@@ -258,11 +259,7 @@ def _band_4n(
         flat = _fiber_moments(ones, y2, m, hf)[nodes]
         out += (rotation * tilted - flat) / c ** m
     out *= sigma * 1j / c
-    pref = (
-        6.0 * 1j * xi0 * np.exp(sigma * 1j * p.T * _dispersion(xi0))
-        * (TWO_PI ** -3) * p.amplitude ** 4
-    )
-    return FrequencyProfile(xi0, pref * out, p.alpha / M)
+    return FrequencyProfile(xi0, _prefactor(p, xi0) * out, p.alpha / M)
 
 
 # Largest relative change of the band norm that the refinement check lets
@@ -344,11 +341,7 @@ def _compute_on(
             kern = _time_kernel(sigma * P, p.T)
             inner = np.sum(kern, axis=-1) * dz2
             out[idx] += np.sum(inner * mask) * h34 ** 2
-    pref = (
-        6.0 * 1j * xi0 * np.exp(sigma * 1j * p.T * _dispersion(xi0))
-        * (TWO_PI ** -3) * p.amplitude ** 4
-    )
-    return FrequencyProfile(xi0, pref * out, p.alpha / p.freq_resolution)
+    return FrequencyProfile(xi0, _prefactor(p, xi0) * out, p.alpha / p.freq_resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +461,8 @@ def kernel_bracket_4n(p: IllposedParams) -> dict:
     N^{1 - 3s - 3 theta/2}, while model / resonant is close to
     sqrt(2) / (12 N^2 T), so the band itself grows two powers of N slower.
     """
-    xi0 = _band_window(p)
+    xi0, eta, c = _band_window(p)
     h = p.alpha / p.freq_resolution
-    eta = xi0 - 4.0 * p.N
-    c = 12.0 * p.N ** 2 + 6.0 * p.N * eta + eta ** 2
     gap = c - p.alpha * eta
     frozen = (
         6.0 * np.abs(xi0) * TWO_PI ** -3 * p.amplitude ** 4

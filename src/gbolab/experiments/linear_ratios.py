@@ -87,13 +87,13 @@ def _check_estimate(estimate: str, grid: SpectralGrid, T: float, s: float, n_tim
 
 
 def _check_ladder(estimate: str, n_trials: int, grid: SpectralGrid, T: float,
-                  n_time: int, rungs: int, s: float) -> str:
+                  seed: int, n_time: int, rungs: int, s: float) -> str:
     """Every range of estimate_ladder, before any work; returns its packet kind."""
     _check_estimate(estimate, grid, T, s, n_time)
     if rungs < 2:
         raise ValueError(f"a ladder needs at least two rungs, got {rungs}")
     kind = "broadband" if estimate == "lowfreq" else "modulated"
-    _check_ensemble(grid, n_trials, kind)
+    _check_ensemble(grid, n_trials, seed, kind)
     return kind
 
 
@@ -145,7 +145,7 @@ def estimate_ladder(
     mass, and needs a domain long enough that modes below 1/4 exist.  s is
     the regularity of the xst norm; the other estimates ignore it.
     """
-    kind = _check_ladder(estimate, n_trials, grid, T, n_time, rungs, s)
+    kind = _check_ladder(estimate, n_trials, grid, T, seed, n_time, rungs, s)
     packets = make_packet_ensemble(grid, n_trials, seed, kind=kind)
     check_wraparound(packets, T)
     ladder = []

@@ -27,7 +27,7 @@ def make_packet_ensemble(
     zero so low modes carry most of the mass, which is what the
     low-frequency estimate needs.  The zero mode is always exactly zero.
     """
-    _check_ensemble(grid, n_trials, kind)
+    _check_ensemble(grid, n_trials, seed, kind)
     lo, hi = 8.0, grid.xi_max / 4
     rng = np.random.default_rng(seed)
     packets = []
@@ -44,9 +44,11 @@ def make_packet_ensemble(
     return packets
 
 
-def _check_ensemble(grid: SpectralGrid, n_trials: int, kind: str) -> None:
+def _check_ensemble(grid: SpectralGrid, n_trials: int, seed: int, kind: str) -> None:
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if kind not in ("modulated", "broadband"):
         raise ValueError(f"unknown packet kind {kind!r}")
     if kind == "modulated" and grid.xi_max / 4 <= 8.0:

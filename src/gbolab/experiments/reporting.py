@@ -33,14 +33,6 @@ class RatioStatistics:
             raise ValueError("ratios must be positive and finite")
 
     @property
-    def n_trials(self) -> int:
-        return len(self.ratios)
-
-    @property
-    def sup_ratio(self) -> float:
-        return max(self.ratios)
-
-    @property
     def ladder_drift(self) -> float:
         sups = [s for _, s in self.resolution_ladder]
         return max(sups) / min(sups)

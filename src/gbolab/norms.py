@@ -33,7 +33,6 @@ from gbolab.spectral import (
     _fractional_symbol,
     _half_grid,
     _lowpass_symbol,
-    field_from_values,
 )
 
 __all__ = [
@@ -82,9 +81,6 @@ class SpaceTimeField:
     @property
     def n_times(self) -> int:
         return self.times.size
-
-    def slice_field(self, i: int) -> Field:
-        return field_from_values(self.grid, self.slices[i])
 
     def uniform_step(self) -> float:
         """The common spacing of the times; raises if they are not uniform."""

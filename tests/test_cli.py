@@ -10,6 +10,7 @@ import pytest
 
 from gbolab import cli
 from gbolab.cli import ConfigError, main, parse_config
+from gbolab.experiments import linear_ratios
 from gbolab.experiments.illposed import QuadratureError
 from gbolab.solver import SolverConfig, evolve
 
@@ -307,6 +308,16 @@ rungs = 2
         assert data["seed"] == 17
         assert data["params"]["seed"] == 17
 
+    def test_negative_seed_flag_fails_before_the_draw(self, tmp_path, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("packets drawn before the seed was checked")
+
+        monkeypatch.setattr(linear_ratios, "make_packet_ensemble", no_draw)
+        code, out = run_cli(tmp_path, ESTIMATES_KATO, "estimates", extra=("--seed", "-1"))
+        assert code == 2
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert "seed must be non-negative, got -1" in error["message"]
+
     def test_estimates_repeated_name_rejected(self, tmp_path):
         text = ESTIMATES_KATO.replace("which = kato", "which = lowfreq, lowfreq")
         code, out = run_cli(tmp_path, text, "estimates")
@@ -417,7 +428,12 @@ OUT_OF_RANGE = {
     ("gauge-residual", "max_residual"): ["0"],
     ("illposed", "theta"): ["0"],
     ("illposed", "T"): ["0"],
-    ("illposed", "N_list"): ["0, 16, 32, 64, 128", "8, 16, 32, 64"],
+    # from 1e12 on, float64 rounds the 4N band's phase T c(4 alpha) by over 1e-3 rad
+    ("illposed", "N_list"): ["0, 16, 32, 64, 128", "8, 16, 32, 64",
+                             "1e12, 2e12, 4e12, 8e12, 1.6e13",
+                             "1e20, 2e20, 4e20, 8e20, 1.6e21",
+                             "1e80, 2e80, 4e80, 8e80, 1.6e81",
+                             "1e200, 2e200, 4e200, 8e200, 1.6e201"],
     ("illposed", "freq_resolution"): ["8"],
     ("illposed", "tolerance"): ["0"],
     ("estimates", "n"): ["12"],
@@ -425,6 +441,7 @@ OUT_OF_RANGE = {
     ("estimates", "T"): ["0"],
     ("estimates", "n_trials"): ["0"],
     ("estimates", "n_time"): ["1"],
+    ("estimates", "seed"): ["-1"],
     ("estimates", "rungs"): ["1"],
     ("estimates", "s"): ["0.7"],
     ("estimates", "drift_limit"): ["0"],
@@ -441,8 +458,6 @@ OUT_OF_RANGE = {
     ("scaling", "t_end"): ["0"],
 }
 WITHOUT_RANGE = {
-    # numpy's generator rejects negative seeds itself; gbolab states no range
-    ("estimates", "seed"),
     # the growth fit and the scaling law are stated for every real regularity
     ("illposed", "s"),
     ("scaling", "s_list"),

@@ -126,7 +126,8 @@ class TestEstimateRatios:
         assert st.n_times == 17
         # linear flow preserves every Sobolev norm slice by slice
         for idx in (0, 8, 16):
-            assert sobolev_norm(st.slice_field(idx), 0.0) == pytest.approx(
+            row = field_from_values(st.grid, st.slices[idx])
+            assert sobolev_norm(row, 0.0) == pytest.approx(
                 sobolev_norm(f, 0.0), rel=1e-12
             )
 
@@ -228,7 +229,7 @@ class TestEstimateRatios:
 class TestEnsembleLadders:
     def test_kato_ladder_drift_small(self):
         stats = estimate_ladder("kato", 6, GRID, T=0.1, seed=21, rungs=3)
-        assert stats.n_trials == 6
+        assert len(stats.ratios) == 6
         assert stats.passes(drift_limit=2.0)
         assert stats.ladder_drift < 1.1
 
@@ -271,14 +272,14 @@ class TestEnsembleLadders:
 
     def test_xst_group_ladder(self):
         stats = estimate_ladder("xst", 4, GRID, T=0.1, seed=25, rungs=3, s=0.45)
-        assert stats.n_trials == 4
+        assert len(stats.ratios) == 4
         assert stats.passes(drift_limit=2.0)
 
     def test_sup_ratio_stable_under_more_trials(self):
         small = estimate_ladder("kato", 4, GRID, T=0.1, seed=30, rungs=2)
         large = estimate_ladder("kato", 8, GRID, T=0.1, seed=30, rungs=2)
         # same seed: the first four draws coincide, so sup can only grow
-        assert large.sup_ratio >= small.sup_ratio - 1e-12
+        assert max(large.ratios) >= max(small.ratios) - 1e-12
 
 
 class TestPlaneWaveGrowth:

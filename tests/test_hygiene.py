@@ -21,7 +21,6 @@ LAB_CHECKS = (
     "bilinear_G_direct",  # acceptance 2; README: the kernel in two forms
     "bilinear_G_projected",  # acceptance 2
     "convolution_power",  # acceptance 9
-    "convolution_power_oracle",  # acceptance 9
     "duhamel_residual",  # acceptance 6; README: Duhamel-form self-verification
     "free_evolve",  # acceptance 1; README: the free propagator
     "kernel_bracket_4n",  # acceptance 7a/7b; README: the analytic bracket

@@ -1,27 +1,29 @@
 """Command-line driver: one config section per subcommand, three artifacts
-per run (report.json, series.csv, summary.txt), exit 0 iff every verdict
-is PASS."""
+per run (report.json, series.csv, summary.txt).  Exit 0 is a PASS verdict,
+exit 1 a FAIL verdict, and exit 2 any error, with an ERROR record."""
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import io
 import json
 import sys
+import traceback
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .experiments.illposed import QuadratureError, _fit_rungs, illposed_growth_fit
+from .experiments.illposed import _fit_rungs, illposed_growth_fit
 from .experiments.linear_ratios import ESTIMATES, _check_ladder, estimate_ladder
 from .experiments.reporting import ExperimentReport, write_report_csv
 from .experiments.scaling import scaling_invariance_check
 from .gauge import _check_gauge, gauge_equation_residual
 from .norms import norm_family_audit
-from .solver import BlowUpError, SolverConfig, Trajectory, _check_lambdas, evolve
+from .solver import SolverConfig, Trajectory, _check_lambdas, evolve
 from .spectral import Field, SpectralGrid, field_from_values, make_grid
 
 SCHEMA_VERSION = 1
@@ -140,12 +142,13 @@ class RunConfig:
     objects: object
 
 
-def parse_config(text: str, subcommand: str) -> RunConfig:
+def parse_config(text: str, subcommand: str, seed: int | None = None) -> RunConfig:
     """Parse and validate one subcommand's section of a config document.
 
     The document is INI-style with one section per subcommand.  Unknown
     sections and unknown keys are errors, as are missing required keys and
     unparsable, non-finite or out-of-range values (the ranges: _OBJECTS).
+    A ``seed`` (the --seed flag) joins the section as its seed key.
     """
     if subcommand not in _SCHEMAS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -163,6 +166,8 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
 
     schema = _SCHEMAS[subcommand]
     section = cp[subcommand]
+    if seed is not None:
+        section["seed"] = str(seed)
     params: dict = {}
     for key in section:
         if key not in schema:
@@ -397,17 +402,20 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_success(report: ExperimentReport, out_dir: Path) -> None:
+def _write_record(out_dir: Path, record: dict, summary) -> None:
+    """report.json from the record, stamped, and summary.txt as summary(record)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = report.to_dict()
-    data["schema_version"] = SCHEMA_VERSION
-    data["timestamp"] = _timestamp()
+    record.update(schema_version=SCHEMA_VERSION, timestamp=_timestamp())
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_report_csv(report, str(out_dir / "series.csv"))
     with open(out_dir / "summary.txt", "w") as fh:
-        fh.write(_summary_text(data))
+        fh.write(summary(record))
+
+
+def _write_success(report: ExperimentReport, out_dir: Path) -> None:
+    _write_record(out_dir, report.to_dict(), _summary_text)
+    write_report_csv(report, str(out_dir / "series.csv"))
 
 
 def _summary_text(data: dict) -> str:
@@ -429,19 +437,9 @@ def _summary_text(data: dict) -> str:
 
 
 def _write_failure(subcommand: str, exc: Exception, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    record = {
-        "id": subcommand,
-        "verdict": "ERROR",
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-        "schema_version": SCHEMA_VERSION,
-        "timestamp": _timestamp(),
-    }
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out_dir / "summary.txt", "w") as fh:
-        fh.write(f"{subcommand}: ERROR\n{type(exc).__name__}: {exc}\n")
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    _write_record(out_dir, {"id": subcommand, "verdict": "ERROR", "error": error},
+                  lambda record: f"{subcommand}: ERROR\n{error['type']}: {exc}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +464,18 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
 
     try:
-        cfg = parse_config(Path(args.config).read_text(), args.subcommand)
-        if vars(args).get("seed") is not None:
-            cfg.params["seed"] = args.seed
+        cfg = parse_config(Path(args.config).read_text(), args.subcommand,
+                           seed=vars(args).get("seed"))
         report = _RUNNERS[args.subcommand](cfg)
-    except (OSError, ValueError, QuadratureError, BlowUpError) as exc:  # ConfigError too
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        _write_failure(args.subcommand, exc, out_dir)
+        _write_success(report, out_dir)
+    except Exception as exc:  # any failure is an ERROR: exit 1 stays the FAIL verdict's
+        # a bad config or file reads as one line; any other failure keeps its traceback
+        quiet = isinstance(exc, (ConfigError, OSError))
+        traceback.print_exception(exc, limit=0 if quiet else None, chain=not quiet)
+        with contextlib.suppress(OSError):  # an unwritable --out leaves no record
+            _write_failure(args.subcommand, exc, out_dir)
         return EXIT_ERROR
 
-    _write_success(report, out_dir)
     print(f"{report.experiment_id}: {report.verdict} "
           f"(artifacts in {out_dir})")
     return EXIT_PASS if report.verdict == "PASS" else EXIT_FAIL

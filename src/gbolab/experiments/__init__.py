@@ -22,13 +22,7 @@ from .linear_ratios import (
     free_evolution_spacetime,
     plane_wave_growth_exponent,
 )
-from .packets import (
-    check_wraparound,
-    embed_field,
-    make_packet_ensemble,
-    max_active_frequency,
-    plane_wave,
-)
+from .packets import embed_field, make_packet_ensemble, plane_wave
 from .reporting import (
     ExperimentReport,
     RatioStatistics,
@@ -43,7 +37,6 @@ __all__ = [
     "IllposedParams",
     "QuadratureError",
     "RatioStatistics",
-    "check_wraparound",
     "convolution_power",
     "embed_field",
     "estimate_ladder",
@@ -55,7 +48,6 @@ __all__ = [
     "illposed_v_details",
     "kernel_bracket_4n",
     "make_packet_ensemble",
-    "max_active_frequency",
     "oracle_agreement",
     "plane_wave",
     "plane_wave_growth_exponent",

@@ -39,7 +39,8 @@ class IllposedParams:
     """Inputs of one norm-growth run.
 
     alpha is tied to N and theta exactly; freq_resolution M is the number
-    of quadrature points per interval of width alpha.
+    of quadrature points per interval of width alpha.  alpha and the amplitude
+    are float64: an overflow reads as inf and fails one of the band's rules.
     """
 
     N: float
@@ -49,8 +50,6 @@ class IllposedParams:
     freq_resolution: int = 32
 
     def __post_init__(self):
-        if not math.isfinite(self.s):
-            raise ValueError(f"s must be finite, got {self.s}")
         for name in ("N", "theta", "T"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(
@@ -58,27 +57,33 @@ class IllposedParams:
                 )
         if self.freq_resolution < 16:
             raise ValueError("freq_resolution must be at least 16")
-        with np.errstate(over="ignore"):  # an overflow to inf fails the phase rule
+        with np.errstate(all="ignore"):  # an inf or a nan fails the rules below
             c = _resonance(np.float64(self.N), np.array([0.0, 4.0 * self.alpha]))
-        if not self.T * c[1] * 2.0 ** -53 <= 1e-3:
+            if not self.T * c[1] * 2.0 ** -53 <= 1e-3:
+                raise ValueError(
+                    f"N = {self.N:g}, theta = {self.theta:g} and T = {self.T:g} put the 4N "
+                    f"band's phase T c(4 alpha) = {self.T * c[1]:.3g} rad beyond float64, "
+                    f"which rounds it by more than 1e-3 rad; change N_list, theta or T")
+            if 4.0 * self.alpha ** 2 >= c[0]:
+                raise ValueError(
+                    f"the series in S / c diverges at N = {self.N} (4 alpha^2 >= 12 N^2)")
+            scale = kernel_bracket_4n(self)["model"]  # the band's H^s scale
+        if not 0 < scale < np.inf:  # a non-finite s fails here too
             raise ValueError(
-                f"N = {self.N:g} and T = {self.T:g} put the 4N band's phase "
-                f"T c(4 alpha) = {self.T * c[1]:.3g} rad beyond float64, which rounds "
-                f"it by more than 1e-3 rad; take a smaller N_list or T"
-            )
-        if 4.0 * self.alpha ** 2 >= c[0]:
-            raise ValueError(
-                f"the series in S / c diverges at N = {self.N} (4 alpha^2 >= 12 N^2)"
-            )
+                f"N = {self.N:g}, s = {self.s:g} and theta = {self.theta:g} put the 4N "
+                f"band's H^s scale at {scale:.3g}, not a positive finite float64; change s, "
+                f"theta or N_list")
 
     @property
-    def alpha(self) -> float:
-        return self.N ** (-self.theta)
+    def alpha(self) -> np.float64:
+        with np.errstate(over="ignore"):
+            return np.float64(self.N) ** -self.theta
 
     @property
-    def amplitude(self) -> float:
+    def amplitude(self) -> np.float64:
         """Band height of the data profile."""
-        return self.alpha ** (-0.5) * self.N ** (-self.s)
+        with np.errstate(all="ignore"):
+            return self.alpha ** -0.5 * np.float64(self.N) ** -self.s
 
 
 @dataclass(frozen=True)
@@ -277,12 +282,12 @@ def illposed_v_details(p: IllposedParams) -> dict:
     """
     band = _band_4n(p)
     norm_4n = band.hs_norm(p.s)
-    disagreement = max(
+    disagreement = float(np.max([
         abs(other.hs_norm(p.s) - norm_4n) / norm_4n
         for other in (_band_4n(p, refine=2 * _FINE),
                       _band_4n(p, terms=_SERIES_TERMS + 1))
-    )
-    if disagreement > _REFINEMENT_TOL:
+    ]))
+    if not disagreement <= _REFINEMENT_TOL:  # a nan disagreement fails too
         raise QuadratureError(
             f"grid or series refinement moved the band norm by "
             f"{disagreement:.2%} (> {_REFINEMENT_TOL:.0%}) at N = {p.N}"

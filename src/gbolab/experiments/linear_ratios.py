@@ -16,10 +16,10 @@ import functools
 
 import numpy as np
 
-from ..norms import SpaceTimeField, _row_blocks, mixed_norm, sobolev_norm, xst_norm
+from ..norms import (SpaceTimeField, _check_regularity, _row_blocks, mixed_norm,
+                     sobolev_norm, xst_norm)
 from ..spectral import Field, SpectralGrid, _propagator, fractional_derivative, lowpass_P0
-from .packets import (_check_ensemble, check_wraparound, embed_field,
-                      make_packet_ensemble, plane_wave)
+from .packets import _check_ensemble, _reach, embed_field, make_packet_ensemble, plane_wave
 from .reporting import RatioStatistics
 
 ESTIMATES = ("kato", "maximal", "lowfreq", "xst")
@@ -79,8 +79,8 @@ def _check_estimate(estimate: str, grid: SpectralGrid, T: float, s: float, n_tim
     _check_time(T, n_time)
     if estimate in ("lowfreq", "xst") and not T < 1:
         raise ValueError(f"T must satisfy 0 < T < 1 for the {estimate} estimate, got {T}")
-    if estimate == "xst" and not 0 < s < 0.5:
-        raise ValueError(f"s must lie in (0, 1/2) for the xst estimate, got {s}")
+    if estimate == "xst":
+        _check_regularity(s)
     if estimate == "lowfreq" and grid.dxi > 0.25:
         raise ValueError(f"length must be at least 8 pi for the lowfreq estimate, "
                          f"got {grid.length}")
@@ -94,6 +94,10 @@ def _check_ladder(estimate: str, n_trials: int, grid: SpectralGrid, T: float,
         raise ValueError(f"a ladder needs at least two rungs, got {rungs}")
     kind = "broadband" if estimate == "lowfreq" else "modulated"
     _check_ensemble(grid, n_trials, seed, kind)
+    reach = _reach(grid, kind)  # from the draw's limits, so the seed cannot matter
+    if not 2.0 * reach * T < grid.length / 4:
+        raise ValueError(f"T must keep the {kind} packets from wrapping around: 2 * "
+                         f"{reach:.4g} * {T:.4g} >= L/4 = {grid.length / 4:.4g}")
     return kind
 
 
@@ -147,7 +151,6 @@ def estimate_ladder(
     """
     kind = _check_ladder(estimate, n_trials, grid, T, seed, n_time, rungs, s)
     packets = make_packet_ensemble(grid, n_trials, seed, kind=kind)
-    check_wraparound(packets, T)
     ladder = []
     for r in range(rungs):
         factor = 2 ** r

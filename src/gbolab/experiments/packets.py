@@ -14,6 +14,27 @@ import numpy as np
 from ..spectral import Field, SpectralGrid, field_from_coeffs, make_grid
 
 
+# Below this fraction of its peak a packet coefficient is rounding, not data.
+_ACTIVE = 1e-12
+
+
+def _limits(grid: SpectralGrid, kind: str) -> tuple[tuple, tuple]:
+    """The draw's limits, (center range, width range): modulated centers are
+    log-uniform in [8, xi_max/4], broadband ones sit at zero."""
+    if kind == "modulated":
+        return (8.0, grid.xi_max / 4), (0.5, 2.0)
+    return (0.0, 0.0), (0.3, 0.8)
+
+
+def _reach(grid: SpectralGrid, kind: str) -> float:
+    """Largest |xi| where a packet of this kind can exceed _ACTIVE of its peak:
+    the farthest center plus the widest envelope's sqrt(2 ln(1/_ACTIVE)) widths,
+    at most xi_max, plus one grid step as the peak falls between modes."""
+    (_, center), (_, width) = _limits(grid, kind)
+    spread = width * np.sqrt(-2.0 * np.log(_ACTIVE))
+    return float(min(grid.xi_max, center + spread) + grid.dxi)
+
+
 def make_packet_ensemble(
     grid: SpectralGrid,
     n_trials: int,
@@ -28,16 +49,12 @@ def make_packet_ensemble(
     low-frequency estimate needs.  The zero mode is always exactly zero.
     """
     _check_ensemble(grid, n_trials, seed, kind)
-    lo, hi = 8.0, grid.xi_max / 4
+    (lo, hi), widths = _limits(grid, kind)
     rng = np.random.default_rng(seed)
     packets = []
     for _ in range(n_trials):
-        if kind == "modulated":
-            center = np.exp(rng.uniform(np.log(lo), np.log(hi)))
-            width = rng.uniform(0.5, 2.0)
-        else:
-            center = 0.0
-            width = rng.uniform(0.3, 0.8)
+        center = np.exp(rng.uniform(np.log(lo), np.log(hi))) if kind == "modulated" else 0.0
+        width = rng.uniform(*widths)
         x0 = rng.uniform(-grid.length / 8, grid.length / 8)
         amplitude = rng.uniform(0.5, 2.0)
         packets.append(_packet(grid, amplitude, center, width, x0))
@@ -51,7 +68,8 @@ def _check_ensemble(grid: SpectralGrid, n_trials: int, seed: int, kind: str) -> 
         raise ValueError(f"seed must be non-negative, got {seed}")
     if kind not in ("modulated", "broadband"):
         raise ValueError(f"unknown packet kind {kind!r}")
-    if kind == "modulated" and grid.xi_max / 4 <= 8.0:
+    (lo, hi), _ = _limits(grid, kind)
+    if kind == "modulated" and hi <= lo:
         raise ValueError(f"n must make xi_max/4 exceed 8, as modulated packets center in "
                          f"[8, xi_max/4]; got xi_max = {grid.xi_max:.4g}")
 
@@ -67,32 +85,6 @@ def _packet(grid: SpectralGrid, amplitude: float, center: float,
     out[dc + 1 :] = coeffs[dc + 1 :]
     out[dc - 1 : 0 : -1] = np.conj(out[dc + 1 :])
     return field_from_coeffs(grid, out)
-
-
-def max_active_frequency(f: Field) -> float:
-    """Largest |xi| carrying more than 1e-12 of the peak coefficient: a
-    Gaussian packet has content at every mode, and below that level it is
-    rounding, not data."""
-    mags = np.abs(f.coeffs)
-    peak = np.max(mags)
-    if peak == 0:
-        return 0.0
-    active = np.abs(f.grid.frequencies)[mags > 1e-12 * peak]
-    return float(np.max(active)) if active.size else 0.0
-
-
-def check_wraparound(fields: list[Field], T: float) -> None:
-    """Dispersive wrap-around guard: group speed 2 xi for time T must not
-    carry the fastest packet content more than a quarter length."""
-    if not fields:
-        raise ValueError("empty ensemble")
-    grid = fields[0].grid
-    xi_data = max(max_active_frequency(f) for f in fields)
-    if 2.0 * xi_data * T >= grid.length / 4:
-        raise ValueError(
-            f"wrap-around: 2 * {xi_data:.3g} * {T:.3g} >= L/4 = {grid.length / 4:.3g}; "
-            "shorten T or enlarge the domain"
-        )
 
 
 def embed_field(f: Field, factor: int) -> Field:

@@ -57,7 +57,7 @@ def scaling_invariance_check(
             measured = sobolev_norm(scaled, s, homogeneous=True) / base_norms[s]
             predicted = lam ** (s + 1.0 / k - 0.5)
             gap = abs(measured - predicted)
-            worst_norm = max(worst_norm, gap)
+            worst_norm = np.maximum(worst_norm, gap)  # a nan gap stays nan
             points.append(
                 {
                     "lambda": float(lam),
@@ -74,7 +74,7 @@ def scaling_invariance_check(
         direct = evolve(scaled, lam_cfg)
         scale = max(np.max(np.abs(direct.slices)), 1e-300)
         defect = float(np.max(np.abs(mapped.slices - direct.slices)) / scale)
-        worst_flow = max(worst_flow, defect)
+        worst_flow = np.maximum(worst_flow, defect)
         points.append({"lambda": float(lam), "flow_defect": defect})
 
     verdict = "PASS" if worst_norm <= 1e-10 and worst_flow <= 1e-6 else "FAIL"

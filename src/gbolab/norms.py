@@ -205,6 +205,12 @@ class XstComponents:
         return self.sup_sobolev + self.smoothing + self.maximal + self.low_frequency
 
 
+def _check_regularity(s: float) -> None:
+    """X^s_T and the norm family that builds it are stated for 0 < s < 1/2."""
+    if not 0 < s < 0.5:
+        raise ValueError(f"s must lie in (0, 1/2), got {s}")
+
+
 def xst_components(u: SpaceTimeField, s: float) -> XstComponents:
     """Components of the solution-space norm at regularity s in (0, 1/2):
 
@@ -217,8 +223,7 @@ def xst_components(u: SpaceTimeField, s: float) -> XstComponents:
     mean-free part of each slice (the mean travels with the low-frequency
     component).
     """
-    if not (0 < s < 0.5):
-        raise ValueError(f"s must lie in (0, 1/2), got {s}")
+    _check_regularity(s)
     grid, xi, v = u.grid, _half_grid(u.grid)[0], u.slices
     # bins 0 < m < n/2 stand for m and -m; raw bins are n/L x calibrated ones
     weight = (1.0 + xi ** 2) ** s * (grid.dx ** 2 * grid.dxi / (2 * np.pi))
@@ -315,8 +320,7 @@ def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntr
     """
     if k < 2:
         raise ValueError(f"k must be >= 2 for the norm family, got {k}")
-    if not (0 < s < 0.5):
-        raise ValueError(f"s must lie in (0, 1/2) for the norm family, got {s}")
+    _check_regularity(s)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     sk, delta = _s_crit(k), _DELTA
@@ -404,9 +408,8 @@ def minimal_power() -> int:
     eps, k_max = 1e-9, 64
     lo, hi = 0.25, 0.5 - 1e-12
 
-    def n9_ok(s: float) -> bool:
-        t = AdmissibleTriplet(1.0 - 3 * s + 6 * eps, 1.0 / (1.5 - 3 * s), 1.0 / (3 * eps))
-        return is_one_admissible(t)
+    def n9_ok(s: float) -> bool:  # N9's verdict, read off the audit, is free of k
+        return next(ok for e, ok in norm_family_audit(s, 2, eps) if e.id == "N9")
 
     if not n9_ok(hi) or n9_ok(lo):
         raise RuntimeError("threshold not bracketed")

@@ -243,6 +243,32 @@ amplitude = 10000.0
         data = json.loads((out / "report.json").read_text())
         assert data["error"]["type"] == "BlowUpError"
 
+    def test_unwritable_out_exits_two(self, tmp_path):
+        # --out names a file, so no artifact and no ERROR record can be written
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["admissible", "--config", str(tmp_path / "absent.ini"),
+                     "--out", str(out)])
+        assert code == 2
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("subcommand, config", [
+        ("admissible", ADMISSIBLE_OK), ("illposed", ILLPOSED_MIN)],
+        ids=["admissible", "illposed"])
+    def test_any_runner_exception_exits_two_with_record(self, tmp_path, monkeypatch,
+                                                        subcommand, config):
+        # exit 1 is the FAIL verdict's alone, so a crash must not reach it
+        def crash(cfg):
+            return 1 / 0
+
+        monkeypatch.setitem(cli._RUNNERS, subcommand, crash)
+        code, out = run_cli(tmp_path, config, subcommand)
+        assert code == 2
+        data = json.loads((out / "report.json").read_text())
+        assert data["verdict"] == "ERROR"
+        assert data["error"]["type"] == "ZeroDivisionError"
+        assert (out / "summary.txt").read_text().startswith(f"{subcommand}: ERROR\n")
+
 
 class TestOtherSubcommands:
     def test_simulate_writes_conservation_series(self, tmp_path):
@@ -316,6 +342,7 @@ rungs = 2
         code, out = run_cli(tmp_path, ESTIMATES_KATO, "estimates", extra=("--seed", "-1"))
         assert code == 2
         error = json.loads((out / "report.json").read_text())["error"]
+        assert error["type"] == "ConfigError"
         assert "seed must be non-negative, got -1" in error["message"]
 
     def test_estimates_repeated_name_rejected(self, tmp_path):
@@ -338,8 +365,9 @@ rungs = 2
         ("s", {"which = kato": "which = kato, xst\ns = 0.7"}),
         ("T", {"which = kato": "which = kato, lowfreq", "T = 0.1": "T = 1.5"}),
         ("T", {"which = kato": "which = kato, xst", "T = 0.1": "T = 1.0"}),
+        # at length 20 the kato packets wrap around unless T is below 0.07
         ("length", {"which = kato": "which = kato, lowfreq",
-                    "length = 40.0": "length = 20.0"}),
+                    "length = 40.0": "length = 20.0", "T = 0.1": "T = 0.05"}),
         # xi_max/4 = 2.5 leaves the modulated kato packets no centre in [8, xi_max/4];
         # the broadband lowfreq ladder listed first does not need one
         ("n", {"which = kato": "which = lowfreq, kato", "n = 512": "n = 128"}),
@@ -426,7 +454,9 @@ OUT_OF_RANGE = {
     ("gauge-residual", "strides"): ["100, 0", "", "100", "100, 30", "400, 200"],
     ("gauge-residual", "min_ratio"): ["0"],
     ("gauge-residual", "max_residual"): ["0"],
-    ("illposed", "theta"): ["0"],
+    # s = +-200 and theta = 50 put the 4N band's H^s scale outside float64
+    ("illposed", "s"): ["-200", "200"],
+    ("illposed", "theta"): ["0", "50", "2000"],
     ("illposed", "T"): ["0"],
     # from 1e12 on, float64 rounds the 4N band's phase T c(4 alpha) by over 1e-3 rad
     ("illposed", "N_list"): ["0, 16, 32, 64, 128", "8, 16, 32, 64",
@@ -438,7 +468,8 @@ OUT_OF_RANGE = {
     ("illposed", "tolerance"): ["0"],
     ("estimates", "n"): ["12"],
     ("estimates", "length"): ["0"],
-    ("estimates", "T"): ["0"],
+    # 2 * 25.1 * 0.9 >= L/4 = 10: the modulated packets would wrap around
+    ("estimates", "T"): ["0", "0.9"],
     ("estimates", "n_trials"): ["0"],
     ("estimates", "n_time"): ["1"],
     ("estimates", "seed"): ["-1"],
@@ -457,9 +488,13 @@ OUT_OF_RANGE = {
     ("scaling", "dt"): ["0"],
     ("scaling", "t_end"): ["0"],
 }
+# Keys set together with an out-of-range value: at N = 0.5, alpha = N^-2000
+# overflows float64.
+ALSO_SET = {
+    ("illposed", "theta", "2000"): {"N_list": "0.5, 1, 2, 4, 8"},
+}
 WITHOUT_RANGE = {
-    # the growth fit and the scaling law are stated for every real regularity
-    ("illposed", "s"),
+    # the scaling law is stated for every real regularity
     ("scaling", "s_list"),
 }
 
@@ -492,6 +527,7 @@ def test_every_range_fails_in_parse_config(tmp_path, monkeypatch, subcommand, ke
     cp.optionxform = str
     cp.read_string(RANGE_BASE[subcommand])
     cp[subcommand][key] = value
+    cp[subcommand].update(ALSO_SET.get((subcommand, key, value), {}))
     text = io.StringIO()
     cp.write(text)
     code, out = run_cli(tmp_path, text.getvalue(), subcommand)

@@ -10,20 +10,18 @@ import pytest
 from gbolab.experiments import (
     ExperimentReport,
     RatioStatistics,
-    check_wraparound,
     embed_field,
     estimate_ladder,
     estimate_ratio,
     free_evolution_spacetime,
     make_packet_ensemble,
-    max_active_frequency,
     plane_wave,
     plane_wave_growth_exponent,
     scaling_invariance_check,
     write_report_csv,
 )
-from gbolab.experiments import scaling
-from gbolab.experiments.linear_ratios import ESTIMATES, _time_table
+from gbolab.experiments import linear_ratios, packets, scaling
+from gbolab.experiments.linear_ratios import ESTIMATES, _check_ladder, _time_table
 from gbolab.norms import mixed_norm, sobolev_norm, xst_components, xst_norm
 from gbolab.solver import SolverConfig
 from gbolab.spectral import field_from_coeffs, field_from_values, free_evolve, make_grid
@@ -34,6 +32,13 @@ SMALL = make_grid(64, 2 * np.pi)
 
 # ---------------------------------------------------------------------------
 # Packet ensembles.
+
+
+def max_active_frequency(f):
+    """Reference scan of a drawn packet: the largest |xi| whose coefficient
+    exceeds 1e-12 of the peak, the level below which it is rounding."""
+    mags = np.abs(f.coeffs)
+    return float(np.max(np.abs(f.grid.frequencies)[mags > 1e-12 * np.max(mags)]))
 
 
 class TestPackets:
@@ -79,18 +84,35 @@ class TestPackets:
             make_packet_ensemble(GRID, 2, seed=0, kind="chirp")
 
     def test_max_active_frequency_single_mode(self):
+        # the reference scan that test_reach_bounds_every_drawn_packet reads
         f = plane_wave(GRID, 13)
         xi13 = 13 * GRID.dxi
         assert max_active_frequency(f) == pytest.approx(xi13)
 
-    def test_wraparound_guard_trips(self):
-        f = plane_wave(GRID, 200)
-        with pytest.raises(ValueError, match="wrap-around"):
-            check_wraparound([f], T=5.0)
+    @pytest.mark.parametrize("kind, grid, bound", [
+        ("modulated", GRID, 24.92), ("broadband", make_grid(512, 32.0), 5.95)])
+    def test_reach_bounds_every_drawn_packet(self, kind, grid, bound):
+        # the guard reads the draw's limits plus one grid step; no draw may
+        # exceed it, and without that step it is within 2 % of the worst draw
+        reach = packets._reach(grid, kind)
+        assert reach == pytest.approx(bound + grid.dxi, abs=5e-3)
+        worst = max(max_active_frequency(f) for seed in range(100)
+                    for f in make_packet_ensemble(grid, 8, seed, kind=kind))
+        assert worst <= reach and reach - grid.dxi <= 1.02 * worst
+
+    def test_wraparound_guard_trips(self, monkeypatch):
+        # 2 * 25.08 * 0.2 >= L/4 = 10, whatever the seed, and before any draw
+        def no_draw(*args, **kwargs):
+            raise AssertionError("packets drawn before the guard ran")
+
+        monkeypatch.setattr(linear_ratios, "make_packet_ensemble", no_draw)
+        with pytest.raises(ValueError, match=r"^T must .* wrapping around"):
+            estimate_ladder("kato", 2, GRID, T=0.2, seed=0)
 
     def test_wraparound_guard_passes_short_time(self):
-        f = plane_wave(GRID, 10)
-        check_wraparound([f], T=0.5)
+        assert _check_ladder("kato", 2, GRID, 0.19, 0, 128, 2, 0.45) == "modulated"
+        assert _check_ladder("lowfreq", 2, make_grid(512, 32.0), 0.65, 0, 128, 2,
+                             0.45) == "broadband"
 
     def test_embed_preserves_values_and_coeffs(self):
         fields = make_packet_ensemble(GRID, 1, seed=2)
@@ -387,6 +409,18 @@ class TestScalingCheck:
         rep = scaling_invariance_check(small_bump, [2.0], [0.3], SCALING_CFG)
         (flow_pt,) = [pt for pt in rep.points if "flow_defect" in pt]
         assert flow_pt["flow_defect"] <= 1e-6
+
+    def test_nan_gap_fails(self):
+        # at s = 400 the homogeneous norms overflow, inf / inf, and the gap is
+        # nan; the worst gap must stay nan, not fold away under max
+        grid = make_grid(256, 40.0)
+        u0 = field_from_values(grid, 0.5 * np.exp(-grid.x ** 2 / 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = scaling_invariance_check(u0, [0.5, 2.0], [0.2, 400.0],
+                                           replace(SCALING_CFG, k=4))
+        assert any(np.isnan(pt["gap"]) for pt in rep.points if "gap" in pt)
+        assert rep.verdict == "FAIL"
+        assert "worst norm-law gap nan" in rep.notes[0]
 
     def test_bad_lambda_rejected_before_evolve(self, small_bump, monkeypatch):
         def no_evolve(*args, **kwargs):

@@ -244,6 +244,23 @@ class TestComputeV:
             illposed_v_details(cheap_params)
 
 
+    @pytest.mark.parametrize("nan_at", [dict(refine=2 * illposed._FINE),
+                                        dict(terms=illposed._SERIES_TERMS + 1)])
+    def test_nan_disagreement_fails(self, cheap_params, monkeypatch, nan_at):
+        # whichever refinement turns nan, the check must not read it as agreement
+        band_4n = illposed._band_4n
+
+        def nan_band(p, **kwargs):
+            band = band_4n(p, **kwargs)
+            if kwargs == nan_at:
+                return FrequencyProfile(band.xi, band.values * np.nan, band.spacing)
+            return band
+
+        monkeypatch.setattr(illposed, "_band_4n", nan_band)
+        with pytest.raises(QuadratureError, match="nan"):
+            illposed_v_details(cheap_params)
+
+
 class TestSeparableBand:
     """The fast 4N path against the direct 3-fold quadrature."""
 

@@ -32,35 +32,62 @@ _SPECS = {
 }
 
 
-# The ladders of one run walk the same rungs in the same order, so holding
-# one table per rung of the default three-rung ladder builds each table once
-# per run; the top rung's table is 513 x 1025 complex (8.4 MB) at n = 512.
-_TABLES_HELD = 3
+class _FreeEvolution(SpaceTimeField):
+    """V(t)phi kept as the half spectra of Re phi and Im phi and a propagator
+    table: kernels read it a row block at a time, and .slices builds the stack."""
+
+    def __init__(self, grid, times, halves, table):
+        self.grid, self.times, self._halves, self._table = grid, times, halves, table
+
+    @functools.cached_property
+    def slices(self) -> np.ndarray:
+        return np.concatenate([rows.copy() for _, rows in self._blocks(spectral=False)])
+
+    def _blocks(self, spectral: bool):
+        n, halves, real = self.grid.n, self._halves[:, None], len(self._halves) == 1
+        blocks = _row_blocks(self.n_times, n * (8 if real else 16))
+        half = np.empty((len(halves), blocks[0].stop, n // 2 + 1), dtype=complex)
+        if not spectral:
+            values = np.empty((blocks[0].stop, n), float if real else complex)
+            outs = [values] if real else [values.real, values.imag]
+        for rows in blocks:
+            k = rows.stop - rows.start
+            np.multiply(halves, self._table[rows], out=half[:, :k])
+            if not spectral:
+                for h, out in zip(half, outs):
+                    np.fft.irfft(h[:k], n, out=out[:k])
+            yield rows, half[:, :k] if spectral else values[:k]
 
 
-@functools.lru_cache(maxsize=_TABLES_HELD)
+# The rungs of a ladder share the length, T and the time steps per grid point.
+# The tables of one such family are held until another family's is asked for,
+# so every ladder of a run reuses one table per rung, for any number of rungs.
+_tables: dict = {}
+
+
 def _time_table(grid: SpectralGrid, T: float, n_time: int) -> np.ndarray:
-    """_propagator at the sample times, read-only; the last _TABLES_HELD
-    tables are held, so every ladder of a run shares one table per rung."""
-    table = _propagator(grid, np.linspace(0.0, T, n_time + 1)[:, None])
-    table.flags.writeable = False
-    return table
+    """_propagator at the sample times, read-only; a new table is written a
+    row block at a time, so that it is the only large allocation."""
+    family = (grid.length, T, n_time / grid.n)
+    if any(family != (g.length, t, m / g.n) for g, t, m in _tables):
+        _tables.clear()
+    if (grid, T, n_time) not in _tables:
+        _tables[grid, T, n_time] = table = np.empty((n_time + 1, grid.n // 2 + 1), complex)
+        times = np.linspace(0.0, T, n_time + 1)[:, None]
+        for rows in _row_blocks(n_time + 1, table[0].nbytes):
+            _propagator(grid, times[rows], out=table[rows])
+        table.flags.writeable = False
+    return _tables[grid, T, n_time]
 
 
 def free_evolution_spacetime(phi: Field, T: float, n_time: int) -> SpaceTimeField:
     """Sample V(t)phi on n_time+1 uniform times covering [0, T]: row i is
     free_evolve(phi, t_i), with Re phi and Im phi evolved on rfft half
-    spectra, a block of rows at a time."""
+    spectra, a block of rows at a time as the norms read them."""
     _check_time(T, n_time)
-    grid, table = phi.grid, _time_table(phi.grid, T, n_time)
     parts = [phi.values.real] if phi.real else [phi.values.real, phi.values.imag]
-    halves = [np.fft.rfft(part) for part in parts]
-    slices = np.empty((n_time + 1, grid.n), dtype=float if phi.real else complex)
-    outs = [slices] if phi.real else [slices.real, slices.imag]
-    for rows in _row_blocks(n_time + 1, slices[0].nbytes):
-        for half, out in zip(halves, outs):
-            np.fft.irfft(half * table[rows], grid.n, out=out[rows])
-    return SpaceTimeField(grid, np.linspace(0.0, T, n_time + 1), slices)
+    return _FreeEvolution(phi.grid, np.linspace(0.0, T, n_time + 1),
+                          np.fft.rfft(np.stack(parts)), _time_table(phi.grid, T, n_time))
 
 
 def _check_time(T: float, n_time: int) -> None:

@@ -8,9 +8,9 @@ with the homogeneous variant using |xi|^{2s} and dropping the zero mode.
 The mixed space-time norm L^p_x L^q_t of a slice array takes the time norm
 first, by the trapezoid rule as one weighted sum of |v|^q over the times
 (exact on non-uniform times), then the space norm by a Riemann sum (max for
-an infinite exponent).  It and the X^s_T pieces walk the slice stack in row
-blocks of a fixed byte size (the pieces on each block's rfft half spectra),
-so no temporary is the size of the stack.
+an infinite exponent).  It and the X^s_T pieces read row blocks of a fixed
+byte size (the pieces on half spectra), which a free evolution makes from its
+own half spectra, so neither a stack nor a stack-sized temporary is built.
 
 The admissibility predicate decides whether a derivative budget alpha is
 available at exponents (p, q): admissible means the endpoint (1/2, inf, 2),
@@ -82,6 +82,14 @@ class SpaceTimeField:
     def n_times(self) -> int:
         return self.times.size
 
+    def _blocks(self, spectral: bool):
+        """(rows, the rows) a block at a time or, if spectral, (rows, the rfft
+        half spectra of their real and imaginary parts, (parts, rows, n//2+1))."""
+        v = self.slices
+        for rows in _row_blocks(self.n_times, v[0].nbytes):
+            parts = [v[rows].real, v[rows].imag] if np.iscomplexobj(v) else [v[rows]]
+            yield rows, np.fft.rfft(np.stack(parts)) if spectral else v[rows]
+
     def uniform_step(self) -> float:
         """The common spacing of the times; raises if they are not uniform."""
         steps = np.diff(self.times)
@@ -139,19 +147,19 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     return float(np.sqrt(np.sum(weighted) * f.grid.dxi / (2 * np.pi)))
 
 
-# The space-time kernels walk a slice stack in row blocks of about 512 kB, so
-# no temporary is ever the size of the stack: each block's |v|^q, half
-# spectra and filtered pieces stay in cache, and the allocator hands the
-# same memory to the next block instead of mapping fresh pages that fault in
-# once and are freed.  128-512 kB measured the same at the top estimates
-# rung (513 x 2048); 2 MB was slower.
+# The space-time kernels read row blocks of about 512 kB (128-512 kB measured
+# the same at the top estimates rung, 513 x 2048; 2 MB was slower) into
+# buffers allocated once per call and written through out=: with no large
+# free to raise glibc's mmap threshold above 128 kB, a fresh 512 kB temporary
+# per block is mapped and faulted in every time (70k against 42k minor faults
+# per estimates run on a 2-CPU box).
 _BLOCK_BYTES = 512 * 1024
 
 
 def _row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
     """Consecutive rows, about _BLOCK_BYTES (and at least one row) a block."""
     rows = max(1, _BLOCK_BYTES // row_bytes)
-    return [slice(i, i + rows) for i in range(0, n_rows, rows)]
+    return [slice(i, min(i + rows, n_rows)) for i in range(0, n_rows, rows)]
 
 
 def _time_weights(times: np.ndarray, q: float) -> np.ndarray:
@@ -185,9 +193,10 @@ def mixed_norm(u: SpaceTimeField, p: float, q: float) -> float:
     exponents are float('inf')."""
     if not (p >= 1 and q >= 1):
         raise ValueError(f"exponents must be >= 1, got p = {p}, q = {q}")
-    w, acc = _time_weights(u.times, q), np.zeros(u.grid.n)
-    for rows in _row_blocks(u.n_times, u.slices[0].nbytes):
-        _add_block(acc, np.abs(u.slices[rows]), w[rows], q)
+    w, acc, mag = _time_weights(u.times, q), np.zeros(u.grid.n), None
+    for rows, block in u._blocks(spectral=False):
+        mag = np.empty(block.shape) if mag is None else mag[:len(block)]
+        _add_block(acc, np.abs(block, out=mag), w[rows], q)
     return _space_norm(acc, q, u.grid.dx, p)
 
 
@@ -224,26 +233,28 @@ def xst_components(u: SpaceTimeField, s: float) -> XstComponents:
     component).
     """
     _check_regularity(s)
-    grid, xi, v = u.grid, _half_grid(u.grid)[0], u.slices
+    grid, xi = u.grid, _half_grid(u.grid)[0]
     # bins 0 < m < n/2 stand for m and -m; raw bins are n/L x calibrated ones
     weight = (1.0 + xi ** 2) ** s * (grid.dx ** 2 * grid.dxi / (2 * np.pi))
     weight[1:-1] *= 2.0
     pieces = [(_fractional_symbol(xi, s + 0.5), np.inf, 2.0),
               (_fractional_symbol(xi, s - 0.25), 4.0, np.inf),
               (_lowpass_symbol(xi), 2.0, np.inf)]
-    w, sup_hs = _time_weights(u.times, 2.0), 0.0
+    w, sup_hs, piece = _time_weights(u.times, 2.0), 0.0, None
     accs = [np.zeros(grid.n) for _ in pieces]
-    for rows in _row_blocks(u.n_times, v[0].nbytes):
-        block = v[rows]
-        half = np.fft.rfft(np.stack([block.real, block.imag])
-                           if np.iscomplexobj(v) else block[None])
-        hs = np.sum(weight * np.abs(half) ** 2, axis=(0, -1))
+    for rows, half in u._blocks(spectral=True):
+        if piece is None:
+            piece, parts = np.empty_like(half), np.empty(half.shape[:-1] + (grid.n,))
+        piece, parts = piece[:, :half.shape[1]], parts[:, :half.shape[1]]
+        # |half|^2 is weighted in piece.real, which the first piece then overwrites
+        amp = np.square(np.abs(half, out=piece.real), out=piece.real)
+        hs = np.sum(np.multiply(weight, amp, out=amp), axis=(0, -1))
         sup_hs = np.maximum(sup_hs, np.max(hs))
         for (symbol, _, q), acc in zip(pieces, accs):
-            parts = np.fft.irfft(symbol * half, grid.n)
-            mag = np.abs(parts[0], out=parts[0]) if len(parts) == 1 else np.hypot(*parts)
+            np.fft.irfft(np.multiply(symbol, half, out=piece), grid.n, out=parts)
+            mag = np.abs(parts[0], out=parts[0]) if len(parts) == 1 else np.hypot(
+                *parts, out=parts[0])
             _add_block(acc, mag, w[rows], q)
-            del parts, mag  # free this piece's rows before the next one's
     return XstComponents(float(np.sqrt(sup_hs)), *(
         _space_norm(acc, q, grid.dx, p) for (_, p, q), acc in zip(pieces, accs)))
 

@@ -191,11 +191,11 @@ class TestEstimateRatios:
             estimate_ratio(f, T, estimate="kato")
 
     def test_kernels_hold_no_stack_sized_temporaries(self):
-        # the top estimates rung: 513 slices of 2048 points, 8.4 MB a stack
+        # the top estimates rung: 513 slices of 2048 points, 8.4 MB a stack,
+        # which the free evolution never builds unless .slices is read
         grid = make_grid(2048, 40.0)
         phi = make_packet_ensemble(grid, 1, seed=3)[0]
-        st = free_evolution_spacetime(phi, 0.1, n_time=512)  # caches the table
-        stack = st.slices.nbytes
+        stack = 513 * grid.n * 8
 
         def peak(call):
             tracemalloc.start()
@@ -205,10 +205,16 @@ class TestEstimateRatios:
             finally:
                 tracemalloc.stop()
 
+        linear_ratios._tables.clear()
+        table_bytes = 513 * (grid.n // 2 + 1) * 16
+        assert peak(lambda: _time_table(grid, 0.1, 512)) <= table_bytes + 2e6
+        st = free_evolution_spacetime(phi, 0.1, n_time=512)  # reads the cached table
         assert peak(lambda: xst_components(st, 0.45)) < stack / 4
         assert peak(lambda: mixed_norm(st, np.inf, 2.0)) < stack / 4
         assert peak(lambda: mixed_norm(st, 4.0, np.inf)) < stack / 4
-        assert peak(lambda: free_evolution_spacetime(phi, 0.1, 512)) < stack + 2e6
+        assert peak(lambda: free_evolution_spacetime(phi, 0.1, 512)) < 2e6
+        for name in ESTIMATES:
+            assert peak(lambda: estimate_ratio(phi, 0.1, name, 512)) < stack / 4, name
 
     def test_zero_data_rejected(self):
         zero = field_from_values(GRID, np.zeros(GRID.n))
@@ -274,16 +280,22 @@ class TestEnsembleLadders:
         with pytest.raises(ValueError):
             estimate_ladder("lowfreq", 2, grid, T=1.5, seed=1)
 
-    def test_one_propagator_table_per_rung(self):
-        # the four ladders of one estimates run: one grid, one T, one seed
-        _time_table.cache_clear()
-        for name in ESTIMATES:
-            estimate_ladder(name, 4, GRID, T=0.1, seed=21, rungs=3)
-        info = _time_table.cache_info()
-        # 4 ladders x 3 rungs x 4 trials, one table per rung in total
-        assert (info.misses, info.hits) == (3, 45)
-        table = _time_table(make_grid(4 * GRID.n, GRID.length), 0.1, 4 * 128)
-        assert _time_table.cache_info().hits == 46  # the top rung's table is held
+    def test_one_propagator_table_per_rung(self, monkeypatch):
+        # the four ladders of one estimates run: one grid, one T, one seed;
+        # four rungs hold more tables than the default three-rung ladder
+        read = []
+        monkeypatch.setattr(linear_ratios, "_time_table",
+                            lambda *key: read.append(_time_table(*key)) or read[-1])
+        for trials, n_time, rungs in [(4, 128, 3), (2, 32, 4)]:
+            read.clear()
+            for name in ESTIMATES:
+                estimate_ladder(name, trials, GRID, T=0.1, seed=21, n_time=n_time, rungs=rungs)
+            # 4 ladders x rungs x trials reads, one table per rung in total
+            assert len(read) == 4 * rungs * trials
+            assert len({id(table) for table in read}) == rungs
+            top = 2 ** (rungs - 1)
+            table = _time_table(make_grid(top * GRID.n, GRID.length), 0.1, top * n_time)
+            assert table is read[-1]  # the top rung's table is held
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbolab.experiments import free_evolution_spacetime, plane_wave
 from gbolab.norms import (
     _BLOCK_BYTES,
     AdmissibleTriplet,
@@ -215,19 +216,27 @@ def xst_reference(u, s):
     ]
 
 
+# a "free" kind streams V(t)phi from its half spectra; the reference reads
+# the same rows as a stored stack
 @pytest.mark.parametrize("s", [0.2, 0.25, 0.3])
-@pytest.mark.parametrize("kind", ["real", "complex", "real_blocks", "complex_blocks"])
+@pytest.mark.parametrize("kind", ["real", "complex", "real_blocks", "complex_blocks",
+                                  "free_real", "free_complex", "free_complex_blocks"])
 def test_xst_components_match_per_slice_reference(s, kind):
     rng = np.random.default_rng(11)
     grid, n_times = (WIDE, WIDE_ROWS) if kind.endswith("blocks") else (GRID, 9)
     times = np.linspace(0.0, 0.5, n_times)
     slices = 1.0 + rng.normal(size=(n_times, grid.n))  # nonzero means
-    if kind.startswith("complex"):
+    if "complex" in kind:
         slices = slices + 1j * rng.normal(size=(n_times, grid.n))
     u = SpaceTimeField(grid, times, slices)
+    if kind == "free_complex":
+        u = free_evolution_spacetime(plane_wave(grid, 5), 0.5, n_times - 1)
+    elif kind.startswith("free"):
+        u = free_evolution_spacetime(field_from_values(grid, slices[0]), 0.5, n_times - 1)
     c = xst_components(u, s)
     got = [c.sup_sobolev, c.smoothing, c.maximal, c.low_frequency]
-    np.testing.assert_allclose(got, xst_reference(u, s), rtol=1e-12, atol=0.0)
+    stored = SpaceTimeField(grid, u.times, u.slices)
+    np.testing.assert_allclose(got, xst_reference(stored, s), rtol=1e-12, atol=0.0)
 
 
 def test_xst_rejects_bad_s():

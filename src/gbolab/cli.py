@@ -346,32 +346,16 @@ def _run_estimates(cfg: RunConfig) -> ExperimentReport:
 
 
 def _run_admissible(cfg: RunConfig) -> ExperimentReport:
-    p = cfg.params
-    points = []
-    failing = []
-    for entry, ok in cfg.objects:
-        points.append(
-            {
-                "id": entry.id,
-                "derivative_order": entry.derivative_order,
-                "p": entry.p,
-                "q": entry.q,
-                "passes": ok,
-            }
-        )
-        if not ok:
-            failing.append(entry.id)
-    notes = (
-        [f"failing entries: {', '.join(failing)}"]
-        if failing
-        else ["all twelve entries admissible"]
-    )
+    points = [{"id": entry.id, "derivative_order": entry.derivative_order, "p": entry.p,
+               "q": entry.q, "passes": ok} for entry, ok in cfg.objects]
+    failing = [point["id"] for point in points if not point["passes"]]
     return ExperimentReport(
         experiment_id="admissible",
-        inputs=dict(p),
+        inputs=dict(cfg.params),
         points=points,
         verdict="FAIL" if failing else "PASS",
-        notes=notes,
+        notes=[f"failing entries: {', '.join(failing)}" if failing
+               else "all twelve entries admissible"],
     )
 
 

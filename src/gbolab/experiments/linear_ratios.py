@@ -3,8 +3,8 @@
 Each experiment evolves seeded wave packets under the free group, computes
 the LHS/RHS ratio of one estimate, and reports how the supremum over the
 ensemble behaves along a resolution ladder (space and time refined
-together).  The evolution runs on rfft half spectra, one propagator table
-per rung for all the ladders of a run.  The estimates hold on the line
+together).  The evolution runs on rfft half spectra, one pair of propagator
+factors per rung for all the ladders of a run.  The estimates hold on the line
 with unknown constants, so the lab checks the ratios' stability, not their
 size; a pure plane wave violates the localization the torus surrogate
 needs and is the negative control.
@@ -33,50 +33,52 @@ _SPECS = {
 
 
 class _FreeEvolution(SpaceTimeField):
-    """V(t)phi kept as the half spectra of Re phi and Im phi and a propagator
-    table: kernels read it a row block at a time, and .slices builds the stack."""
+    """V(t)phi kept as the half spectra of Re phi and Im phi and the rung's
+    propagator factors: kernels read it a block of R rows at a time, block b
+    as (halves * shifts[b]) * base[:k], and .slices builds the stack."""
 
-    def __init__(self, grid, times, halves, table):
-        self.grid, self.times, self._halves, self._table = grid, times, halves, table
+    def __init__(self, grid, times, halves, factors):
+        self.grid, self.times, self._halves, self._factors = grid, times, halves, factors
 
     @functools.cached_property
     def slices(self) -> np.ndarray:
         return np.concatenate([rows.copy() for _, rows in self._blocks(spectral=False)])
 
     def _blocks(self, spectral: bool):
-        n, halves, real = self.grid.n, self._halves[:, None], len(self._halves) == 1
-        blocks = _row_blocks(self.n_times, n * (8 if real else 16))
-        half = np.empty((len(halves), blocks[0].stop, n // 2 + 1), dtype=complex)
+        (base, shifts), n, real = self._factors, self.grid.n, len(self._halves) == 1
+        R = len(base)
+        half = np.empty((len(self._halves), R, n // 2 + 1), dtype=complex)
         if not spectral:
-            values = np.empty((blocks[0].stop, n), float if real else complex)
+            values = np.empty((R, n), float if real else complex)
             outs = [values] if real else [values.real, values.imag]
-        for rows in blocks:
-            k = rows.stop - rows.start
-            np.multiply(halves, self._table[rows], out=half[:, :k])
+        for start, shift in zip(range(0, self.n_times, R), shifts):
+            k = min(R, self.n_times - start)
+            np.multiply((self._halves * shift)[:, None], base[:k], out=half[:, :k])
             if not spectral:
                 for h, out in zip(half, outs):
                     np.fft.irfft(h[:k], n, out=out[:k])
-            yield rows, half[:, :k] if spectral else values[:k]
+            yield slice(start, start + k), half[:, :k] if spectral else values[:k]
 
 
 # The rungs of a ladder share the length, T and the time steps per grid point.
-# The tables of one such family are held until another family's is asked for,
-# so every ladder of a run reuses one table per rung, for any number of rungs.
+# The factors of one such family are held until another family's are asked
+# for, so every ladder of a run reuses one pair per rung, for any number of rungs.
 _tables: dict = {}
 
 
-def _time_table(grid: SpectralGrid, T: float, n_time: int) -> np.ndarray:
-    """_propagator at the sample times, read-only; a new table is written a
-    row block at a time, so that it is the only large allocation."""
+def _time_table(grid: SpectralGrid, T: float, n_time: int) -> tuple[np.ndarray, np.ndarray]:
+    """_propagator at the sample times t_j as two read-only factors, base at
+    t_0 .. t_{R-1} (a real field's row block) and shifts at t_0, t_R, t_2R, ...:
+    the propagator at t_{bR+i} is shifts[b] * base[i], as V(t + tau) = V(t) V(tau)."""
     family = (grid.length, T, n_time / grid.n)
     if any(family != (g.length, t, m / g.n) for g, t, m in _tables):
         _tables.clear()
     if (grid, T, n_time) not in _tables:
-        _tables[grid, T, n_time] = table = np.empty((n_time + 1, grid.n // 2 + 1), complex)
         times = np.linspace(0.0, T, n_time + 1)[:, None]
-        for rows in _row_blocks(n_time + 1, table[0].nbytes):
-            _propagator(grid, times[rows], out=table[rows])
-        table.flags.writeable = False
+        R = _row_blocks(n_time + 1, grid.n * 8)[0].stop
+        _tables[grid, T, n_time] = factors = (_propagator(grid, times[:R]),
+                                              _propagator(grid, times[::R]))
+        factors[0].flags.writeable = factors[1].flags.writeable = False
     return _tables[grid, T, n_time]
 
 

@@ -85,10 +85,16 @@ class SpaceTimeField:
     def _blocks(self, spectral: bool):
         """(rows, the rows) a block at a time or, if spectral, (rows, the rfft
         half spectra of their real and imaginary parts, (parts, rows, n//2+1))."""
-        v = self.slices
-        for rows in _row_blocks(self.n_times, v[0].nbytes):
-            parts = [v[rows].real, v[rows].imag] if np.iscomplexobj(v) else [v[rows]]
-            yield rows, np.fft.rfft(np.stack(parts)) if spectral else v[rows]
+        v, blocks = self.slices, _row_blocks(self.n_times, self.slices[0].nbytes)
+        if not spectral:
+            yield from ((rows, v[rows]) for rows in blocks)
+            return
+        parts = [v.real, v.imag] if np.iscomplexobj(v) else [v]
+        half = np.empty((len(parts), blocks[0].stop, self.grid.n // 2 + 1), complex)
+        for rows in blocks:  # one buffer per call, written through out=
+            for part, out in zip(parts, half):
+                np.fft.rfft(part[rows], out=out[:rows.stop - rows.start])
+            yield rows, half[:, :rows.stop - rows.start]
 
     def uniform_step(self) -> float:
         """The common spacing of the times; raises if they are not uniform."""

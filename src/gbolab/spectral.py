@@ -371,11 +371,11 @@ def _half_grid(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     return -grid.frequencies[grid.n // 2::-1], np.arange(grid.n // 2 + 1) <= grid.n // 3
 
 
-def _propagator(grid: SpectralGrid, t: float | np.ndarray, out=None) -> np.ndarray:
+def _propagator(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
     """free_evolution_phases(grid, -t) on the rfft bins, bin m holding mode
-    -m; a column of times gives rows, written into out if given."""
+    -m; a column of times gives rows."""
     sgn_xi2 = (grid.sgn * grid.frequencies ** 2)[grid.n // 2::-1]
-    phase = np.multiply(evolution_sign() * -1j * t, sgn_xi2, out=out)
+    phase = evolution_sign() * -1j * t * sgn_xi2
     return np.exp(phase, out=phase)
 
 

@@ -22,9 +22,10 @@ from gbolab.experiments import (
 )
 from gbolab.experiments import linear_ratios, packets, scaling
 from gbolab.experiments.linear_ratios import ESTIMATES, _check_ladder, _time_table
-from gbolab.norms import mixed_norm, sobolev_norm, xst_components, xst_norm
+from gbolab.norms import _BLOCK_BYTES, mixed_norm, sobolev_norm, xst_components, xst_norm
 from gbolab.solver import SolverConfig
-from gbolab.spectral import field_from_coeffs, field_from_values, free_evolve, make_grid
+from gbolab.spectral import (_propagator, field_from_coeffs, field_from_values, free_evolve,
+                             make_grid)
 
 GRID = make_grid(512, 40.0)
 SMALL = make_grid(64, 2 * np.pi)
@@ -206,9 +207,8 @@ class TestEstimateRatios:
                 tracemalloc.stop()
 
         linear_ratios._tables.clear()
-        table_bytes = 513 * (grid.n // 2 + 1) * 16
-        assert peak(lambda: _time_table(grid, 0.1, 512)) <= table_bytes + 2e6
-        st = free_evolution_spacetime(phi, 0.1, n_time=512)  # reads the cached table
+        assert peak(lambda: _time_table(grid, 0.1, 512)) <= 1.5e6  # the full table: 8.4 MB
+        st = free_evolution_spacetime(phi, 0.1, n_time=512)  # reads the cached factors
         assert peak(lambda: xst_components(st, 0.45)) < stack / 4
         assert peak(lambda: mixed_norm(st, np.inf, 2.0)) < stack / 4
         assert peak(lambda: mixed_norm(st, 4.0, np.inf)) < stack / 4
@@ -282,22 +282,56 @@ class TestEnsembleLadders:
 
     def test_one_propagator_table_per_rung(self, monkeypatch):
         # the four ladders of one estimates run: one grid, one T, one seed;
-        # four rungs hold more tables than the default three-rung ladder
-        read = []
-        monkeypatch.setattr(linear_ratios, "_time_table",
-                            lambda *key: read.append(_time_table(*key)) or read[-1])
+        # four rungs hold more factors than the default three-rung ladder
+        built = []
+        monkeypatch.setattr(linear_ratios, "_propagator",
+                            lambda grid, t: built.append(grid.n) or _propagator(grid, t))
         for trials, n_time, rungs in [(4, 128, 3), (2, 32, 4)]:
-            read.clear()
+            built.clear()
+            linear_ratios._tables.clear()  # another test may hold this family
             for name in ESTIMATES:
                 estimate_ladder(name, trials, GRID, T=0.1, seed=21, n_time=n_time, rungs=rungs)
-            # 4 ladders x rungs x trials reads, one table per rung in total
-            assert len(read) == 4 * rungs * trials
-            assert len({id(table) for table in read}) == rungs
+            # a base and a shifts factor per rung, each built once in the run
+            assert sorted(built) == sorted(2 * [2 ** r * GRID.n for r in range(rungs)])
             top = 2 ** (rungs - 1)
-            table = _time_table(make_grid(top * GRID.n, GRID.length), 0.1, top * n_time)
-            assert table is read[-1]  # the top rung's table is held
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 0.0
+            factors = _time_table(make_grid(top * GRID.n, GRID.length), 0.1, top * n_time)
+            assert len(built) == 2 * rungs  # the top rung's factors are held
+            for factor in factors:
+                with pytest.raises(ValueError, match="read-only"):
+                    factor[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n, n_time", [(2048, 512), (512, 300)])
+    def test_factored_rows_match_the_propagator(self, n, n_time):
+        # row bR + i = shifts[b] * base[i]; 300 + 1 rows are not a multiple of R = 128
+        grid = make_grid(n, 40.0)
+        base, shifts = _time_table(grid, 0.1, n_time)
+        R = len(base)
+        assert R == _BLOCK_BYTES // (8 * n) and (n_time + 1) % R != 0  # a real field's block
+        rows = (shifts[:, None] * base).reshape(-1, n // 2 + 1)[:n_time + 1]
+        assert len(rows) == n_time + 1
+        times = np.linspace(0.0, 0.1, n_time + 1)
+        assert times[-1] == 0.1
+        for j, t in enumerate(times):
+            np.testing.assert_allclose(rows[j], _propagator(grid, t), rtol=0.0, atol=1e-11)
+        # the free evolution streams the same rows, one factor block at a time
+        ones = np.ones((1, n // 2 + 1))
+        unit = linear_ratios._FreeEvolution(grid, times, ones, (base, shifts))
+        blocks = [(rows.start, half[0].copy()) for rows, half in unit._blocks(spectral=True)]
+        assert [start for start, _ in blocks] == list(range(0, n_time + 1, R))
+        np.testing.assert_array_equal(np.concatenate([h for _, h in blocks]), rows)
+
+    def test_estimates_run_memory_budget(self):
+        # the four ladders of an estimates run at the benchmark's sizes (top
+        # rung n = 2048, n_time = 512): full propagator tables, 10.5 MB for the
+        # three rungs, would take the peak past the budget
+        linear_ratios._tables.clear()
+        tracemalloc.start()
+        try:
+            for name in ESTIMATES:
+                estimate_ladder(name, 2, GRID, T=0.1, seed=21, rungs=3)
+            assert tracemalloc.get_traced_memory()[1] < 6e6
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("rungs", [0, 1])
     def test_ladder_needs_two_rungs(self, rungs):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..spectral import _forward, _inverse, evolution_sign, make_grid
+from ..spectral import _SIGMA, _forward, _inverse, make_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -198,7 +198,7 @@ def _prefactor(p: IllposedParams, xi0: np.ndarray) -> np.ndarray:
     """6 i xi0 e^{i sigma T xi0 |xi0|} (2 pi)^-3 A^4, the Picard term's factor
     outside the fiber integral of the time kernel."""
     return (
-        6.0 * 1j * xi0 * np.exp(evolution_sign() * 1j * p.T * _dispersion(xi0))
+        6.0 * 1j * xi0 * np.exp(_SIGMA * 1j * p.T * _dispersion(xi0))
         * (TWO_PI ** -3) * p.amplitude ** 4
     )
 
@@ -235,7 +235,8 @@ def _band_4n(
 
     With z_i = N + y_i and eta = xi0 - 4N the phase is P = -c + S with
     c = 12 N^2 + 6 N eta + eta^2 and S = sum y_i^2 <= 4 alpha^2 (see
-    kernel_bracket_4n), so with sigma = +-1 the time kernel expands as
+    kernel_bracket_4n), so with sigma = _SIGMA = -1, the propagator's sign,
+    the time kernel expands as
 
         K(sigma P) = (i sigma / c) sum_m (S / c)^m (e^{-i sigma T c} e^{i sigma T S} - 1).
 
@@ -247,23 +248,22 @@ def _band_4n(
     refine j + refine/2 - 2 lies at window midpoint j.  The series keeps
     ``terms`` terms; it needs S / c < 1: IllposedParams secures 4 alpha^2 < 12 N^2.
     """
-    sigma = evolution_sign()
     M = p.freq_resolution
     hf = p.alpha / (refine * M)
     y = (np.arange(refine * M) + 0.5) * hf
     y2 = y ** 2
-    chirp = np.exp(sigma * 1j * p.T * y2)
+    chirp = np.exp(_SIGMA * 1j * p.T * y2)
     ones = np.ones_like(y)
 
     xi0, _, c = _band_window(p)
     nodes = refine * np.arange(xi0.size) + refine // 2 - 2
-    rotation = np.exp(-sigma * 1j * p.T * c)
+    rotation = np.exp(-_SIGMA * 1j * p.T * c)
     out = np.zeros(xi0.size, dtype=np.complex128)
     for m in range(terms):
         tilted = _fiber_moments(chirp, y2, m, hf)[nodes]
         flat = _fiber_moments(ones, y2, m, hf)[nodes]
         out += (rotation * tilted - flat) / c ** m
-    out *= sigma * 1j / c
+    out *= _SIGMA * 1j / c
     return FrequencyProfile(xi0, _prefactor(p, xi0) * out, p.alpha / M)
 
 
@@ -314,7 +314,6 @@ def _compute_on(
     At M_inner = r M the 4N band agrees with _band_4n at refine r to 1e-8
     in norm.
     """
-    sigma = evolution_sign()
     if M_inner is None:
         M_inner = p.freq_resolution
     lo_z, hi_z = p.N, p.N + p.alpha
@@ -343,7 +342,7 @@ def _compute_on(
                 _dispersion(z1) + _dispersion(z2) + p34[..., None]
                 - _dispersion(x0)
             )
-            kern = _time_kernel(sigma * P, p.T)
+            kern = _time_kernel(_SIGMA * P, p.T)
             inner = np.sum(kern, axis=-1) * dz2
             out[idx] += np.sum(inner * mask) * h34 ** 2
     return FrequencyProfile(xi0, _prefactor(p, xi0) * out, p.alpha / p.freq_resolution)
@@ -373,7 +372,6 @@ def torus_duhamel_oracle(
     """
     if modes_per_alpha < 8:
         raise ValueError("need at least 8 modes across the band")
-    sigma = evolution_sign()
     dxi = p.alpha / modes_per_alpha
     # comb modes whose cells meet the positive band, with cell-average weights
     m = np.arange(math.floor(p.N / dxi), math.ceil((p.N + p.alpha) / dxi) + 1)
@@ -387,8 +385,8 @@ def torus_duhamel_oracle(
     window = (xi_out >= 4 * p.N - dxi / 2) & (xi_out <= 4 * (p.N + p.alpha) + dxi / 2)
     xi_out = xi_out[window]
 
-    omega = sigma * _dispersion(m * dxi)
-    omega_out = sigma * _dispersion(xi_out)
+    omega = _SIGMA * _dispersion(m * dxi)
+    omega_out = _SIGMA * _dispersion(xi_out)
     n = 1 << (4 * (m.size - 1)).bit_length()
     grid = make_grid(n, TWO_PI / dxi)
     out_slots = (m_out[window] - 4 * m[0] + n // 2) % n

@@ -16,7 +16,7 @@ Multiplier operators act diagonally on coefficients:
     hilbert             -i*sgn(xi)
     fractional D^a      |xi|^a      (|0|^a := 0 for a < 0, mean-zero input)
     project_half_line   (1 +- sgn(xi))/2, zero and Nyquist modes weight 1/2
-    free_evolve         e^{sigma*i*t*sgn(xi)*xi^2}, sigma fixed by residual test
+    free_evolve         e^{-i*t*sgn(xi)*xi^2}, the sign derived from H and d_x^2
 
 Every odd symbol is sgn(xi) times an even one, with SpectralGrid.sgn = 0 on
 the self-conjugate modes m = 0 and m = -n/2; so real data stay real, and
@@ -45,7 +45,6 @@ __all__ = [
     "tilde_projection",
     "band_projections",
     "free_evolve",
-    "evolution_sign",
     "sign_convention_label",
     "antiderivative",
     "boundary_taper",
@@ -312,45 +311,17 @@ def band_projections(f: Field, j: int, side: str) -> Field:
 # ---------------------------------------------------------------------------
 # Free evolution.
 #
-# The linear flow d_t u + H d_x^2 u = 0 diagonalizes to
-# d_t uhat = -i xi |xi| uhat; the propagator multiplier e^{-i t sgn(xi) xi^2}
-# is 1 on the Nyquist mode.  evolution_sign() re-derives the sign at runtime
-# from a centered-difference residual test instead of trusting the formula.
+# The paper's linear flow u_t + H u_xx = 0 fixes the propagator's sign: H is
+# -i*sgn(xi) and d_x^2 is -xi^2, so uhat_t = -i*sgn(xi)*xi^2*uhat and
+# V(t) = e^{_SIGMA*i*t*sgn(xi)*xi^2}.  The multiplier is 1 on the Nyquist
+# mode, where sgn vanishes.
 
-_SIGN_CACHE: dict[str, int] = {}
-
-
-def _linear_residual(sign: int, grid: SpectralGrid, dt: float = 1e-5) -> float:
-    rng = np.random.default_rng(7)
-    coeffs = np.zeros(grid.n, dtype=np.complex128)
-    band = (np.abs(grid.frequencies) > 0) & (np.abs(grid.frequencies) <= 8)
-    coeffs[band] = rng.normal(size=band.sum()) + 1j * rng.normal(size=band.sum())
-    f = field_from_coeffs(grid, coeffs)
-    phase = lambda t: np.exp(sign * 1j * t * grid.frequencies * np.abs(grid.frequencies))
-    u_plus = apply_multiplier(f, phase(dt))
-    u_minus = apply_multiplier(f, phase(-dt))
-    dudt = (u_plus.values - u_minus.values) / (2 * dt)
-    hdxx = hilbert(apply_multiplier(f, (1j * grid.frequencies) ** 2))
-    return float(np.max(np.abs(dudt + hdxx.values)) / max(f.linf_norm(), 1e-300))
-
-
-def evolution_sign() -> int:
-    """Sign sigma in the propagator e^{sigma * i t xi |xi|}.
-
-    Determined once by a finite-difference residual test of
-    d_t u + H d_x^2 u = 0; the winner is cached.
-    """
-    if "sigma" not in _SIGN_CACHE:
-        grid = make_grid(64, 2 * np.pi)
-        res = {s: _linear_residual(s, grid) for s in (+1, -1)}
-        _SIGN_CACHE["sigma"] = min(res, key=res.get)
-    return _SIGN_CACHE["sigma"]
+_SIGMA = -1
 
 
 def sign_convention_label() -> str:
     """Human-readable record of the propagator sign, embedded in every report."""
-    s = evolution_sign()
-    return "exp(%+di*t*xi*|xi|)" % s
+    return "exp(%+di*t*xi*|xi|)" % _SIGMA
 
 
 def free_evolve(f: Field, t: float) -> Field:
@@ -363,7 +334,13 @@ def free_evolution_phases(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarr
 
     A column of times ``t[:, None]`` gives one row of phases per time.
     """
-    return np.exp(evolution_sign() * 1j * t * (grid.sgn * grid.frequencies ** 2))
+    return _phases(grid.sgn * grid.frequencies ** 2, t)
+
+
+def _phases(sgn_xi2: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """e^{_SIGMA*i*t*sgn_xi2}: the propagator at the given values of sgn(xi)*xi^2."""
+    phase = _SIGMA * 1j * t * sgn_xi2
+    return np.exp(phase, out=phase)
 
 
 def _half_grid(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -373,10 +350,9 @@ def _half_grid(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
 
 def _propagator(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
     """free_evolution_phases(grid, -t) on the rfft bins, bin m holding mode
-    -m; a column of times gives rows."""
-    sgn_xi2 = (grid.sgn * grid.frequencies ** 2)[grid.n // 2::-1]
-    phase = evolution_sign() * -1j * t * sgn_xi2
-    return np.exp(phase, out=phase)
+    -m; a column of times gives rows.  Only these n/2 + 1 bins are
+    exponentiated."""
+    return _phases((grid.sgn * grid.frequencies ** 2)[grid.n // 2::-1], -t)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ class TestAdmissibleRuns:
         assert data["verdict"] == "PASS"
         assert len(data["points"]) == 12
         assert data["schema_version"] == 1
-        assert "exp(" in data["sign_convention"]
+        assert data["sign_convention"] == "exp(-1i*t*xi*|xi|)"
         # no random data, so no seed
         assert data["seed"] is None
         assert "seed" not in data["params"]

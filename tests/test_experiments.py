@@ -397,7 +397,7 @@ class TestReporting:
         assert data["points"] == [{"value": 1.5}]
         assert data["slope"] == 0.5
         assert data["verdict"] == "PASS"
-        assert "exp(" in data["sign_convention"]
+        assert data["sign_convention"] == "exp(-1i*t*xi*|xi|)"
         assert data["seed"] == 7
         assert data["code_version"]
 

@@ -23,6 +23,7 @@ LAB_CHECKS = (
     "convolution_power",  # acceptance 9
     "duhamel_residual",  # acceptance 6; README: Duhamel-form self-verification
     "free_evolve",  # acceptance 1; README: the free propagator
+    "hilbert",  # acceptance 1: i·H = P₊ − P₋
     "lemma_triplets",  # README: triplets with machine-checked side conditions
     "lp_block",  # acceptance 1
     "minimal_power",  # acceptance 3; README: re-derives the minimal power 12

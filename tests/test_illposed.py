@@ -25,7 +25,7 @@ from gbolab.experiments.illposed import (
     oracle_agreement,
     torus_duhamel_oracle,
 )
-from gbolab.spectral import _forward, _inverse, evolution_sign, make_grid
+from gbolab.spectral import _SIGMA, _forward, _inverse, make_grid
 
 CHEAP = dict(s=0.2, theta=0.2, T=1.0, freq_resolution=16)
 
@@ -314,7 +314,6 @@ class TestKernelBracket:
 def _full_line_oracle(p: IllposedParams, modes_per_alpha: int) -> FrequencyProfile:
     """Reference torus oracle: both bands on a grid spanning the whole line,
     one full-length transform pair per Simpson sample."""
-    sigma = evolution_sign()
     dxi = p.alpha / modes_per_alpha
     reach = 4.2 * (p.N + p.alpha)
     n_fft = 1 << int(np.ceil(np.log2(2.0 * reach / dxi)))
@@ -330,8 +329,8 @@ def _full_line_oracle(p: IllposedParams, modes_per_alpha: int) -> FrequencyProfi
     window = (xi >= 4 * p.N - dxi / 2) & (xi <= 4 * (p.N + p.alpha) + dxi / 2)
     xi_out = xi[window]
 
-    omega = sigma * _dispersion(xi)
-    omega_out = sigma * _dispersion(xi_out)
+    omega = _SIGMA * _dispersion(xi)
+    omega_out = _SIGMA * _dispersion(xi_out)
     grid = make_grid(n_fft, TWO_PI / dxi)
 
     p_max = 12.5 * (p.N + p.alpha) ** 2

@@ -26,7 +26,9 @@ from gbolab.spectral import (
     field_from_values,
     free_evolution_phases,
     free_evolve,
+    hilbert,
     make_grid,
+    spectral_derivative,
 )
 
 
@@ -306,6 +308,39 @@ def test_integrator_fourth_order():
     errs = [np.max(np.abs(final(dt0 / f) - ref)) for f in (1, 2, 4)]
     assert errs[0] / errs[1] >= 12.0, errs
     assert errs[1] / errs[2] >= 12.0, errs
+
+
+# --- exact solution ------------------------------------------------------------
+
+
+def benjamin_wave(x, t, gamma, c):
+    """Benjamin's periodic travelling wave of u_t = -H u_xx + c u u_x and its
+    speed v: a Poisson kernel plus v, scaled by 1/c from the c = 1 wave."""
+    v = -0.5 / np.tanh(gamma)
+    return (2.0 * np.sinh(gamma) / (np.cosh(gamma) - np.cos(x - v * t)) + v) / c, v
+
+
+@pytest.mark.parametrize("flow,c", [
+    ({"sign": "minus"}, 1.0),
+    ({"sign": "plus"}, -1.0),
+    ({"rescaled": True}, 2.0),
+], ids=["minus", "plus", "rescaled"])
+def test_benjamin_wave_is_exact(flow, c):
+    # An outside reference for the propagator's sign and the nonlinear
+    # coefficient together: flipping either moves the wave by O(1).
+    grid = make_grid(128, 2 * np.pi)
+    gamma = 0.6
+    values, v = benjamin_wave(grid.x, 0.0, gamma, c)
+    u0 = field_from_values(grid, values)
+    du = spectral_derivative(u0)
+    hu_xx = hilbert(spectral_derivative(du)).values
+    residual = -v * du.values + hu_xx - c * values * du.values
+    assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(v * du.values))
+
+    cfg = SolverConfig(k=1, dt=1e-4, t_end=0.1, slice_stride=1000, **flow)
+    traj = evolve(u0, cfg)
+    exact, _ = benjamin_wave(grid.x, traj.times[-1], gamma, c)
+    assert np.max(np.abs(traj.slices[-1] - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
 def test_blowup_guard():

@@ -12,7 +12,6 @@ from gbolab.spectral import (
     apply_multiplier,
     band_projections,
     boundary_taper,
-    evolution_sign,
     field_from_coeffs,
     field_from_values,
     fractional_derivative,
@@ -281,10 +280,9 @@ def test_distant_blocks_orthogonal():
 # --- free evolution ---------------------------------------------------------
 
 
-def test_evolution_sign_is_fixed():
-    # The residual test must select a definite sign and it must solve the PDE.
-    assert evolution_sign() in (+1, -1)
-    assert sign_convention_label() in ("exp(+1i*t*xi*|xi|)", "exp(-1i*t*xi*|xi|)")
+def test_sign_convention_label():
+    # H = -i sgn(xi) and d_x^2 = -xi^2 give uhat_t = -i xi |xi| uhat
+    assert sign_convention_label() == "exp(-1i*t*xi*|xi|)"
 
 
 def test_free_evolution_solves_linear_equation():

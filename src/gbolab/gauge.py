@@ -32,12 +32,14 @@ The residual is linear in its terms, so each slice evaluates each term
 once: H w_xx, P_-u_x and P_-u_xx are one multiplier each, and both
 right-hand-side groups go through a single P_+ projection.  Residuals are
 measured in L2 on the interior half-window and normalized by the largest
-windowed ||H w_xx|| over the interior slices.
+windowed ||H w_xx|| over the interior slices.  One call takes the residual
+at several slice spacings (thinnings of one trajectory): it gauges each
+slice once and keeps only the window's columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,12 +74,17 @@ class GaugeState:
     w: Field
 
 
-def _check_gauge(k: int, n_slices: int = 5) -> None:
-    """The gauge transform needs k >= 2; the residual's time stencil 5 slices."""
+def _check_gauge(k: int, n_times: int = 5, every=(1,)) -> None:
+    """The gauge transform needs k >= 2; the residual's time stencil 5 slices
+    in the coarsest thinning of n_times slices by the factors ``every``."""
     if k < 2:
         raise ValueError(f"k must be >= 2 for the gauge transform, got {k}")
+    if min(every) < 1:
+        raise ValueError(f"thinning factors must be positive, got {list(every)}")
+    n_slices = (n_times - 1) // max(every) + 1
     if n_slices < 5:
-        raise ValueError(f"strides: the coarsest leaves {n_slices} slices; the residual needs 5")
+        raise ValueError(f"thinning by {max(every)} leaves {n_slices} of {n_times} slices; "
+                         "the residual needs 5")
 
 
 def gauge_transform(u: Field, k: int) -> GaugeState:
@@ -139,24 +146,21 @@ def bilinear_G_projected(f: Field, g: Field) -> Field:
     return apply_multiplier(h, sym)
 
 
-def _fourth_order_time_derivative(slices: np.ndarray, dt: float) -> np.ndarray:
-    """Centered 4th-order d/dt of slices[i] for interior i (2..M-3)."""
-    return (
-        -slices[4:] + 8.0 * slices[3:-1] - 8.0 * slices[1:-3] + slices[:-4]
-    ) / (12.0 * dt)
-
-
-def gauge_equation_residual(u_traj: Trajectory) -> float:
-    """Residual of the gauged evolution identity along a computed trajectory.
+def gauge_equation_residual(u_traj: Trajectory, every: list[int]) -> list[float]:
+    """Residuals of the gauged evolution identity along a computed trajectory,
+    one for each thinning factor e in ``every``, of the slices u_traj.slices[::e].
 
     ``u_traj`` must be a solver trajectory of the rescaled flow
-    u_t + H u_xx = 2 u^k u_x (k read from its config) with at least 5
-    uniformly spaced slices.  Returns the max over the interior slices of
-    the windowed residual, relative to the largest windowed ||H w_xx||.
+    u_t + H u_xx = 2 u^k u_x (k read from its config) whose coarsest thinning
+    keeps at least 5 uniformly spaced slices.  Each residual is the max over
+    its thinning's interior slices of the windowed residual, relative to
+    their largest windowed ||H w_xx||.
 
-    Each slice takes one multiplier for H w_xx, one each for P_-u_x and
-    P_-u_xx (u real, so u_x = 2 Re P_-u_x and H u_x = -2 Im P_-u_x), and
-    one P_+ of both right-hand-side groups together.
+    Each slice is gauged once for all thinnings: one multiplier for H w_xx,
+    one each for P_-u_x and P_-u_xx (u real, so u_x = 2 Re P_-u_x and
+    H u_x = -2 Im P_-u_x), and one P_+ of both right-hand-side groups
+    together.  Only the window's columns of w and of H w_xx - rhs are kept,
+    and each thinning's time stencil runs one interior slice at a time.
     """
     if not u_traj.config.rescaled:
         raise ValueError(
@@ -164,8 +168,7 @@ def gauge_equation_residual(u_traj: Trajectory) -> float:
             "run the solver with rescaled=True"
         )
     k = u_traj.config.k
-    _check_gauge(k, u_traj.n_times)
-    dt = u_traj.uniform_step()
+    _check_gauge(k, u_traj.n_times, every)
 
     grid = u_traj.grid
     taper = boundary_taper(grid)
@@ -175,15 +178,15 @@ def gauge_equation_residual(u_traj: Trajectory) -> float:
     minus_dxx = minus_dx * dx
     hilbert_dxx = 1j * grid.sgn * grid.frequencies ** 2
 
-    w_slices = np.empty((u_traj.n_times, grid.n), dtype=np.complex128)
-    hwxx_minus_rhs = np.empty_like(w_slices)
+    w_window = np.empty((u_traj.n_times, np.count_nonzero(mask)), dtype=np.complex128)
+    hwxx_minus_rhs = np.empty_like(w_window)
     hwxx_norms = np.empty(u_traj.n_times)
 
     for i in range(u_traj.n_times):
         u = field_from_values(grid, np.real(u_traj.slices[i]))
         state = gauge_transform(u, k)
         uvals = u.values.real
-        w_slices[i] = state.w.values
+        w_window[i] = state.w.values[mask]
 
         hwxx = apply_multiplier(state.w, hilbert_dxx).values
         hwxx_norms[i] = windowed_l2(hwxx, grid, mask)
@@ -196,9 +199,16 @@ def gauge_equation_residual(u_traj: Trajectory) -> float:
             2.0 * (-k * uvals ** k * pm_ux - 1j * pm_uxx) - 1j * k * (k - 1) * uvals * I
         )
         rhs = project_half_line(field_from_values(grid, taper * rhs), "plus")
-        hwxx_minus_rhs[i] = hwxx - rhs.values
+        hwxx_minus_rhs[i] = (hwxx - rhs.values)[mask]
 
-    interior = slice(2, u_traj.n_times - 2)
-    residual = _fourth_order_time_derivative(w_slices, dt) + hwxx_minus_rhs[interior]
-    scale = np.max(hwxx_norms[interior])
-    return float(np.max(windowed_l2(residual, grid, mask)) / (scale if scale > 0 else 1.0))
+    residuals = []
+    for e in every:
+        dt = replace(u_traj, times=u_traj.times[::e], slices=u_traj.slices[::e]).uniform_step()
+        w, rest, scale = w_window[::e], hwxx_minus_rhs[::e], np.max(hwxx_norms[::e][2:-2])
+        # centred 4th-order w_t, one interior slice at a time; the rows hold
+        # only the window's columns, all of which windowed_l2 then sums
+        worst = max(windowed_l2((-w[j + 2] + 8.0 * w[j + 1] - 8.0 * w[j - 1] + w[j - 2])
+                                / (12.0 * dt) + rest[j], grid, slice(None))
+                    for j in range(2, len(w) - 2))
+        residuals.append(float(worst / (scale if scale > 0 else 1.0)))
+    return residuals

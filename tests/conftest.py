@@ -2,10 +2,15 @@
 
 The acceptance tests each report a single verdict line; this hook gathers
 them and prints the collection as its own terminal section so the run ends
-with a compact scoreboard even when individual tests are verbose.
+with a compact scoreboard even when individual tests are verbose.  The
+tests that read a trajectory at several slice spacings share ``subsample``.
 """
 
+from dataclasses import replace
+
 import pytest
+
+from gbolab.solver import Trajectory
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -18,6 +23,17 @@ def acceptance_log():
         _ACCEPTANCE_LINES.append(line)
 
     return record
+
+
+def subsample(traj: Trajectory, every: int) -> Trajectory:
+    """Every ``every``-th slice of a trajectory, with its config's stride to match."""
+    cfg = replace(traj.config, slice_stride=traj.config.slice_stride * every)
+    return Trajectory(
+        grid=traj.grid,
+        times=traj.times[::every],
+        slices=traj.slices[::every],
+        config=cfg,
+    )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -30,7 +30,6 @@ from gbolab.experiments import (
     plane_wave_growth_exponent,
     scaling_invariance_check,
 )
-from gbolab.cli import _subsample
 from gbolab.experiments.illposed import _cubic_bspline
 from gbolab.gauge import bilinear_G_direct, bilinear_G_projected, gauge_equation_residual
 from gbolab.norms import minimal_power, norm_family_audit
@@ -47,6 +46,8 @@ from gbolab.spectral import (
     spectral_derivative,
     tilde_projection,
 )
+
+from conftest import subsample
 
 
 def band_limited(grid, seed, max_mode=None):
@@ -269,10 +270,7 @@ def test_gauge_residual_ladder(acceptance_log):
     u0 = gaussian(grid, 0.75)
     cfg = SolverConfig(k=12, rescaled=True, dt=4e-5, t_end=0.16, slice_stride=125)
     traj = evolve(u0, cfg)
-    norms = [
-        gauge_equation_residual(_subsample(traj, every))
-        for every in (4, 2, 1)
-    ]
+    norms = gauge_equation_residual(traj, [4, 2, 1])
     r1 = norms[0] / norms[1]
     r2 = norms[1] / norms[2]
 
@@ -299,7 +297,7 @@ def test_duhamel_residual_order(acceptance_log):
     )
     cfg = SolverConfig(k=12, rescaled=True, dt=1e-4, t_end=0.0512, slice_stride=8)
     traj = evolve(u0, cfg)
-    resid = [duhamel_residual(_subsample(traj, every)) for every in (4, 2, 1)]
+    resid = [duhamel_residual(subsample(traj, every)) for every in (4, 2, 1)]
     orders = [float(np.log2(resid[i] / resid[i + 1])) for i in range(2)]
 
     elapsed = time.monotonic() - t0

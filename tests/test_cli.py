@@ -14,6 +14,8 @@ from gbolab.experiments import linear_ratios
 from gbolab.experiments.illposed import QuadratureError
 from gbolab.solver import SolverConfig, evolve
 
+from conftest import subsample
+
 ADMISSIBLE_OK = """
 [admissible]
 s = 0.45
@@ -567,7 +569,7 @@ def test_subsample_thins_the_ledger_bit_for_bit():
     # exactly the thinned ledger of the full trajectory
     u0 = cli._gaussian_field(256, 40.0, 0.3, 1.0)
     traj = evolve(u0, SolverConfig(k=12, rescaled=True, dt=4e-4, t_end=4e-3))
-    sub = cli._subsample(traj, 2)
+    sub = subsample(traj, 2)
     assert sub.config.slice_stride == 2
     assert sub.n_times == 6
     for name in ("mass", "l2", "linf"):

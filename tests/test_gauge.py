@@ -1,9 +1,10 @@
 """Gauge transform, bilinear interaction operator, gauged-equation residual."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gbolab.cli import _subsample
 from gbolab.gauge import (
     bilinear_G_direct,
     bilinear_G_projected,
@@ -23,6 +24,8 @@ from gbolab.spectral import (
     spectral_derivative,
     windowed_l2,
 )
+
+from conftest import subsample
 
 
 def band_limited(grid, seed, max_mode):
@@ -217,15 +220,15 @@ def test_residual_requires_rescaled_flag():
     cfg = SolverConfig(k=12, dt=2e-4, t_end=2e-3)
     traj = evolve(gaussian(grid, 0.3), cfg)
     with pytest.raises(ValueError):
-        gauge_equation_residual(traj)
+        gauge_equation_residual(traj, [1])
 
 
 def test_residual_requires_five_slices():
     grid = make_grid(256, 40.0)
     cfg = SolverConfig(k=12, rescaled=True, dt=2e-4, t_end=6e-4)
     traj = evolve(gaussian(grid, 0.3), cfg)
-    with pytest.raises(ValueError):
-        gauge_equation_residual(traj)
+    with pytest.raises(ValueError, match="thinning by 1 leaves 4 of 4 slices"):
+        gauge_equation_residual(traj, [1])
 
 
 def test_residual_rejects_nonuniform_times():
@@ -234,23 +237,21 @@ def test_residual_rejects_nonuniform_times():
     traj = evolve(gaussian(grid, 0.3), cfg)
     traj.times[5] += 0.25 * cfg.dt
     with pytest.raises(ValueError, match="uniformly spaced"):
-        gauge_equation_residual(traj)
+        gauge_equation_residual(traj, [1])
 
 
 def test_residual_zero_trajectory():
     grid = make_grid(256, 40.0)
     cfg = SolverConfig(k=12, rescaled=True, dt=2e-4, t_end=2e-3)
     traj = evolve(field_from_values(grid, np.zeros(grid.n)), cfg)
-    norm = gauge_equation_residual(traj)
-    assert norm == 0.0
+    assert gauge_equation_residual(traj, [1]) == [0.0]
 
 
 def test_residual_refines_with_slice_spacing():
     norms = []
     for stride in (100, 50, 25):
         traj = rescaled_trajectory(stride=stride)
-        norm = gauge_equation_residual(traj)
-        norms.append(norm)
+        norms.extend(gauge_equation_residual(traj, [1]))
     assert norms[0] / norms[1] >= 8.0, norms
     assert norms[1] / norms[2] >= 8.0, norms
     assert norms[2] < 1e-4, norms
@@ -304,7 +305,30 @@ def reference_residual(u_traj):
 ])
 def test_residual_matches_term_by_term_reference(n, amplitude, dt, strides):
     traj = rescaled_trajectory(n=n, amplitude=amplitude, dt=dt, stride=strides[-1])
-    for stride in strides:
-        sub = _subsample(traj, stride // strides[-1])
-        ref = reference_residual(sub)
-        assert abs(gauge_equation_residual(sub) - ref) <= 1e-9 * ref
+    every = [stride // strides[-1] for stride in strides]
+    for e, got in zip(every, gauge_equation_residual(traj, every), strict=True):
+        ref = reference_residual(subsample(traj, e))
+        assert abs(got - ref) <= 1e-9 * ref
+
+
+def test_ladder_matches_each_thinned_trajectory():
+    # one call gauges each slice once; each entry must be the residual of
+    # the matching thinned trajectory on its own
+    traj = rescaled_trajectory(stride=25)
+    ladder = gauge_equation_residual(traj, [4, 2, 1])
+    for e, got in zip([4, 2, 1], ladder, strict=True):
+        alone = gauge_equation_residual(subsample(traj, e), [1])[0]
+        assert abs(got - alone) <= 1e-13 * alone
+
+
+def test_ladder_keeps_only_the_window():
+    # 33 slices at n = 2048: full-width stacks of w and H w_xx - rhs and
+    # their stencil temporaries, one call per thinning, took about 4.6 MB
+    traj = rescaled_trajectory(n=2048, amplitude=0.70, dt=4e-5, t_end=32 * 4e-5, stride=1)
+    assert traj.n_times == 33
+    tracemalloc.start()
+    try:
+        gauge_equation_residual(traj, [4, 2, 1])
+        assert tracemalloc.get_traced_memory()[1] < 3e6
+    finally:
+        tracemalloc.stop()

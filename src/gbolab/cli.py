@@ -335,8 +335,8 @@ def _run_estimates(cfg: RunConfig) -> ExperimentReport:
 
 
 def _run_admissible(cfg: RunConfig) -> ExperimentReport:
-    points = [{"id": entry.id, "derivative_order": entry.derivative_order, "p": entry.p,
-               "q": entry.q, "passes": ok} for entry, ok in cfg.objects]
+    points = [{"id": entry.id, "derivative_order": float(entry.derivative_order),
+               "p": entry.p, "q": entry.q, "passes": ok} for entry, ok in cfg.objects]
     failing = [point["id"] for point in points if not point["passes"]]
     return ExperimentReport(
         experiment_id="admissible",

@@ -12,18 +12,21 @@ an infinite exponent).  It and the X^s_T pieces read row blocks of a fixed
 byte size (the pieces on half spectra), which a free evolution makes from its
 own half spectra, so neither a stack nor a stack-sized temporary is built.
 
-The admissibility predicate decides whether a derivative budget alpha is
-available at exponents (p, q): admissible means the endpoint (1/2, inf, 2),
-or 4 <= p < inf, 2 < q <= inf, 2/p + 1/q <= 1/2, with
-alpha = 1/p + 2/q - 1/2 exactly.  The twelve-entry audit table reduces each
-member of the working family of space-time norms to such triplets plus
-explicit side conditions; the N9 entry is the one that pins the regularity
-threshold s > 5/12 and hence the minimal nonlinearity power 12.
+The admissibility predicate reads a derivative budget alpha at exponents
+(p, q) as exact fractions (alpha, a, b) with a = 1/p, b = 1/q, 1/inf = 0:
+admissible means the endpoint (1/2, 0, 1/2), or a > 0, b >= 0, 2a + b <= 1/2
+and alpha = a + 2b - 1/2.  The twelve-entry audit takes its float inputs at
+their exact values and reduces each member of the working family of
+space-time norms to such triplets plus explicit side conditions, each decided
+with no tolerance; the N9 entry pins the regularity threshold s > 5/12, whose
+closed form gives the minimal nonlinearity power 12.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -49,9 +52,6 @@ __all__ = [
     "norm_family_audit",
     "minimal_power",
 ]
-
-_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # Containers.
@@ -106,11 +106,16 @@ class SpaceTimeField:
 
 @dataclass(frozen=True)
 class AdmissibleTriplet:
-    """A derivative budget alpha with exponents (p, q)."""
+    """A derivative budget alpha at exponents p = 1/a, q = 1/b (1/0 = inf)."""
 
-    alpha: float
-    p: float
-    q: float
+    alpha: Fraction
+    a: Fraction
+    b: Fraction
+
+
+def _exponent(r: Fraction) -> float:
+    """The exponent 1/r as a float, inf for r = 0."""
+    return float(1 / r) if r else float("inf")
 
 
 @dataclass
@@ -118,19 +123,27 @@ class NormFamilyEntry:
     """One row of the norm-family audit: a space-time norm of the family
     N1..N12 together with the admissibility reduction(s) backing it.
 
-    (p, q) are the exponents of the norm itself; ``triplets`` hold the
-    (alpha, p, q) reductions actually fed to the predicate, which may carry
-    delta/eps adjustments.  ``side_conditions`` are (description, bool)
-    pairs that are required in addition to admissibility.
+    (a, b) = (1/p, 1/q) are the norm's own exponents, (p, q) their floats for
+    reports; ``triplets`` hold the reductions actually fed to the predicate,
+    which may carry delta/eps adjustments.  ``side_conditions`` are
+    (description, bool) pairs required in addition to admissibility.
     """
 
     id: str
-    derivative_order: float
-    p: float
-    q: float
+    derivative_order: Fraction
+    a: Fraction
+    b: Fraction
     t_power_flag: bool
     triplets: list = field(default_factory=list)
     side_conditions: list = field(default_factory=list)
+
+    @property
+    def p(self) -> float:
+        return _exponent(self.a)
+
+    @property
+    def q(self) -> float:
+        return _exponent(self.b)
 
 
 # ---------------------------------------------------------------------------
@@ -274,35 +287,28 @@ def xst_norm(u: SpaceTimeField, s: float) -> float:
 # Admissibility.
 
 
-def _inv(r: float) -> float:
-    return 0.0 if np.isinf(r) else 1.0 / r
+_HALF = Fraction(1, 2)
 
 
 def is_one_admissible(t: AdmissibleTriplet) -> bool:
-    """Whether (alpha, p, q) is an admissible derivative/exponent triplet.
+    """Whether (alpha, a, b) is an admissible derivative/exponent triplet.
 
-    True iff (alpha, p, q) = (1/2, inf, 2), or 4 <= p < inf, 2 < q <= inf,
-    2/p + 1/q <= 1/2 and alpha = 1/p + 2/q - 1/2 (tolerance 1e-12).
+    True iff (alpha, a, b) = (1/2, 0, 1/2), or a > 0, b >= 0, 2a + b <= 1/2
+    and alpha = a + 2b - 1/2 exactly.
     """
-    alpha, p, q = t.alpha, t.p, t.q
-    if np.isinf(p) and q == 2.0 and abs(alpha - 0.5) <= _TOL:
+    if (t.alpha, t.a, t.b) == (_HALF, 0, _HALF):
         return True
-    if np.isinf(p) or p < 4.0 - _TOL:
-        return False
-    if not q > 2.0:
-        return False
-    if 2 * _inv(p) + _inv(q) > 0.5 + _TOL:
-        return False
-    return abs(alpha - (_inv(p) + 2 * _inv(q) - 0.5)) <= _TOL
+    return t.a > 0 and t.b >= 0 and 2 * t.a + t.b <= _HALF and t.alpha == t.a + 2 * t.b - _HALF
 
 
 def lemma_triplets(s: float) -> list[AdmissibleTriplet]:
     """The four standing triplets used by the inhomogeneous linear estimates."""
+    s = Fraction(s)
     return [
-        AdmissibleTriplet(s, 1.0 / (1.0 / 6 - s / 3), 1.0 / (1.0 / 6 + 2 * s / 3)),
-        AdmissibleTriplet(0.0, 6.0, 6.0),
-        AdmissibleTriplet(0.5, np.inf, 2.0),
-        AdmissibleTriplet(-0.25, 4.0, np.inf),
+        AdmissibleTriplet(s, Fraction(1, 6) - s / 3, Fraction(1, 6) + 2 * s / 3),
+        AdmissibleTriplet(Fraction(0), Fraction(1, 6), Fraction(1, 6)),
+        AdmissibleTriplet(_HALF, Fraction(0), _HALF),
+        AdmissibleTriplet(Fraction(-1, 4), Fraction(1, 4), Fraction(0)),
     ]
 
 
@@ -311,13 +317,9 @@ def lemma_triplets(s: float) -> list[AdmissibleTriplet]:
 #
 # s_k = 1/2 - 1/k is the scaling-critical index at nonlinearity power k.
 # Entries N2..N8 trade a positive power of the timespan (t_power_flag) for
-# a small shift delta in the time exponent; N1 and N9..N12 do not.  Any
-# small delta > 0 serves; the audit fixes one.
-_DELTA = 1e-3
-
-
-def _s_crit(k: int) -> float:
-    return 0.5 - 1.0 / k
+# a small shift delta in the reciprocal time exponent; N1 and N9..N12 do not.
+# Any small delta > 0 serves; the audit fixes one.
+_DELTA = Fraction(1, 1000)
 
 
 def _verdict(e: NormFamilyEntry) -> bool:
@@ -326,89 +328,93 @@ def _verdict(e: NormFamilyEntry) -> bool:
     )
 
 
+def _n9_triplet(s: Fraction, eps: Fraction) -> AdmissibleTriplet:
+    """N9's reduction: 1/p = 3/2 - 3s, 1/q = 3 eps, alpha = 1 - 3s + 6 eps."""
+    return AdmissibleTriplet(1 - 3 * s + 6 * eps, Fraction(3, 2) - 3 * s, 3 * eps)
+
+
 def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntry, bool]]:
     """Audit the twelve-member norm family at regularity s, power k, slack eps.
 
     Returns (entry, verdict) pairs for N1..N12.  Each entry carries the
-    norm's own exponents, the admissibility triplet(s) it reduces to
-    (including the _DELTA adjustments in the time exponent where a timespan
-    power is traded), and its explicit side conditions.  ``eps`` enters the
-    fixed-exponent entries N9 and N11.
+    norm's own reciprocal exponents, the admissibility triplet(s) it reduces
+    to (including the _DELTA adjustments in the time exponent where a
+    timespan power is traded), and its explicit side conditions.  ``eps``
+    enters the fixed-exponent entries N9 and N11.  s and eps are taken at
+    their exact values, so every verdict is an exact comparison.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2 for the norm family, got {k}")
     _check_regularity(s)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    sk, delta = _s_crit(k), _DELTA
+    if not (eps > 0 and np.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    s, eps, delta = Fraction(s), Fraction(eps), _DELTA
+    sk = _HALF - Fraction(1, k)
     out: list[tuple[NormFamilyEntry, bool]] = []
 
     def emit(e: NormFamilyEntry) -> None:
         out.append((e, _verdict(e)))
 
     # N1: plain L^p_x L^inf_t for 4 <= p <= 1/(1/2 - s); reduction triplet
-    # (1/p - 1/2, p, inf), audited at both endpoints of the p-range.
-    p_hi = 1.0 / (0.5 - s)
-    e = NormFamilyEntry("N1", 0.0, 4.0, np.inf, False)
+    # (1/p - 1/2, 1/p, 0), audited at both endpoints of the p-range.
+    a_hi = _HALF - s
+    e = NormFamilyEntry("N1", Fraction(0), Fraction(1, 4), Fraction(0), False)
     e.triplets = [
-        AdmissibleTriplet(-0.25, 4.0, np.inf),
-        AdmissibleTriplet(_inv(p_hi) - 0.5, p_hi, np.inf),
+        AdmissibleTriplet(Fraction(-1, 4), Fraction(1, 4), Fraction(0)),
+        AdmissibleTriplet(a_hi - _HALF, a_hi, Fraction(0)),
     ]
-    e.side_conditions = [("exponent range nonempty: 1/(1/2-s) >= 4", p_hi >= 4.0 - _TOL)]
+    e.side_conditions = [("exponent range nonempty: 1/(1/2-s) >= 4", a_hi <= Fraction(1, 4))]
     emit(e)
 
     # N2..N7: norms L^p_x L^q_t with 1/p + 2/q = 1/k; reduction triplet
-    # (alpha - s, p, 1/(1/q - delta)) with alpha = s - s_k - 2*delta.
+    # (alpha - s, 1/p, 1/q - delta) with alpha = s - s_k - 2*delta.
     template = {
-        "N2": (3.0 * k, 3.0 * k),
-        "N3": (k / (1.0 - s), 2.0 * k / s),
-        "N4": (k / (1.0 / 3 + s), k / (1.0 / 3 - s / 2)),
-        "N5": (3.0 * k / (4.0 * s), k / (0.5 - 2.0 * s / 3)),
-        "N6": (k / (1.0 - s / 3), 6.0 * k / s),
-        "N7": (float(k + 1), 2.0 * k * (k + 1.0)),
+        "N2": (Fraction(1, 3 * k), Fraction(1, 3 * k)),
+        "N3": ((1 - s) / k, s / (2 * k)),
+        "N4": ((Fraction(1, 3) + s) / k, (Fraction(1, 3) - s / 2) / k),
+        "N5": (4 * s / (3 * k), (_HALF - 2 * s / 3) / k),
+        "N6": ((1 - s / 3) / k, s / (6 * k)),
+        "N7": (Fraction(1, k + 1), Fraction(1, 2 * k * (k + 1))),
     }
     gain = s - sk - 2 * delta
-    for id_, (p, q) in template.items():
-        e = NormFamilyEntry(id_, 0.0, p, q, True)
-        slack_ok = _inv(q) - delta > _TOL
-        q_adj = 1.0 / (_inv(q) - delta) if slack_ok else np.inf
-        e.triplets = [AdmissibleTriplet(-sk - 2 * delta, p, q_adj)]
+    for id_, (a, b) in template.items():
+        e = NormFamilyEntry(id_, Fraction(0), a, b, True)
+        e.triplets = [AdmissibleTriplet(-sk - 2 * delta, a, b - delta)]
         e.side_conditions = [
-            ("derivative gain positive: s > s_k + 2*delta", gain > _TOL),
-            ("time slack fits: 1/q > delta", slack_ok),
+            ("derivative gain positive: s > s_k + 2*delta", gain > 0),
+            ("time slack fits: 1/q > delta", b > delta),
         ]
         emit(e)
 
     # N8: the high-power entry with the k/(k-1) derivative trade.
-    q8_den = 2 * s / 3 - 1.0 / 6
-    p8 = (k - 1.0) / (5.0 / 6 - s / 3)
-    e = NormFamilyEntry("N8", 0.0, p8, (k - 1.0) / q8_den if q8_den > 0 else np.inf, True)
-    alpha8 = (k / (k - 1.0)) * (s - sk - 2 * delta / k) - s
-    den_ok = q8_den - delta > _TOL
-    q8_adj = (k - 1.0) / (q8_den - delta) if den_ok else np.inf
-    e.triplets = [AdmissibleTriplet(alpha8, p8, q8_adj)]
+    b8 = 2 * s / 3 - Fraction(1, 6)
+    e = NormFamilyEntry("N8", Fraction(0), (Fraction(5, 6) - s / 3) / (k - 1),
+                        max(b8, Fraction(0)) / (k - 1), True)
+    alpha8 = Fraction(k, k - 1) * (s - sk - 2 * delta / k) - s
+    e.triplets = [AdmissibleTriplet(alpha8, e.a, (b8 - delta) / (k - 1))]
     e.side_conditions = [
-        ("time exponent positive: 2s/3 > 1/6 + delta", den_ok),
-        ("derivative gain positive: s > s_k + 2*delta/k", s - sk - 2 * delta / k > _TOL),
+        ("time exponent positive: 2s/3 > 1/6 + delta", b8 > delta),
+        ("derivative gain positive: s > s_k + 2*delta/k", s - sk - 2 * delta / k > 0),
     ]
     emit(e)
 
     # N9..N12: fixed-exponent entries.
-    e = NormFamilyEntry("N9", 1.0 - 2 * s + 6 * eps, 1.0 / (1.5 - 3 * s), 1.0 / (3 * eps), False)
-    e.triplets = [AdmissibleTriplet(1.0 - 3 * s + 6 * eps, e.p, e.q)]
+    t = _n9_triplet(s, eps)
+    e = NormFamilyEntry("N9", 1 - 2 * s + 6 * eps, t.a, t.b, False)
+    e.triplets = [t]
     emit(e)
 
-    e = NormFamilyEntry("N10", s, 6.0, 6.0, False)
-    e.triplets = [AdmissibleTriplet(0.0, 6.0, 6.0)]
+    e = NormFamilyEntry("N10", s, Fraction(1, 6), Fraction(1, 6), False)
+    e.triplets = [AdmissibleTriplet(Fraction(0), e.a, e.b)]
     emit(e)
 
-    e = NormFamilyEntry("N11", s + 0.5 - 3 * eps, 1.0 / eps, 1.0 / (0.5 - 2 * eps), False)
-    e.triplets = [AdmissibleTriplet(0.5 - 3 * eps, e.p, e.q)]
-    e.side_conditions = [("eps below boundary: eps < 1/4", eps < 0.25)]
+    e = NormFamilyEntry("N11", s + _HALF - 3 * eps, eps, _HALF - 2 * eps, False)
+    e.triplets = [AdmissibleTriplet(_HALF - 3 * eps, e.a, e.b)]
+    e.side_conditions = [("eps below boundary: eps < 1/4", eps < Fraction(1, 4))]
     emit(e)
 
-    e = NormFamilyEntry("N12", 0.5, 3.0 / s, 1.0 / (0.5 - 2 * s / 3), False)
-    e.triplets = [AdmissibleTriplet(0.5 - s, e.p, e.q)]
+    e = NormFamilyEntry("N12", _HALF, s / 3, _HALF - 2 * s / 3, False)
+    e.triplets = [AdmissibleTriplet(_HALF - s, e.a, e.b)]
     emit(e)
 
     return out
@@ -417,27 +423,14 @@ def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntr
 def minimal_power() -> int:
     """Least nonlinearity power whose critical index clears the audit.
 
-    The threshold is re-derived, not hard-coded: bisection locates the
-    regularity where the N9 reduction triplet turns admissible (in the
-    eps -> 0 limit, here eps = 1e-9), and the answer is the least k up to
-    64 with s_k = 1/2 - 1/k at or above that threshold.
+    The threshold is re-derived, not hard-coded: N9's rule 2/p + 1/q <= 1/2
+    is affine in s, and in the eps -> 0 limit two exact evaluations give its
+    root, s = 5/12.  The answer is the least k with s_k = 1/2 - 1/k at or
+    above that root.
     """
-    eps, k_max = 1e-9, 64
-    lo, hi = 0.25, 0.5 - 1e-12
+    def room(s: Fraction) -> Fraction:  # 1/2 - 2a - b of N9's triplet at eps = 0
+        t = _n9_triplet(s, Fraction(0))
+        return _HALF - 2 * t.a - t.b
 
-    def n9_ok(s: float) -> bool:  # N9's verdict, read off the audit, is free of k
-        return next(ok for e, ok in norm_family_audit(s, 2, eps) if e.id == "N9")
-
-    if not n9_ok(hi) or n9_ok(lo):
-        raise RuntimeError("threshold not bracketed")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if n9_ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    threshold = hi
-    for k in range(2, k_max + 1):
-        if _s_crit(k) >= threshold - 10 * eps:
-            return k
-    raise RuntimeError(f"no power up to {k_max} clears the threshold {threshold}")
+    root = room(Fraction(0)) / (room(Fraction(0)) - room(Fraction(1)))
+    return math.ceil(1 / (_HALF - root))

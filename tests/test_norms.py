@@ -1,5 +1,7 @@
 """Norm quadratures, admissibility predicate, and the twelve-entry audit."""
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,26 +261,39 @@ def test_xst_finite_on_free_evolution():
 
 
 def test_named_admissible_triplets():
-    assert is_one_admissible(AdmissibleTriplet(0.5, np.inf, 2.0))
-    assert is_one_admissible(AdmissibleTriplet(0.0, 6.0, 6.0))
-    assert is_one_admissible(AdmissibleTriplet(-0.25, 4.0, np.inf))
-    assert not is_one_admissible(AdmissibleTriplet(0.0, 3.0, 6.0))
+    # triplets are (alpha, 1/p, 1/q) with 1/inf = 0
+    assert is_one_admissible(AdmissibleTriplet(F(1, 2), F(0), F(1, 2)))
+    assert is_one_admissible(AdmissibleTriplet(F(0), F(1, 6), F(1, 6)))
+    assert is_one_admissible(AdmissibleTriplet(F(-1, 4), F(1, 4), F(0)))
+    # p = 3 < 4; its twin is (0, 6, 6) above
+    assert not is_one_admissible(AdmissibleTriplet(F(0), F(1, 3), F(1, 6)))
 
 
 def test_boundary_family_passes_and_alpha_perturbation_fails():
-    for p in (4.0, 5.0, 8.0, 16.0, 100.0):
-        q = np.inf if p == 4.0 else 1.0 / (0.5 - 2.0 / p)
-        alpha = 1.0 / p + (0.0 if np.isinf(q) else 2.0 / q) - 0.5
-        assert is_one_admissible(AdmissibleTriplet(alpha, p, q))
-        assert not is_one_admissible(AdmissibleTriplet(alpha + 1e-6, p, q))
-        assert not is_one_admissible(AdmissibleTriplet(alpha - 1e-6, p, q))
+    for p in (4, 5, 8, 16, 100):
+        a = F(1, p)
+        b = F(1, 2) - 2 * a  # 2/p + 1/q = 1/2; q = inf at p = 4
+        alpha = a + 2 * b - F(1, 2)
+        assert is_one_admissible(AdmissibleTriplet(alpha, a, b))
+        assert not is_one_admissible(AdmissibleTriplet(alpha + F(1, 10**6), a, b))
+        assert not is_one_admissible(AdmissibleTriplet(alpha - F(1, 10**6), a, b))
 
 
 def test_interior_condition_violation_fails():
-    # q too small relative to p: 2/p + 1/q > 1/2
-    assert not is_one_admissible(AdmissibleTriplet(0.0, 4.0, 3.0))
-    # infinite p is only allowed in the endpoint case
-    assert not is_one_admissible(AdmissibleTriplet(0.3, np.inf, 4.0))
+    # each rule is broken by a triplet with alpha = 1/p + 2/q - 1/2 matched,
+    # next to a passing twin that differs only in the exponent that breaks
+    # it, then by the older case with alpha unmatched as well.
+    # q too small relative to p: 2/p + 1/q > 1/2 at (p, q) = (4, 3), not at (12, 3)
+    assert not is_one_admissible(AdmissibleTriplet(F(5, 12), F(1, 4), F(1, 3)))
+    assert is_one_admissible(AdmissibleTriplet(F(1, 4), F(1, 12), F(1, 3)))
+    assert not is_one_admissible(AdmissibleTriplet(F(0), F(1, 4), F(1, 3)))
+    # infinite p is only allowed in the endpoint case: (inf, 4) fails, (8, 4) passes
+    assert not is_one_admissible(AdmissibleTriplet(F(0), F(0), F(1, 4)))
+    assert is_one_admissible(AdmissibleTriplet(F(1, 8), F(1, 8), F(1, 4)))
+    assert not is_one_admissible(AdmissibleTriplet(F(3, 10), F(0), F(1, 4)))
+    # a negative q is no exponent: 1/q = -1/8 fails, 1/q = 0 passes (no older case)
+    assert not is_one_admissible(AdmissibleTriplet(F(-1, 2), F(1, 4), F(-1, 8)))
+    assert is_one_admissible(AdmissibleTriplet(F(-1, 4), F(1, 4), F(0)))
 
 
 def test_lemma_triplets_admissible():
@@ -306,6 +321,20 @@ def test_audit_n9_threshold():
     assert audit_map(0.43, 12, 0.001)["N9"]
 
 
+def test_audit_n9_exact_boundary():
+    # N9 is admissible iff s >= 5/12 + eps/2, decided exactly
+    eps = 1e-3
+    edge = 5.0 / 12 + eps / 2
+    assert not audit_map(edge - 1e-13, 12, eps)["N9"]
+    assert audit_map(edge + 1e-13, 12, eps)["N9"]
+
+
+def test_audit_gain_rule_exact_boundary():
+    # at k = 4 N2 needs s > s_k + 2*delta = 1/4 + 2/1000, decided exactly
+    assert not audit_map(0.252 - 1e-13, 4, 0.001)["N2"]
+    assert audit_map(0.252 + 1e-13, 4, 0.001)["N2"]
+
+
 def test_audit_n9_sweep():
     # fails everywhere below the threshold, passes everywhere above
     for s in np.arange(0.30, 5.0 / 12 - 1e-3 + 1e-9, 0.01):
@@ -330,11 +359,10 @@ def test_audit_triplet_alpha_consistency():
         if not verdict:
             continue
         for t in e.triplets:
-            inv = lambda r: 0.0 if np.isinf(r) else 1.0 / r
-            assert abs(t.alpha - (inv(t.p) + 2 * inv(t.q) - 0.5)) < 1e-12, e.id
+            assert t.alpha == t.a + 2 * t.b - F(1, 2), e.id
     last = {e.id: e.triplets[-1] for e, _ in norm_family_audit(0.45, 12, 0.001)}
-    assert last["N10"].alpha == 0.0
-    assert np.isinf(last["N1"].q)
+    assert last["N10"].alpha == 0
+    assert last["N1"].b == 0
 
 
 def test_audit_derivative_orders():
@@ -352,8 +380,9 @@ def test_audit_input_validation():
         norm_family_audit(0.45, 1, 0.001)
     with pytest.raises(ValueError):
         norm_family_audit(0.6, 12, 0.001)
-    with pytest.raises(ValueError):
-        norm_family_audit(0.45, 12, -0.1)
+    for eps in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            norm_family_audit(0.45, 12, eps)
 
 
 def test_minimal_power_is_twelve():

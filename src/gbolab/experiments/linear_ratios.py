@@ -16,20 +16,16 @@ import functools
 
 import numpy as np
 
-from ..norms import (SpaceTimeField, _check_regularity, _row_blocks, mixed_norm,
-                     sobolev_norm, xst_norm)
+from ..norms import (_PIECES, SpaceTimeField, _check_regularity, _row_blocks,
+                     mixed_norm, sobolev_norm, xst_norm)
 from ..spectral import Field, SpectralGrid, _propagator, fractional_derivative, lowpass_P0
 from .packets import _check_ensemble, _reach, embed_field, make_packet_ensemble, plane_wave
 from .reporting import RatioStatistics
 
 ESTIMATES = ("kato", "maximal", "lowfreq", "xst")
 
-# derivative order (None: the lowpass P_0) and the exponents (p, q) of L^p_x L^q_T
-_SPECS = {
-    "kato": (0.5, float("inf"), 2.0),
-    "maximal": (-0.25, 4.0, float("inf")),
-    "lowfreq": (None, 2.0, float("inf")),
-}
+# the kato, maximal and lowfreq estimates are X^s_T's pieces at s = 0
+_SPECS = dict(zip(("kato", "maximal", "lowfreq"), _PIECES))
 
 
 class _FreeEvolution(SpaceTimeField):
@@ -148,7 +144,7 @@ def estimate_ratio(
         rhs = sobolev_norm(phi, s)
     else:
         order, p, q = _SPECS[estimate]
-        if estimate == "lowfreq":
+        if order is None:
             mapped = lowpass_P0(phi)
             rhs = mapped.l2_norm()
         else:

@@ -10,7 +10,6 @@ rounding.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -70,8 +69,7 @@ def scaling_invariance_check(
             )
 
         mapped = rescale_traj(base_traj, lam)
-        lam_cfg = replace(config, dt=config.dt / lam ** 2, t_end=config.t_end / lam ** 2)
-        direct = evolve(scaled, lam_cfg)
+        direct = evolve(scaled, mapped.config)
         scale = max(np.max(np.abs(direct.slices)), 1e-300)
         defect = float(np.max(np.abs(mapped.slices - direct.slices)) / scale)
         worst_flow = np.maximum(worst_flow, defect)

@@ -17,15 +17,15 @@ The admissibility predicate reads a derivative budget alpha at exponents
 admissible means the endpoint (1/2, 0, 1/2), or a > 0, b >= 0, 2a + b <= 1/2
 and alpha = a + 2b - 1/2.  The twelve-entry audit takes its float inputs at
 their exact values and reduces each member of the working family of
-space-time norms to such triplets plus explicit side conditions, each decided
-with no tolerance; the N9 entry pins the regularity threshold s > 5/12, whose
-closed form gives the minimal nonlinearity power 12.
+space-time norms to such triplets plus the side conditions the predicate does
+not decide, each decided with no tolerance; the N9 entry pins the regularity
+threshold s > 5/12, whose closed form gives the minimal nonlinearity power 12.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -118,7 +118,7 @@ def _exponent(r: Fraction) -> float:
     return float(1 / r) if r else float("inf")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormFamilyEntry:
     """One row of the norm-family audit: a space-time norm of the family
     N1..N12 together with the admissibility reduction(s) backing it.
@@ -126,7 +126,8 @@ class NormFamilyEntry:
     (a, b) = (1/p, 1/q) are the norm's own exponents, (p, q) their floats for
     reports; ``triplets`` hold the reductions actually fed to the predicate,
     which may carry delta/eps adjustments.  ``side_conditions`` are
-    (description, bool) pairs required in addition to admissibility.
+    (description, bool) pairs required in addition to admissibility: the
+    rules the predicate does not decide.
     """
 
     id: str
@@ -134,8 +135,8 @@ class NormFamilyEntry:
     a: Fraction
     b: Fraction
     t_power_flag: bool
-    triplets: list = field(default_factory=list)
-    side_conditions: list = field(default_factory=list)
+    triplets: tuple[AdmissibleTriplet, ...]
+    side_conditions: tuple[tuple[str, bool], ...]
 
     @property
     def p(self) -> float:
@@ -233,6 +234,12 @@ class XstComponents:
         return self.sup_sobolev + self.smoothing + self.maximal + self.low_frequency
 
 
+# X^s_T's pieces after sup_t H^s: the derivative order at s = 0 (None: the
+# lowpass P_0) and the exponents (p, q) of L^p_x L^q_T.  At s = 0 they are the
+# kato, maximal and lowfreq linear estimates.
+_PIECES = ((0.5, np.inf, 2.0), (-0.25, 4.0, np.inf), (None, 2.0, np.inf))
+
+
 def _check_regularity(s: float) -> None:
     """X^s_T and the norm family that builds it are stated for 0 < s < 1/2."""
     if not 0 < s < 0.5:
@@ -256,9 +263,8 @@ def xst_components(u: SpaceTimeField, s: float) -> XstComponents:
     # bins 0 < m < n/2 stand for m and -m; raw bins are n/L x calibrated ones
     weight = (1.0 + xi ** 2) ** s * (grid.dx ** 2 * grid.dxi / (2 * np.pi))
     weight[1:-1] *= 2.0
-    pieces = [(_fractional_symbol(xi, s + 0.5), np.inf, 2.0),
-              (_fractional_symbol(xi, s - 0.25), 4.0, np.inf),
-              (_lowpass_symbol(xi), 2.0, np.inf)]
+    pieces = [(_lowpass_symbol(xi) if order is None else _fractional_symbol(xi, s + order),
+               p, q) for order, p, q in _PIECES]
     w, sup_hs, piece = _time_weights(u.times, 2.0), 0.0, None
     accs = [np.zeros(grid.n) for _ in pieces]
     for rows, half in u._blocks(spectral=True):
@@ -322,15 +328,14 @@ def lemma_triplets(s: float) -> list[AdmissibleTriplet]:
 _DELTA = Fraction(1, 1000)
 
 
-def _verdict(e: NormFamilyEntry) -> bool:
-    return all(ok for _, ok in e.side_conditions) and all(
-        is_one_admissible(t) for t in e.triplets
-    )
-
-
 def _n9_triplet(s: Fraction, eps: Fraction) -> AdmissibleTriplet:
     """N9's reduction: 1/p = 3/2 - 3s, 1/q = 3 eps, alpha = 1 - 3s + 6 eps."""
     return AdmissibleTriplet(1 - 3 * s + 6 * eps, Fraction(3, 2) - 3 * s, 3 * eps)
+
+
+def _fixed(id_: str, order: Fraction, t: AdmissibleTriplet, *side) -> NormFamilyEntry:
+    """A fixed-exponent entry (N9..N12): one triplet at the norm's own exponents."""
+    return NormFamilyEntry(id_, order, t.a, t.b, False, (t,), side)
 
 
 def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntry, bool]]:
@@ -339,85 +344,57 @@ def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntr
     Returns (entry, verdict) pairs for N1..N12.  Each entry carries the
     norm's own reciprocal exponents, the admissibility triplet(s) it reduces
     to (including the _DELTA adjustments in the time exponent where a
-    timespan power is traded), and its explicit side conditions.  ``eps``
-    enters the fixed-exponent entries N9 and N11.  s and eps are taken at
-    their exact values, so every verdict is an exact comparison.
+    timespan power is traded), and the side conditions the predicate does
+    not decide; the verdict is all of them.  ``eps`` enters the
+    fixed-exponent entries N9 and N11.  s and eps are taken at their exact
+    values, so every verdict is an exact comparison.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2 for the norm family, got {k}")
     _check_regularity(s)
     if not (eps > 0 and np.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    s, eps, delta = Fraction(s), Fraction(eps), _DELTA
+    s, eps, delta, zero = Fraction(s), Fraction(eps), _DELTA, Fraction(0)
     sk = _HALF - Fraction(1, k)
-    out: list[tuple[NormFamilyEntry, bool]] = []
-
-    def emit(e: NormFamilyEntry) -> None:
-        out.append((e, _verdict(e)))
-
-    # N1: plain L^p_x L^inf_t for 4 <= p <= 1/(1/2 - s); reduction triplet
-    # (1/p - 1/2, 1/p, 0), audited at both endpoints of the p-range.
-    a_hi = _HALF - s
-    e = NormFamilyEntry("N1", Fraction(0), Fraction(1, 4), Fraction(0), False)
-    e.triplets = [
-        AdmissibleTriplet(Fraction(-1, 4), Fraction(1, 4), Fraction(0)),
-        AdmissibleTriplet(a_hi - _HALF, a_hi, Fraction(0)),
+    gain = (("derivative gain positive: s > s_k + 2*delta", s - sk - 2 * delta > 0),)
+    gain8 = s - sk - 2 * delta / k
+    a8, b8 = (Fraction(5, 6) - s / 3) / (k - 1), 2 * s / 3 - Fraction(1, 6)
+    entries = [
+        # N1: plain L^p_x L^inf_t for 4 <= p <= 1/(1/2 - s); reduction triplet
+        # (1/p - 1/2, 1/p, 0), audited at both endpoints of the p-range.  The
+        # rule 2a + b <= 1/2 at the upper end is the range's nonemptiness.
+        NormFamilyEntry("N1", zero, Fraction(1, 4), zero, False, (
+            AdmissibleTriplet(Fraction(-1, 4), Fraction(1, 4), zero),
+            AdmissibleTriplet(-s, _HALF - s, zero)), ()),
+        # N2..N7: norms L^p_x L^q_t with 1/p + 2/q = 1/k; reduction triplet
+        # (alpha - s, 1/p, 1/q - delta) with alpha = s - s_k - 2*delta.  The
+        # predicate's 1/q - delta >= 0 is the time slack; 1/q = delta, where
+        # it would differ from 1/q > delta, needs an s that is not dyadic
+        # wherever the gain holds, so no float s reaches it.
+        *(NormFamilyEntry(id_, zero, a, b, True,
+                          (AdmissibleTriplet(-sk - 2 * delta, a, b - delta),), gain)
+          for id_, a, b in (
+              ("N2", Fraction(1, 3 * k), Fraction(1, 3 * k)),
+              ("N3", (1 - s) / k, s / (2 * k)),
+              ("N4", (Fraction(1, 3) + s) / k, (Fraction(1, 3) - s / 2) / k),
+              ("N5", 4 * s / (3 * k), (_HALF - 2 * s / 3) / k),
+              ("N6", (1 - s / 3) / k, s / (6 * k)),
+              ("N7", Fraction(1, k + 1), Fraction(1, 2 * k * (k + 1))))),
+        # N8: the high-power entry with the k/(k-1) derivative trade; its time
+        # exponent 2s/3 - 1/6 > delta is the predicate's, as for N2..N7.
+        NormFamilyEntry(
+            "N8", zero, a8, max(b8, zero) / (k - 1), True,
+            (AdmissibleTriplet(Fraction(k, k - 1) * gain8 - s, a8, (b8 - delta) / (k - 1)),),
+            (("derivative gain positive: s > s_k + 2*delta/k", gain8 > 0),)),
+        _fixed("N9", 1 - 2 * s + 6 * eps, _n9_triplet(s, eps)),
+        _fixed("N10", s, AdmissibleTriplet(zero, Fraction(1, 6), Fraction(1, 6))),
+        _fixed("N11", s + _HALF - 3 * eps,
+               AdmissibleTriplet(_HALF - 3 * eps, eps, _HALF - 2 * eps),
+               ("eps below boundary: eps < 1/4", eps < Fraction(1, 4))),
+        _fixed("N12", _HALF, AdmissibleTriplet(_HALF - s, s / 3, _HALF - 2 * s / 3)),
     ]
-    e.side_conditions = [("exponent range nonempty: 1/(1/2-s) >= 4", a_hi <= Fraction(1, 4))]
-    emit(e)
-
-    # N2..N7: norms L^p_x L^q_t with 1/p + 2/q = 1/k; reduction triplet
-    # (alpha - s, 1/p, 1/q - delta) with alpha = s - s_k - 2*delta.
-    template = {
-        "N2": (Fraction(1, 3 * k), Fraction(1, 3 * k)),
-        "N3": ((1 - s) / k, s / (2 * k)),
-        "N4": ((Fraction(1, 3) + s) / k, (Fraction(1, 3) - s / 2) / k),
-        "N5": (4 * s / (3 * k), (_HALF - 2 * s / 3) / k),
-        "N6": ((1 - s / 3) / k, s / (6 * k)),
-        "N7": (Fraction(1, k + 1), Fraction(1, 2 * k * (k + 1))),
-    }
-    gain = s - sk - 2 * delta
-    for id_, (a, b) in template.items():
-        e = NormFamilyEntry(id_, Fraction(0), a, b, True)
-        e.triplets = [AdmissibleTriplet(-sk - 2 * delta, a, b - delta)]
-        e.side_conditions = [
-            ("derivative gain positive: s > s_k + 2*delta", gain > 0),
-            ("time slack fits: 1/q > delta", b > delta),
-        ]
-        emit(e)
-
-    # N8: the high-power entry with the k/(k-1) derivative trade.
-    b8 = 2 * s / 3 - Fraction(1, 6)
-    e = NormFamilyEntry("N8", Fraction(0), (Fraction(5, 6) - s / 3) / (k - 1),
-                        max(b8, Fraction(0)) / (k - 1), True)
-    alpha8 = Fraction(k, k - 1) * (s - sk - 2 * delta / k) - s
-    e.triplets = [AdmissibleTriplet(alpha8, e.a, (b8 - delta) / (k - 1))]
-    e.side_conditions = [
-        ("time exponent positive: 2s/3 > 1/6 + delta", b8 > delta),
-        ("derivative gain positive: s > s_k + 2*delta/k", s - sk - 2 * delta / k > 0),
-    ]
-    emit(e)
-
-    # N9..N12: fixed-exponent entries.
-    t = _n9_triplet(s, eps)
-    e = NormFamilyEntry("N9", 1 - 2 * s + 6 * eps, t.a, t.b, False)
-    e.triplets = [t]
-    emit(e)
-
-    e = NormFamilyEntry("N10", s, Fraction(1, 6), Fraction(1, 6), False)
-    e.triplets = [AdmissibleTriplet(Fraction(0), e.a, e.b)]
-    emit(e)
-
-    e = NormFamilyEntry("N11", s + _HALF - 3 * eps, eps, _HALF - 2 * eps, False)
-    e.triplets = [AdmissibleTriplet(_HALF - 3 * eps, e.a, e.b)]
-    e.side_conditions = [("eps below boundary: eps < 1/4", eps < Fraction(1, 4))]
-    emit(e)
-
-    e = NormFamilyEntry("N12", _HALF, s / 3, _HALF - 2 * s / 3, False)
-    e.triplets = [AdmissibleTriplet(_HALF - s, e.a, e.b)]
-    emit(e)
-
-    return out
+    return [(e, all(ok for _, ok in e.side_conditions)
+             and all(map(is_one_admissible, e.triplets))) for e in entries]
 
 
 def minimal_power() -> int:

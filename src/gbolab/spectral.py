@@ -79,16 +79,6 @@ class SpectralGrid:
     def xi_max(self) -> float:
         return np.pi * self.n / self.length
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpectralGrid)
-            and self.n == other.n
-            and self.length == other.length
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.length))
-
 
 def make_grid(n: int, length: float) -> SpectralGrid:
     """Build a SpectralGrid.

@@ -1,5 +1,6 @@
 """Norm quadratures, admissibility predicate, and the twelve-entry audit."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -333,6 +334,21 @@ def test_audit_gain_rule_exact_boundary():
     # at k = 4 N2 needs s > s_k + 2*delta = 1/4 + 2/1000, decided exactly
     assert not audit_map(0.252 - 1e-13, 4, 0.001)["N2"]
     assert audit_map(0.252 + 1e-13, 4, 0.001)["N2"]
+
+
+def test_audit_n11_fails_at_eps_quarter():
+    # at eps = 1/4 N11's triplet (-1/4, 1/4, 0) is admissible, so only its side
+    # condition eps < 1/4 fails it
+    [(entry, verdict)] = [(e, v) for e, v in norm_family_audit(0.45, 12, 0.25)
+                          if e.id == "N11"]
+    assert is_one_admissible(entry.triplets[0])
+    assert not verdict
+
+
+def test_audit_entries_are_frozen():
+    entry, _ = norm_family_audit(0.45, 12, 0.001)[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.triplets = ()
 
 
 def test_audit_n9_sweep():

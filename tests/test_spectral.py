@@ -52,6 +52,20 @@ def white_noise():
     return field_from_values(grid, np.random.default_rng(0).normal(size=grid.n))
 
 
+# --- grid identity ---------------------------------------------------------
+
+
+def test_grid_identity_is_size_and_length():
+    # equal (n, L) grids are equal and hash alike, so either finds the other's
+    # cache entry; the sample arrays take no part
+    grid, twin = make_grid(64, 2 * np.pi), make_grid(64, 2 * np.pi)
+    assert grid == twin and hash(grid) == hash(twin)
+    assert {grid: "cached"}[twin] == "cached"
+    assert grid != make_grid(128, 2 * np.pi)
+    assert grid != make_grid(64, 4 * np.pi)
+    assert grid != (64, 2 * np.pi)
+
+
 # --- transform calibration -------------------------------------------------
 
 

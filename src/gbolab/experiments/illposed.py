@@ -7,14 +7,12 @@ integral over the interaction set, and a growth fit of the norm against N.
 
 The quadruple products of band frequencies land near 0, +-2N, +-4N only;
 the interesting output is the band near 4N.  There the phase separates
-into one term per factor frequency, and the fit evaluates the band by
-4-fold convolutions of one-dimensional chirps (_band_4n).  A 3-fold
-quadrature of the time kernel (e^{iTP}-1)/(iP) over the same interaction
-set (_compute_on; series fallback near P = 0, no asymptotic shortcut for
-the kernel's size) has two roles: it checks the fast path, and it is the
-frequency-space side of oracle_agreement.  An independent oracle evolves
-on a torus the positive band alone, whose 4-fold products are the only
-ones to reach 4N, and integrates by brute-force Simpson.
+into one term per factor frequency, and the band is evaluated by 4-fold
+convolutions of one-dimensional chirps, interpolated in the output
+frequency (_band_4n).  The growth fit reads it on the band window, and
+oracle_agreement at the frequencies of an independent oracle, which
+evolves on a torus the positive band alone, whose 4-fold products are the
+only ones to reach 4N, and integrates by brute-force Simpson.
 """
 
 from __future__ import annotations
@@ -138,16 +136,6 @@ def _dispersion(xi):
     return xi * np.abs(xi)
 
 
-def _time_kernel(q: np.ndarray, T: float) -> np.ndarray:
-    """int_0^T e^{i s q} ds = (e^{iTq} - 1)/(iq), series below |Tq| = 1e-6."""
-    tq = T * q
-    small = np.abs(tq) < 1e-6
-    safe = np.where(small, 1.0, q)
-    exact = (np.exp(1j * tq) - 1.0) / (1j * safe)
-    series = T * (1.0 + 1j * tq / 2.0 - tq ** 2 / 6.0)
-    return np.where(small, series, exact)
-
-
 # ---------------------------------------------------------------------------
 # Indicator self-convolution.
 
@@ -203,9 +191,10 @@ def _prefactor(p: IllposedParams, xi0: np.ndarray) -> np.ndarray:
     )
 
 
-# Fine-grid factor and series length of the separable 4N path: the
-# smallest even factor >= 4 puts convolution nodes on the window midpoints,
-# and two terms leave a truncation of order (alpha / N)^4.
+# Fine-grid factor and series length of the separable 4N path.  The fine
+# grid's error on the band falls like (r M)^-2 from r = 2 on; r = 4 holds it
+# to 1.4e-5 of the band norm at M = 32 (6e-5 at M = 16), a quarter of what
+# r = 1 or 2 leave.  Two terms leave a truncation of order (alpha / N)^4.
 _FINE = 4
 _SERIES_TERMS = 2
 
@@ -229,9 +218,9 @@ def _fiber_moments(f: np.ndarray, y2: np.ndarray, m: int, h: float) -> np.ndarra
 
 
 def _band_4n(
-    p: IllposedParams, refine: int = _FINE, terms: int = _SERIES_TERMS
+    p: IllposedParams, xi0: np.ndarray, refine: int = _FINE, terms: int = _SERIES_TERMS
 ) -> FrequencyProfile:
-    """v-hat on the 4N window from the separable phase, without 3-fold quadrature.
+    """v-hat at the frequencies xi0 from the separable phase, without 3-fold quadrature.
 
     With z_i = N + y_i and eta = xi0 - 4N the phase is P = -c + S with
     c = 12 N^2 + 6 N eta + eta^2 and S = sum y_i^2 <= 4 alpha^2 (see
@@ -244,24 +233,33 @@ def _band_4n(
     the fiber integral of each term is a sum of 4-fold convolutions of
     y^{2k} g, taken against the same convolutions of y^{2k} (the discrete
     fiber measure).  The chirp is sampled at midpoints of spacing
-    alpha / (refine M); for even refine >= 4 the 4-fold sum node
-    refine j + refine/2 - 2 lies at window midpoint j.  The series keeps
-    ``terms`` terms; it needs S / c < 1: IllposedParams secures 4 alpha^2 < 12 N^2.
+    h_f = alpha / (refine M), so node k of a 4-fold sum lies at
+    eta = (k + 2) h_f.  The convolutions are interpolated linearly in eta on
+    these nodes and the support ends eta = 0 and 4 alpha, where the fiber
+    measure vanishes, and are 0 outside them; c, the rotation and the
+    prefactor are exact at each xi0.  The series keeps ``terms`` terms; it
+    needs S / c < 1: IllposedParams secures 4 alpha^2 < 12 N^2.
     """
     M = p.freq_resolution
-    hf = p.alpha / (refine * M)
-    y = (np.arange(refine * M) + 0.5) * hf
+    R = refine * M
+    hf = p.alpha / R
+    y = (np.arange(R) + 0.5) * hf
     y2 = y ** 2
     chirp = np.exp(_SIGMA * 1j * p.T * y2)
     ones = np.ones_like(y)
 
-    xi0, _, c = _band_window(p)
-    nodes = refine * np.arange(xi0.size) + refine // 2 - 2
+    eta = xi0 - 4.0 * p.N
+    c = _resonance(p.N, eta)
+    nodes = np.r_[0.0, np.arange(2, 4 * R - 1), 4 * R]
+
+    def at_eta(moments):
+        return np.interp(eta / hf, nodes, np.r_[0.0, moments, 0.0])
+
     rotation = np.exp(-_SIGMA * 1j * p.T * c)
     out = np.zeros(xi0.size, dtype=np.complex128)
     for m in range(terms):
-        tilted = _fiber_moments(chirp, y2, m, hf)[nodes]
-        flat = _fiber_moments(ones, y2, m, hf)[nodes]
+        tilted = at_eta(_fiber_moments(chirp, y2, m, hf))
+        flat = at_eta(_fiber_moments(ones, y2, m, hf))
         out += (rotation * tilted - flat) / c ** m
     out *= _SIGMA * 1j / c
     return FrequencyProfile(xi0, _prefactor(p, xi0) * out, p.alpha / M)
@@ -280,12 +278,13 @@ def illposed_v_details(p: IllposedParams) -> dict:
     one more series term; the larger relative change is the disagreement,
     which must stay within _REFINEMENT_TOL.
     """
-    band = _band_4n(p)
+    xi0 = _band_window(p)[0]
+    band = _band_4n(p, xi0)
     norm_4n = band.hs_norm(p.s)
     disagreement = float(np.max([
         abs(other.hs_norm(p.s) - norm_4n) / norm_4n
-        for other in (_band_4n(p, refine=2 * _FINE),
-                      _band_4n(p, terms=_SERIES_TERMS + 1))
+        for other in (_band_4n(p, xi0, refine=2 * _FINE),
+                      _band_4n(p, xi0, terms=_SERIES_TERMS + 1))
     ]))
     if not disagreement <= _REFINEMENT_TOL:  # a nan disagreement fails too
         raise QuadratureError(
@@ -294,58 +293,6 @@ def illposed_v_details(p: IllposedParams) -> dict:
         )
     return {"band": band, "band_norm": norm_4n,
             "refinement_disagreement": disagreement}
-
-
-def _compute_on(
-    p: IllposedParams, xi0: np.ndarray, M_inner: int | None = None
-) -> FrequencyProfile:
-    """3-fold midpoint quadrature of the 4N band on an explicit xi0 grid.
-
-    The interaction set {z in [N, N + alpha]^4 : sum z = xi0} is
-    parametrized by (z3, z4, z2) with z1 eliminated (unit Jacobian); the
-    z2 interval is intersected exactly, so the set's boundary costs no
-    smearing beyond the midpoint rule, and xi0 outside [4N, 4N + 4 alpha]
-    gets exactly zero.
-
-    Refining M_inner from M to 2M is no convergence test: both node sets
-    line up with the output window, and at N = 64, M = 32 the 4N-band norm
-    moves by only 6.5e-7 between them, while M_inner = 4M moves it by
-    4.3e-5 (pointwise by 9.3e-5 of max |v-hat|) and 8M by another 1.1e-5.
-    At M_inner = r M the 4N band agrees with _band_4n at refine r to 1e-8
-    in norm.
-    """
-    if M_inner is None:
-        M_inner = p.freq_resolution
-    lo_z, hi_z = p.N, p.N + p.alpha
-    h34 = p.alpha / M_inner
-    z = lo_z + (np.arange(M_inner) + 0.5) * h34
-    out = np.zeros(xi0.size, dtype=np.complex128)
-    j = np.arange(M_inner)
-    # chunk the z3 axis so the (z3, z4, z2) tensor stays near 64 MB
-    chunk = max(1, (1 << 22) // (M_inner * M_inner))
-    for start in range(0, M_inner, chunk):
-        Z3 = z[start : start + chunk, None]
-        Z4 = z[None, :]
-        p34 = _dispersion(Z3) + _dispersion(Z4)
-        for idx, x0 in enumerate(xi0):
-            S = x0 - Z3 - Z4
-            lo = np.maximum(lo_z, S - hi_z)
-            hi = np.minimum(hi_z, S - lo_z)
-            length = hi - lo
-            mask = length > 0
-            if not np.any(mask):
-                continue
-            dz2 = np.where(mask, length, 0.0) / M_inner
-            z2 = lo[..., None] + (j + 0.5) * dz2[..., None]
-            z1 = S[..., None] - z2
-            P = (
-                _dispersion(z1) + _dispersion(z2) + p34[..., None]
-                - _dispersion(x0)
-            )
-            kern = _time_kernel(_SIGMA * P, p.T)
-            inner = np.sum(kern, axis=-1) * dz2
-            out[idx] += np.sum(inner * mask) * h34 ** 2
-    return FrequencyProfile(xi0, _prefactor(p, xi0) * out, p.alpha / p.freq_resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +360,8 @@ def torus_duhamel_oracle(
 
 
 def oracle_agreement(p: IllposedParams) -> float:
-    """Max relative gap between the two paths on the middle half-band.
+    """Max relative gap between the torus oracle and the fit's band
+    (_band_4n) on the middle half-band.
 
     Both are evaluated at the torus mode frequencies in
     [4N + alpha, 4N + 3 alpha], away from the window edges where the
@@ -421,8 +369,7 @@ def oracle_agreement(p: IllposedParams) -> float:
     """
     oracle = torus_duhamel_oracle(p)
     sel = (oracle.xi >= 4 * p.N + p.alpha) & (oracle.xi <= 4 * p.N + 3 * p.alpha)
-    xi_common = oracle.xi[sel]
-    main = _compute_on(p, xi_common)
+    main = _band_4n(p, oracle.xi[sel])
     ref = np.abs(oracle.values[sel])
     gap = np.abs(np.abs(main.values) - ref)
     return float(np.max(gap / np.max(ref)))

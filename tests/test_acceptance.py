@@ -412,8 +412,8 @@ def test_growth_torus_oracle(acceptance_log, growth_data):
         acceptance_log,
         "7d growth torus oracle",
         ok,
-        f"worst mid-band disagreement with the independent torus "
-        f"construction at N=64: {100 * gap:.2f}% (tol 5%)",
+        f"worst mid-band disagreement of the fit's band with the independent "
+        f"torus construction at N=64: {100 * gap:.2f}% (tol 5%)",
     )
 
 

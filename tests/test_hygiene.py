@@ -1,7 +1,9 @@
 """Source hygiene: every module under src/ and tests/ uses each name it
 imports, every name a module lists in ``__all__`` is bound in it, every
 exported name has a reader under src/ or perfbench/ or serves a lab check,
-and so does every option (a defaulted parameter or dataclass field)."""
+and so does every option (a defaulted parameter or dataclass field).  A
+private top-level name under src/ needs a reader under src/ or perfbench/:
+code that only tests read belongs in tests/."""
 
 import ast
 from pathlib import Path
@@ -112,6 +114,17 @@ def _unread_exports(modules: list[ast.Module], readers: list[ast.Module]) -> set
     return {name for tree in modules for name in _all_names(tree)} - read
 
 
+def _unread_privates(modules: list[ast.Module], readers: list[ast.Module]) -> set[str]:
+    """Private names that a module's top-level function, class or assignment
+    binds and that no reader reads outside that definition."""
+    read = set().union(*map(_names_read, readers))
+    defined = {name for tree in modules for node in tree.body
+               if not isinstance(node, (ast.Import, ast.ImportFrom))
+               for name in _module_bindings(ast.Module([node], []))}
+    return {name for name in defined
+            if name.startswith("_") and not name.startswith("__")} - read
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(ast.unparse(d).split("(")[0].endswith("dataclass")
                for d in node.decorator_list)
@@ -219,6 +232,11 @@ def test_checks_catch_what_they_name():
                     "def loop(n):\n    return loop(n - 1)\n")
     user = ast.parse("import lib\nlib.used()\n")
     assert _unread_exports([lib], [lib, user]) == {"unused", "loop"}
+    private = ast.parse("from x import _imported\n_K = 2\n__all__ = []\n"
+                        "def _used():\n    return _K\n"
+                        "def _self(n):\n    return _self(n - 1)\n"
+                        "class _Unread:\n    pass\n_used()\n")
+    assert _unread_privates([private], [private, user]) == {"_self", "_Unread"}
 
 
 def test_option_guard_catches_what_it_names():
@@ -276,3 +294,12 @@ def test_every_export_has_a_reader_or_a_lab_check():
     assert not set(LAB_CHECKS) - unread, (
         f"LAB_CHECKS lists names that now have a reader or are gone: "
         f"{sorted(set(LAB_CHECKS) - unread)}")
+
+
+def test_every_private_name_has_a_reader():
+    src = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+    bench = [ast.parse(path.read_text(), filename=str(path)) for path in PERFBENCH]
+    unread = _unread_privates(src, src + bench)
+    assert not unread, (
+        f"private names under src/ that nothing under src/ or perfbench/ reads: "
+        f"{sorted(unread)}; delete them, or move them to the tests that read them")

@@ -12,10 +12,9 @@ from gbolab.experiments.illposed import (
     QuadratureError,
     _band_4n,
     _band_window,
-    _compute_on,
     _cubic_bspline,
     _dispersion,
-    _time_kernel,
+    _prefactor,
     convolution_power,
     hN_sobolev_norm,
     illposed_build_hN,
@@ -134,6 +133,112 @@ class TestPhasePolynomial:
         assert 4.0 < min(vals) and max(vals) < 30.0
 
 
+# ---------------------------------------------------------------------------
+# References: the time kernel, the direct 3-fold quadrature of the 4N band,
+# and a full-line torus oracle.
+
+
+def _time_kernel(q: np.ndarray, T: float) -> np.ndarray:
+    """int_0^T e^{i s q} ds = (e^{iTq} - 1)/(iq), series below |Tq| = 1e-6."""
+    tq = T * q
+    small = np.abs(tq) < 1e-6
+    safe = np.where(small, 1.0, q)
+    exact = (np.exp(1j * tq) - 1.0) / (1j * safe)
+    series = T * (1.0 + 1j * tq / 2.0 - tq ** 2 / 6.0)
+    return np.where(small, series, exact)
+
+
+def _compute_on(
+    p: IllposedParams, xi0: np.ndarray, M_inner: int | None = None, kernel=_time_kernel
+) -> FrequencyProfile:
+    """3-fold midpoint quadrature of the 4N band on an explicit xi0 grid.
+
+    The interaction set {z in [N, N + alpha]^4 : sum z = xi0} is
+    parametrized by (z3, z4, z2) with z1 eliminated (unit Jacobian); the
+    z2 interval is intersected exactly, so the set's boundary costs no
+    smearing beyond the midpoint rule, and xi0 outside [4N, 4N + 4 alpha]
+    gets exactly zero.  The time kernel is evaluated exactly (series
+    fallback near P = 0), with no asymptotic shortcut for its size.
+
+    Refining M_inner from M to 2M is no convergence test: both node sets
+    line up with the output window, and at N = 64, M = 32 the 4N-band norm
+    moves by only 6.5e-7 between them, while M_inner = 4M moves it by
+    4.3e-5 (pointwise by 9.3e-5 of max |v-hat|) and 8M by another 1.1e-5.
+    At M_inner = r M the 4N band agrees with _band_4n at refine r to 1e-8
+    in norm.
+    """
+    if M_inner is None:
+        M_inner = p.freq_resolution
+    lo_z, hi_z = p.N, p.N + p.alpha
+    h34 = p.alpha / M_inner
+    z = lo_z + (np.arange(M_inner) + 0.5) * h34
+    out = np.zeros(xi0.size, dtype=np.complex128)
+    j = np.arange(M_inner)
+    # chunk the z3 axis so the (z3, z4, z2) tensor stays near 64 MB
+    chunk = max(1, (1 << 22) // (M_inner * M_inner))
+    for start in range(0, M_inner, chunk):
+        Z3 = z[start : start + chunk, None]
+        Z4 = z[None, :]
+        Z34 = Z3 + Z4
+        p34 = _dispersion(Z3) + _dispersion(Z4)
+        for idx, x0 in enumerate(xi0):
+            S = x0 - Z34
+            lo = np.maximum(lo_z, S - hi_z)
+            mask = np.minimum(hi_z, S - lo_z) > lo
+            # only the (z3, z4) whose z2 interval is nonempty
+            S, lo = S[mask], lo[mask]
+            dz2 = (np.minimum(hi_z, S - lo_z) - lo) / M_inner
+            z2 = lo[:, None] + (j + 0.5) * dz2[:, None]
+            z1 = S[:, None] - z2
+            P = (
+                _dispersion(z1) + _dispersion(z2) + p34[mask][:, None]
+                - _dispersion(x0)
+            )
+            inner = np.sum(kernel(_SIGMA * P, p.T), axis=-1) * dz2
+            out[idx] += np.sum(inner) * h34 ** 2
+    return FrequencyProfile(xi0, _prefactor(p, xi0) * out, p.alpha / p.freq_resolution)
+
+
+def _full_line_oracle(p: IllposedParams, modes_per_alpha: int) -> FrequencyProfile:
+    """Reference torus oracle: both bands on a grid spanning the whole line,
+    one full-length transform pair per Simpson sample."""
+    dxi = p.alpha / modes_per_alpha
+    reach = 4.2 * (p.N + p.alpha)
+    n_fft = 1 << int(np.ceil(np.log2(2.0 * reach / dxi)))
+    m = np.arange(n_fft) - n_fft // 2
+    xi = m * dxi
+
+    # cell-average weights of the band indicator, even in xi
+    lo = np.abs(xi) - dxi / 2
+    hi = np.abs(xi) + dxi / 2
+    overlap = np.clip(np.minimum(hi, p.N + p.alpha) - np.maximum(lo, p.N), 0.0, None)
+    coeffs = p.amplitude * overlap / dxi
+
+    window = (xi >= 4 * p.N - dxi / 2) & (xi <= 4 * (p.N + p.alpha) + dxi / 2)
+    xi_out = xi[window]
+
+    omega = _SIGMA * _dispersion(xi)
+    omega_out = _SIGMA * _dispersion(xi_out)
+    grid = make_grid(n_fft, TWO_PI / dxi)
+
+    p_max = 12.5 * (p.N + p.alpha) ** 2
+    n_t = int(np.ceil(1.3 * p_max * p.T / np.pi)) * 2
+    ts = np.linspace(0.0, p.T, n_t + 1)
+    weights = np.ones(n_t + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= (ts[1] - ts[0]) / 3.0
+
+    accum = np.zeros(xi_out.size, dtype=np.complex128)
+    for t, wgt in zip(ts, weights):
+        evolved = coeffs * np.exp(1j * omega * t)
+        what = _forward(grid, _inverse(grid, evolved) ** 4)
+        accum += wgt * np.exp(-1j * omega_out * t) * what[window]
+
+    vhat = 6.0 * 1j * xi_out * np.exp(1j * omega_out * p.T) * accum
+    return FrequencyProfile(xi_out, vhat, dxi)
+
+
 class TestTimeKernel:
     def test_zero_phase_gives_T(self):
         assert _time_kernel(np.array([0.0]), 2.5)[0] == pytest.approx(2.5)
@@ -213,26 +318,27 @@ class TestComputeV:
         assert band_norm > 0
 
     def test_midband_nonvanishing(self, cheap_params):
+        # every window value, the edge ones too: the fiber measure is 0 only
+        # at the support ends, half a window spacing outside the first and
+        # last midpoints
         profile = illposed_v_details(cheap_params)["band"]
-        p = cheap_params
-        mid = (profile.xi >= 4 * p.N + p.alpha) & (
-            profile.xi <= 4 * p.N + 3 * p.alpha
-        )
-        assert np.all(np.abs(profile.values[mid]) > 0)
+        assert np.all(np.abs(profile.values) > 0)
 
     def test_support_audit_mass_in_bands(self, cheap_params):
         # the interaction set is empty off [4N, 4N + 4 alpha], so on a window
-        # widened by 2 alpha each side the quadrature must give exact zeros
+        # widened by 2 alpha each side the reference quadrature and the fast
+        # band must give exact zeros
         p = cheap_params
         M = p.freq_resolution
         h = p.alpha / M
         xi0 = _band_window(p)[0][0] + np.arange(-2 * M, 6 * M) * h
-        prof = _compute_on(p, xi0)
-        mass = (1.0 + xi0 ** 2) ** p.s * np.abs(prof.values) ** 2 * h
         inside = (xi0 >= 4 * p.N) & (xi0 <= 4 * (p.N + p.alpha))
         assert inside.sum() == 4 * M
-        assert np.sum(mass[~inside]) == 0.0
-        assert np.sum(mass[inside]) > 0.0
+        for band in (_compute_on, _band_4n):
+            prof = band(p, xi0)
+            mass = (1.0 + xi0 ** 2) ** p.s * np.abs(prof.values) ** 2 * h
+            assert np.sum(mass[~inside]) == 0.0, band.__name__
+            assert np.sum(mass[inside]) > 0.0, band.__name__
 
     def test_refinement_check_passes_default_tol(self, cheap_params):
         details = illposed_v_details(cheap_params)
@@ -250,8 +356,8 @@ class TestComputeV:
         # whichever refinement turns nan, the check must not read it as agreement
         band_4n = illposed._band_4n
 
-        def nan_band(p, **kwargs):
-            band = band_4n(p, **kwargs)
+        def nan_band(p, xi0, **kwargs):
+            band = band_4n(p, xi0, **kwargs)
             if kwargs == nan_at:
                 return FrequencyProfile(band.xi, band.values * np.nan, band.spacing)
             return band
@@ -261,27 +367,55 @@ class TestComputeV:
             illposed_v_details(cheap_params)
 
 
+@pytest.fixture(scope="module")
+def direct_4m(cheap_params):
+    """The fast band and the direct quadrature at M_inner = 4M, on the band
+    window and at the frequencies oracle_agreement reads, from one
+    reference call."""
+    p = cheap_params
+    read = []
+
+    def spy(p, xi0, **kwargs):
+        read.append(xi0)
+        return _band_4n(p, xi0, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(illposed, "_band_4n", spy)
+        oracle_agreement(p)
+    sets = {"window": _band_window(p)[0], "oracle": read[0]}
+    direct = _compute_on(p, np.concatenate(list(sets.values())), 4 * p.freq_resolution)
+    parts = np.split(direct.values, [sets["window"].size])
+    return {name: (_band_4n(p, xi0).values, ref)
+            for (name, xi0), ref in zip(sets.items(), parts)}
+
+
 class TestSeparableBand:
     """The fast 4N path against the direct 3-fold quadrature."""
 
-    def test_matches_direct_quadrature_pointwise(self, cheap_params):
-        p = cheap_params
-        fast = _band_4n(p)
-        direct = _compute_on(p, _band_window(p)[0], 4 * p.freq_resolution)
-        np.testing.assert_array_equal(fast.xi, direct.xi)
-        scale = np.max(np.abs(direct.values))
-        assert np.max(np.abs(fast.values - direct.values)) <= 1e-5 * scale
+    def test_matches_direct_quadrature_pointwise(self, direct_4m):
+        fast, direct = direct_4m["window"]
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(fast - direct)) <= 1e-5 * scale
+
+    def test_matches_direct_quadrature_at_oracle_frequencies(self, direct_4m):
+        # off the convolution nodes both quadratures err by about 1.3e-5 of
+        # max: the reference moves as much from M_inner = 4M to 8M
+        fast, direct = direct_4m["oracle"]
+        assert fast.size == 32  # the comb's 16 modes per alpha across 2 alpha
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(fast - direct)) <= 2e-5 * scale
 
     @pytest.mark.parametrize("N", [16.0, 64.0])
     def test_series_truncation_within_bound(self, N):
         # the dropped terms are of relative size (S / c)^2 <= (alpha^2 / 3 N^2)^2
         p = IllposedParams(N=N, **CHEAP)
-        two, three = (_band_4n(p, terms=k).hs_norm(p.s) for k in (2, 3))
+        xi0 = _band_window(p)[0]
+        two, three = (_band_4n(p, xi0, terms=k).hs_norm(p.s) for k in (2, 3))
         assert abs(two - three) <= (p.alpha ** 2 / (3.0 * p.N ** 2)) ** 2 * three
 
     def test_rejects_divergent_series(self):
         with pytest.raises(ValueError, match="diverges"):
-            _band_4n(IllposedParams(N=0.25, **CHEAP))
+            _band_4n(IllposedParams(N=0.25, **CHEAP), np.array([1.0]))
 
 
 class TestKernelBracket:
@@ -300,55 +434,14 @@ class TestKernelBracket:
         bracket = kernel_bracket_4n(cheap_params)
         assert abs(band_norm - bracket["model"]) <= bracket["remainder"]
 
-    def test_resonant_kernel_lands_outside(self, cheap_params, monkeypatch):
-        monkeypatch.setattr(
-            illposed, "_time_kernel", lambda q, T: np.full(q.shape, T, complex)
-        )
+    def test_resonant_kernel_lands_outside(self, cheap_params):
         p = cheap_params
-        band_norm = _compute_on(p, _band_window(p)[0]).hs_norm(p.s)
+        resonant = _compute_on(p, _band_window(p)[0],
+                               kernel=lambda q, T: np.full(q.shape, T, complex))
+        band_norm = resonant.hs_norm(p.s)
         bracket = kernel_bracket_4n(cheap_params)
         assert band_norm == pytest.approx(bracket["resonant"], rel=1e-2)
         assert band_norm > bracket["model"] + bracket["remainder"]
-
-
-def _full_line_oracle(p: IllposedParams, modes_per_alpha: int) -> FrequencyProfile:
-    """Reference torus oracle: both bands on a grid spanning the whole line,
-    one full-length transform pair per Simpson sample."""
-    dxi = p.alpha / modes_per_alpha
-    reach = 4.2 * (p.N + p.alpha)
-    n_fft = 1 << int(np.ceil(np.log2(2.0 * reach / dxi)))
-    m = np.arange(n_fft) - n_fft // 2
-    xi = m * dxi
-
-    # cell-average weights of the band indicator, even in xi
-    lo = np.abs(xi) - dxi / 2
-    hi = np.abs(xi) + dxi / 2
-    overlap = np.clip(np.minimum(hi, p.N + p.alpha) - np.maximum(lo, p.N), 0.0, None)
-    coeffs = p.amplitude * overlap / dxi
-
-    window = (xi >= 4 * p.N - dxi / 2) & (xi <= 4 * (p.N + p.alpha) + dxi / 2)
-    xi_out = xi[window]
-
-    omega = _SIGMA * _dispersion(xi)
-    omega_out = _SIGMA * _dispersion(xi_out)
-    grid = make_grid(n_fft, TWO_PI / dxi)
-
-    p_max = 12.5 * (p.N + p.alpha) ** 2
-    n_t = int(np.ceil(1.3 * p_max * p.T / np.pi)) * 2
-    ts = np.linspace(0.0, p.T, n_t + 1)
-    weights = np.ones(n_t + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= (ts[1] - ts[0]) / 3.0
-
-    accum = np.zeros(xi_out.size, dtype=np.complex128)
-    for t, wgt in zip(ts, weights):
-        evolved = coeffs * np.exp(1j * omega * t)
-        what = _forward(grid, _inverse(grid, evolved) ** 4)
-        accum += wgt * np.exp(-1j * omega_out * t) * what[window]
-
-    vhat = 6.0 * 1j * xi_out * np.exp(1j * omega_out * p.T) * accum
-    return FrequencyProfile(xi_out, vhat, dxi)
 
 
 class TestTorusOracle:
@@ -431,6 +524,16 @@ class TestGrowthFit:
                                  freq_resolution=16)
         # the -3 theta / 2 term in the exponent: slopes differ by 3 dtheta/2
         assert lo.slope - hi.slope == pytest.approx(0.3, abs=0.1)
+
+    def test_band_norms_and_slope_pinned(self):
+        # the window midpoints are convolution nodes, so the interpolation in
+        # eta reads the node values up to eta's rounding
+        rep = illposed_growth_fit(0.2, 0.2, 1.0, self.LADDER, freq_resolution=16)
+        norms = [pt["band_norm"] for pt in rep.points]
+        assert norms == pytest.approx([
+            7.735269512126944e-05, 2.1108391077884976e-05, 5.2348838344295805e-06,
+            1.5334864748429084e-06, 4.118051922071505e-07], rel=1e-12, abs=0.0)
+        assert rep.slope == pytest.approx(-1.8889620727523864, rel=1e-12, abs=0.0)
 
     def test_slope_is_clean_power_law(self):
         rep = illposed_growth_fit(0.2, 0.2, 1.0, self.LADDER,

@@ -22,7 +22,7 @@ from .experiments.linear_ratios import ESTIMATES, _check_ladder, estimate_ladder
 from .experiments.reporting import ExperimentReport, write_report_csv
 from .experiments.scaling import scaling_invariance_check
 from .gauge import _check_gauge, gauge_equation_residual
-from .norms import norm_family_audit
+from .norms import is_one_admissible, norm_family_audit
 from .solver import SolverConfig, _check_lambdas, evolve
 from .spectral import Field, SpectralGrid, field_from_values, make_grid
 
@@ -338,13 +338,17 @@ def _run_admissible(cfg: RunConfig) -> ExperimentReport:
     points = [{"id": entry.id, "derivative_order": float(entry.derivative_order),
                "p": entry.p, "q": entry.q, "passes": ok} for entry, ok in cfg.objects]
     failing = [point["id"] for point in points if not point["passes"]]
+    reasons = [f"{e.id}: {why}" for e, ok in cfg.objects if not ok for why in [
+        f"side condition fails: {text}" for text, holds in e.side_conditions if not holds] + [
+        "inadmissible triplet (alpha, 1/p, 1/q) = (%.6g, %.6g, %.6g)" % (t.alpha, t.a, t.b)
+        for t in e.triplets if not is_one_admissible(t)]]
     return ExperimentReport(
         experiment_id="admissible",
         inputs=dict(cfg.params),
         points=points,
         verdict="FAIL" if failing else "PASS",
         notes=[f"failing entries: {', '.join(failing)}" if failing
-               else "all twelve entries admissible"],
+               else "all twelve entries admissible", *reasons],
     )
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..norms import _row_blocks
 from ..spectral import _SIGMA, _forward, _inverse, make_grid
 
 TWO_PI = 2.0 * np.pi
@@ -308,7 +309,7 @@ def torus_duhamel_oracle(
     comb of spacing alpha/modes_per_alpha (band edges handled by
     cell-average weights), the quartic is formed pointwise in physical
     space, and the time integral is brute-force Simpson with ~8 samples
-    per fastest phase oscillation, transformed as (chunk, n) stacks.
+    per fastest phase oscillation, transformed in row blocks of norms._BLOCK_BYTES.
 
     Only the positive band is evolved: a product with a negative-band
     factor lies at or below 2N + 3 alpha < 4N.  Shifted down by its first
@@ -346,14 +347,13 @@ def torus_duhamel_oracle(
     weights[2:-1:2] = 2.0
     weights *= (ts[1] - ts[0]) / 3.0
 
-    chunk = 128
     accum = np.zeros(xi_out.size, dtype=np.complex128)
-    for start in range(0, ts.size, chunk):
-        t = ts[start : start + chunk, None]
+    for rows in _row_blocks(ts.size, n * 16):  # complex rows
+        t = ts[rows, None]
         evolved = np.zeros((t.shape[0], n), dtype=np.complex128)
         evolved[:, n // 2 : n // 2 + m.size] = coeffs * np.exp(1j * omega * t)
         what = _forward(grid, _inverse(grid, evolved) ** 4)[:, out_slots]
-        accum += weights[start : start + chunk] @ (np.exp(-1j * omega_out * t) * what)
+        accum += weights[rows] @ (np.exp(-1j * omega_out * t) * what)
 
     vhat = 6.0 * 1j * xi_out * np.exp(1j * omega_out * p.T) * accum
     return FrequencyProfile(xi_out, vhat, dxi)

@@ -30,8 +30,9 @@ _SPECS = dict(zip(("kato", "maximal", "lowfreq"), _PIECES))
 
 class _FreeEvolution(SpaceTimeField):
     """V(t)phi kept as the half spectra of Re phi and Im phi and the rung's
-    propagator factors: kernels read it a block of R rows at a time, block b
-    as (halves * shifts[b]) * base[:k], and .slices builds the stack."""
+    propagator factors: kernels read it a real field's row block at a time,
+    the block at start as (halves * shifts[start // P]) * base[start % P:][:k]
+    with P = len(base) a multiple of the block, and .slices builds the stack."""
 
     def __init__(self, grid, times, halves, factors):
         self.grid, self.times, self._halves, self._factors = grid, times, halves, factors
@@ -42,18 +43,19 @@ class _FreeEvolution(SpaceTimeField):
 
     def _blocks(self, spectral: bool):
         (base, shifts), n, real = self._factors, self.grid.n, len(self._halves) == 1
-        R = len(base)
-        half = np.empty((len(self._halves), R, n // 2 + 1), dtype=complex)
+        blocks, P = _row_blocks(self.n_times, n * 8), len(base)
+        half = np.empty((len(self._halves), blocks[0].stop, n // 2 + 1), dtype=complex)
         if not spectral:
-            values = np.empty((R, n), float if real else complex)
+            values = np.empty((blocks[0].stop, n), float if real else complex)
             outs = [values] if real else [values.real, values.imag]
-        for start, shift in zip(range(0, self.n_times, R), shifts):
-            k = min(R, self.n_times - start)
-            np.multiply((self._halves * shift)[:, None], base[:k], out=half[:, :k])
+        for rows in blocks:
+            start, k = rows.start, rows.stop - rows.start
+            np.multiply((self._halves * shifts[start // P])[:, None],
+                        base[start % P:start % P + k], out=half[:, :k])
             if not spectral:
                 for h, out in zip(half, outs):
                     np.fft.irfft(h[:k], n, out=out[:k])
-            yield slice(start, start + k), half[:, :k] if spectral else values[:k]
+            yield rows, half[:, :k] if spectral else values[:k]
 
 
 # The rungs of a ladder share the length, T and the time steps per grid point.
@@ -64,16 +66,18 @@ _tables: dict = {}
 
 def _time_table(grid: SpectralGrid, T: float, n_time: int) -> tuple[np.ndarray, np.ndarray]:
     """_propagator at the sample times t_j as two read-only factors, base at
-    t_0 .. t_{R-1} (a real field's row block) and shifts at t_0, t_R, t_2R, ...:
-    the propagator at t_{bR+i} is shifts[b] * base[i], as V(t + tau) = V(t) V(tau)."""
+    t_0 .. t_{P-1} and shifts at t_0, t_P, t_2P, ..., with P the multiple of a
+    real field's row block nearest sqrt(n_time + 1): the propagator at
+    t_{bP+i} is shifts[b] * base[i], as V(t + tau) = V(t) V(tau)."""
     family = (grid.length, T, n_time / grid.n)
     if any(family != (g.length, t, m / g.n) for g, t, m in _tables):
         _tables.clear()
     if (grid, T, n_time) not in _tables:
         times = np.linspace(0.0, T, n_time + 1)[:, None]
         R = _row_blocks(n_time + 1, grid.n * 8)[0].stop
-        _tables[grid, T, n_time] = factors = (_propagator(grid, times[:R]),
-                                              _propagator(grid, times[::R]))
+        P = R * max(1, round(np.sqrt(n_time + 1) / R))
+        _tables[grid, T, n_time] = factors = (_propagator(grid, times[:P]),
+                                              _propagator(grid, times[::P]))
         factors[0].flags.writeable = factors[1].flags.writeable = False
     return _tables[grid, T, n_time]
 
@@ -179,9 +183,9 @@ def estimate_ladder(
     ladder = []
     for r in range(rungs):
         factor = 2 ** r
-        fine = [embed_field(f, factor) for f in packets]
-        ratios = [estimate_ratio(f, T, estimate, n_time * factor, s) for f in fine]
-        ladder.append((fine[0].grid.n, max(ratios)))
+        ratios = [estimate_ratio(embed_field(f, factor), T, estimate, n_time * factor, s)
+                  for f in packets]
+        ladder.append((grid.n * factor, max(ratios)))
     return RatioStatistics(ratios=ratios, resolution_ladder=ladder)
 
 

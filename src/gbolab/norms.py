@@ -167,13 +167,13 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     return float(np.sqrt(np.sum(weighted) * f.grid.dxi / (2 * np.pi)))
 
 
-# The space-time kernels read row blocks of about 512 kB (128-512 kB measured
-# the same at the top estimates rung, 513 x 2048; 2 MB was slower) into
-# buffers allocated once per call and written through out=: with no large
-# free to raise glibc's mmap threshold above 128 kB, a fresh 512 kB temporary
-# per block is mapped and faulted in every time (70k against 42k minor faults
-# per estimates run on a 2-CPU box).
-_BLOCK_BYTES = 512 * 1024
+# The space-time kernels read row blocks of about 128 kB into buffers allocated
+# once per call and written through out= (no fresh temporary per block).  At
+# the top estimates rung, 513 x 2048, 128-512 kB blocks take the same time and
+# 2 MB is slower; 512 kB buffers were returned to the system after each of a
+# run's 96 kernel calls and faulted in again by the next (30k minor faults
+# inside an estimates run on a 2-CPU box, against 4.7k at 128 kB).
+_BLOCK_BYTES = 128 * 1024
 
 
 def _row_blocks(n_rows: int, row_bytes: int) -> list[slice]:

@@ -159,6 +159,18 @@ class TestAdmissibleRuns:
         assert n9 and not n9[0]["passes"]
         assert "N9" in (out / "summary.txt").read_text()
 
+    def test_failing_entries_name_their_rule(self, tmp_path):
+        # at s = 0.40, k = 12 the gain side condition fails N2..N8 and N9's
+        # triplet is inadmissible; each failing entry gets one note per reason
+        code, out = run_cli(tmp_path, "[admissible]\ns = 0.40\nk = 12\n", "admissible")
+        assert code == 1
+        notes = json.loads((out / "report.json").read_text())["notes"]
+        gain = "side condition fails: derivative gain positive: s > s_k + 2*delta"
+        assert notes == ["failing entries: N2, N3, N4, N5, N6, N7, N8, N9",
+                         *(f"N{i}: {gain}" for i in range(2, 8)), f"N8: {gain}/k",
+                         "N9: inadmissible triplet (alpha, 1/p, 1/q) = (-0.194, 0.3, 0.003)"]
+        assert "note: N9: inadmissible triplet" in (out / "summary.txt").read_text()
+
     def test_rerun_byte_identical_modulo_timestamp(self, tmp_path):
         code1, out1 = run_cli(tmp_path / "a", ADMISSIBLE_OK, "admissible")
         code2, out2 = run_cli(tmp_path / "b", ADMISSIBLE_OK, "admissible")

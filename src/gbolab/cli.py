@@ -19,7 +19,7 @@ import numpy as np
 
 from .experiments.illposed import _fit_rungs, illposed_growth_fit
 from .experiments.linear_ratios import ESTIMATES, _check_ladder, estimate_ladder
-from .experiments.reporting import ExperimentReport, write_report_csv
+from .experiments.reporting import _DRIFT_LIMIT, ExperimentReport, write_report_csv
 from .experiments.scaling import scaling_invariance_check
 from .gauge import _check_gauge, gauge_equation_residual
 from .norms import is_one_admissible, norm_family_audit
@@ -75,8 +75,6 @@ _SCHEMAS: dict[str, dict] = {
         "slice_stride": (int, 1),
         "amplitude": (float, _REQUIRED),
         "width": (float, 1.0),
-        "mass_tol": (float, 1e-10),
-        "l2_tol": (float, 1e-6),
     },
     "gauge-residual": {
         "n": (int, _REQUIRED),
@@ -87,8 +85,6 @@ _SCHEMAS: dict[str, dict] = {
         "dt": (float, _REQUIRED),
         "t_end": (float, _REQUIRED),
         "strides": (_ints, _REQUIRED),
-        "min_ratio": (float, 8.0),
-        "max_residual": (float, 1e-4),
     },
     "illposed": {
         "s": (float, _REQUIRED),
@@ -96,7 +92,6 @@ _SCHEMAS: dict[str, dict] = {
         "T": (float, _REQUIRED),
         "N_list": (_floats, _REQUIRED),
         "freq_resolution": (int, 32),
-        "tolerance": (float, 0.1),
     },
     "estimates": {
         "which": (str, "all"),
@@ -107,7 +102,6 @@ _SCHEMAS: dict[str, dict] = {
         "n_time": (int, 128),
         "rungs": (int, 3),
         "s": (float, 0.45),
-        "drift_limit": (float, 2.0),
         "seed": (int, 0),
     },
     "admissible": {
@@ -128,9 +122,13 @@ _SCHEMAS: dict[str, dict] = {
     },
 }
 
-# The CLI's own data and threshold keys; the library states every other range.
-_POSITIVE_KEYS = frozenset({"amplitude", "width", "tolerance", "min_ratio", "max_residual",
-                            "drift_limit", "mass_tol", "l2_tol", "strides"})
+# The CLI's own data keys; the library states every other range.
+_POSITIVE_KEYS = frozenset({"amplitude", "width", "strides"})
+
+# Verdict thresholds: constants, not config keys, so no config can turn a FAIL
+# into a PASS.  Each report records them in its params.
+_MASS_TOL, _L2_TOL = 1e-10, 1e-6  # simulate: mass and relative L2 drift
+_MIN_RATIO, _MAX_RESIDUAL = 8.0, 1e-4  # gauge-residual: least ratio, finest residual
 
 
 @dataclass
@@ -273,15 +271,15 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
     ]
     mass_drift = float(np.max(np.abs(traj.mass - traj.mass[0])))
     l2_drift = float(np.max(np.abs(traj.l2 - traj.l2[0])) / traj.l2[0])
-    ok = mass_drift <= p["mass_tol"] and l2_drift <= p["l2_tol"]
+    ok = mass_drift <= _MASS_TOL and l2_drift <= _L2_TOL
     return ExperimentReport(
         experiment_id="simulate",
-        inputs=dict(p),
+        inputs=dict(p, mass_tol=_MASS_TOL, l2_tol=_L2_TOL),
         points=points,
         verdict="PASS" if ok else "FAIL",
         notes=[
-            f"mass drift {mass_drift:.3e} (tolerance {p['mass_tol']:.1e})",
-            f"relative L2 drift {l2_drift:.3e} (tolerance {p['l2_tol']:.1e})",
+            f"mass drift {mass_drift:.3e} (tolerance {_MASS_TOL:.1e})",
+            f"relative L2 drift {l2_drift:.3e} (tolerance {_L2_TOL:.1e})",
         ],
     )
 
@@ -294,18 +292,16 @@ def _run_gauge_residual(cfg: RunConfig) -> ExperimentReport:
     points = [{"stride": s, "dt_slice": s * p["dt"], "residual": res}
               for s, res in zip(strides, residuals)]
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
-    ok = all(r >= p["min_ratio"] for r in ratios) and (
-        residuals[-1] <= p["max_residual"]
-    )
+    ok = all(r >= _MIN_RATIO for r in ratios) and residuals[-1] <= _MAX_RESIDUAL
     return ExperimentReport(
         experiment_id="gauge_residual",
-        inputs=dict(p),
+        inputs=dict(p, min_ratio=_MIN_RATIO, max_residual=_MAX_RESIDUAL),
         points=points,
         verdict="PASS" if ok else "FAIL",
         notes=[
             "refinement ratios " + ", ".join(f"{r:.2f}" for r in ratios),
             f"finest residual {residuals[-1]:.3e} "
-            f"(tolerance {p['max_residual']:.1e})",
+            f"(tolerance {_MAX_RESIDUAL:.1e})",
         ],
     )
 
@@ -318,7 +314,7 @@ def _run_estimates(cfg: RunConfig) -> ExperimentReport:
     for name in names:
         stats = estimate_ladder(name, p["n_trials"], grid, p["T"], p["seed"],
                                 n_time=p["n_time"], rungs=p["rungs"], s=p["s"])
-        ok = stats.passes(p["drift_limit"])
+        ok = stats.passes()
         all_ok = all_ok and ok
         for n_points, sup in stats.resolution_ladder:
             points.append({"estimate": name, "n_points": n_points,
@@ -327,7 +323,7 @@ def _run_estimates(cfg: RunConfig) -> ExperimentReport:
                        "passes": ok})
     return ExperimentReport(
         experiment_id="estimates",
-        inputs=dict(p),
+        inputs=dict(p, drift_limit=_DRIFT_LIMIT),
         points=points,
         verdict="PASS" if all_ok else "FAIL",
         seed=p["seed"],
@@ -364,7 +360,7 @@ _RUNNERS = {
     "gauge-residual": _run_gauge_residual,
     "illposed": lambda cfg: illposed_growth_fit(
         cfg.params["s"], cfg.params["theta"], cfg.params["T"], cfg.params["N_list"],
-        freq_resolution=cfg.params["freq_resolution"], tolerance=cfg.params["tolerance"]),
+        freq_resolution=cfg.params["freq_resolution"]),
     "estimates": _run_estimates,
     "admissible": _run_admissible,
     "scaling": _run_scaling,

@@ -14,14 +14,18 @@ from .. import __version__
 from ..spectral import sign_convention_label
 
 
+# The estimates verdict: the ladder drift (largest / least sup ratio) must stay below it.
+_DRIFT_LIMIT = 2.0
+
+
 @dataclass
 class RatioStatistics:
     """Per-trial LHS/RHS ratios for one linear estimate, plus the ladder.
 
     ratios holds the finest-rung value for each trial; resolution_ladder
     holds (n_points, sup_ratio) pairs for each refinement rung, coarsest
-    first.  A stable estimate keeps sup_ratio within a factor 2 along the
-    ladder.
+    first.  A stable estimate keeps sup_ratio within a factor _DRIFT_LIMIT
+    along the ladder.
     """
 
     ratios: list
@@ -37,25 +41,25 @@ class RatioStatistics:
         sups = [s for _, s in self.resolution_ladder]
         return max(sups) / min(sups)
 
-    def passes(self, drift_limit: float = 2.0) -> bool:
-        return self.ladder_drift < drift_limit
+    def passes(self) -> bool:
+        return self.ladder_drift < _DRIFT_LIMIT
 
 
 @dataclass
 class ExperimentReport:
     """Uniform result record: inputs, per-point data, fit, verdict.
 
-    The verdict is computed from the declared tolerance by the producing
-    experiment, never patched afterwards.  slope/ci are None for
-    experiments that do not fit anything.
+    The verdict has no default: the producing experiment computes it from
+    its constant thresholds, and it is never patched afterwards.  slope/ci
+    are None for experiments that do not fit anything.
     """
 
     experiment_id: str
     inputs: dict
     points: list
+    verdict: str
     slope: float | None = None
     ci: float | None = None
-    verdict: str = "PASS"
     notes: list = field(default_factory=list)
     seed: int | None = None
 

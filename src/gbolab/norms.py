@@ -134,7 +134,6 @@ class NormFamilyEntry:
     derivative_order: Fraction
     a: Fraction
     b: Fraction
-    t_power_flag: bool
     triplets: tuple[AdmissibleTriplet, ...]
     side_conditions: tuple[tuple[str, bool], ...]
 
@@ -322,8 +321,8 @@ def lemma_triplets(s: float) -> list[AdmissibleTriplet]:
 # Norm-family audit.
 #
 # s_k = 1/2 - 1/k is the scaling-critical index at nonlinearity power k.
-# Entries N2..N8 trade a positive power of the timespan (t_power_flag) for
-# a small shift delta in the reciprocal time exponent; N1 and N9..N12 do not.
+# Entries N2..N8 trade a positive power of the timespan for a small shift
+# delta in their triplet's time exponent, 1/q - delta; N1 and N9..N12 do not.
 # Any small delta > 0 serves; the audit fixes one.
 _DELTA = Fraction(1, 1000)
 
@@ -335,7 +334,7 @@ def _n9_triplet(s: Fraction, eps: Fraction) -> AdmissibleTriplet:
 
 def _fixed(id_: str, order: Fraction, t: AdmissibleTriplet, *side) -> NormFamilyEntry:
     """A fixed-exponent entry (N9..N12): one triplet at the norm's own exponents."""
-    return NormFamilyEntry(id_, order, t.a, t.b, False, (t,), side)
+    return NormFamilyEntry(id_, order, t.a, t.b, (t,), side)
 
 
 def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntry, bool]]:
@@ -363,7 +362,7 @@ def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntr
         # N1: plain L^p_x L^inf_t for 4 <= p <= 1/(1/2 - s); reduction triplet
         # (1/p - 1/2, 1/p, 0), audited at both endpoints of the p-range.  The
         # rule 2a + b <= 1/2 at the upper end is the range's nonemptiness.
-        NormFamilyEntry("N1", zero, Fraction(1, 4), zero, False, (
+        NormFamilyEntry("N1", zero, Fraction(1, 4), zero, (
             AdmissibleTriplet(Fraction(-1, 4), Fraction(1, 4), zero),
             AdmissibleTriplet(-s, _HALF - s, zero)), ()),
         # N2..N7: norms L^p_x L^q_t with 1/p + 2/q = 1/k; reduction triplet
@@ -371,7 +370,7 @@ def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntr
         # predicate's 1/q - delta >= 0 is the time slack; 1/q = delta, where
         # it would differ from 1/q > delta, needs an s that is not dyadic
         # wherever the gain holds, so no float s reaches it.
-        *(NormFamilyEntry(id_, zero, a, b, True,
+        *(NormFamilyEntry(id_, zero, a, b,
                           (AdmissibleTriplet(-sk - 2 * delta, a, b - delta),), gain)
           for id_, a, b in (
               ("N2", Fraction(1, 3 * k), Fraction(1, 3 * k)),
@@ -383,7 +382,7 @@ def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntr
         # N8: the high-power entry with the k/(k-1) derivative trade; its time
         # exponent 2s/3 - 1/6 > delta is the predicate's, as for N2..N7.
         NormFamilyEntry(
-            "N8", zero, a8, max(b8, zero) / (k - 1), True,
+            "N8", zero, a8, max(b8, zero) / (k - 1),
             (AdmissibleTriplet(Fraction(k, k - 1) * gain8 - s, a8, (b8 - delta) / (k - 1)),),
             (("derivative gain positive: s > s_k + 2*delta/k", gain8 > 0),)),
         _fixed("N9", 1 - 2 * s + 6 * eps, _n9_triplet(s, eps)),

@@ -90,7 +90,8 @@ class TestParseConfig:
         cfg = parse_config(ILLPOSED_MIN, "illposed")
         assert cfg.subcommand == "illposed"
         assert cfg.params["N_list"] == [8.0, 16.0, 32.0, 64.0, 128.0]
-        assert cfg.params["tolerance"] == 0.1  # default filled in
+        default = parse_config(ILLPOSED_MIN.replace("freq_resolution = 16\n", ""), "illposed")
+        assert default.params["freq_resolution"] == 32  # default filled in
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -231,9 +232,9 @@ class TestErrorPaths:
         ("illposed", ILLPOSED_MIN.replace("T = 1.0", "T = inf"), "T"),
         ("scaling", SCALING_OK.replace("lambda_list = 1.0, 2.0",
                                        "lambda_list = 1.0, nan"), "lambda_list"),
-        ("simulate", SIMULATE_OK + "mass_tol = nan\n", "mass_tol"),
+        ("simulate", SIMULATE_OK + "width = nan\n", "width"),
     ], ids=["illposed-theta", "illposed-T", "scaling-lambda_list",
-            "simulate-mass_tol"])
+            "simulate-width"])
     def test_non_finite_value_exit_two(self, tmp_path, subcommand, config, key):
         code, out = run_cli(tmp_path, config, subcommand)
         assert code == 2
@@ -433,8 +434,8 @@ def test_gauge_residual_config_checked_before_evolve(tmp_path, monkeypatch, key,
 
 # One out-of-range value, or several, for every numeric key of every section,
 # each on a config that otherwise passes.  The library states each range except
-# those of the CLI's own data and threshold keys; every one must fail in
-# parse_config, as a ConfigError naming its key, before the runner starts.
+# those of the CLI's own data keys; every one must fail in parse_config, as a
+# ConfigError naming its key, before the runner starts.
 RANGE_BASE = {
     "simulate": SIMULATE_OK,
     "gauge-residual": GAUGE_OK,
@@ -454,8 +455,6 @@ OUT_OF_RANGE = {
     ("simulate", "slice_stride"): ["0", "3"],  # 3 does not divide the 50 steps
     ("simulate", "amplitude"): ["0"],
     ("simulate", "width"): ["0"],
-    ("simulate", "mass_tol"): ["0"],
-    ("simulate", "l2_tol"): ["-1e-6"],
     ("gauge-residual", "n"): ["100"],
     ("gauge-residual", "length"): ["-60"],
     ("gauge-residual", "k"): ["1"],
@@ -466,8 +465,6 @@ OUT_OF_RANGE = {
     ("gauge-residual", "t_end"): ["0"],
     # 800 steps: stride 400 leaves 3 slices, fewer than the residual's 5
     ("gauge-residual", "strides"): ["100, 0", "", "100", "100, 30", "400, 200"],
-    ("gauge-residual", "min_ratio"): ["0"],
-    ("gauge-residual", "max_residual"): ["0"],
     # s = +-200 and theta = 50 put the 4N band's H^s scale outside float64
     ("illposed", "s"): ["-200", "200"],
     ("illposed", "theta"): ["0", "50", "2000"],
@@ -479,7 +476,6 @@ OUT_OF_RANGE = {
                              "1e80, 2e80, 4e80, 8e80, 1.6e81",
                              "1e200, 2e200, 4e200, 8e200, 1.6e201"],
     ("illposed", "freq_resolution"): ["8"],
-    ("illposed", "tolerance"): ["0"],
     ("estimates", "n"): ["12"],
     ("estimates", "length"): ["0"],
     # 2 * 25.1 * 0.9 >= L/4 = 10: the modulated packets would wrap around
@@ -489,7 +485,6 @@ OUT_OF_RANGE = {
     ("estimates", "seed"): ["-1"],
     ("estimates", "rungs"): ["1"],
     ("estimates", "s"): ["0.7"],
-    ("estimates", "drift_limit"): ["0"],
     ("admissible", "s"): ["0.6"],
     ("admissible", "k"): ["1"],
     ("admissible", "eps"): ["0"],
@@ -526,6 +521,52 @@ def _range_cases():
                 cases.append(pytest.param(subcommand, key, value,
                                           id=f"{subcommand}-{key}={value}"))
     return cases
+
+
+def test_range_tables_name_only_schema_keys():
+    # _range_cases walks the schemas, so an entry for a key they lack would be skipped
+    stale = {(sub, key) for sub, key in set(OUT_OF_RANGE) | WITHOUT_RANGE
+             if key not in cli._SCHEMAS[sub]}
+    assert not stale, stale
+
+
+# The verdict thresholds are constants, not keys: each former threshold key, set
+# to its old default, is an unknown key before any work.
+REMOVED_KEYS = {
+    ("simulate", "mass_tol"): "1e-10",
+    ("simulate", "l2_tol"): "1e-6",
+    ("gauge-residual", "min_ratio"): "8.0",
+    ("gauge-residual", "max_residual"): "1e-4",
+    ("illposed", "tolerance"): "0.1",
+    ("estimates", "drift_limit"): "2.0",
+}
+
+
+@pytest.mark.parametrize("subcommand, key", REMOVED_KEYS,
+                         ids=[f"{sub}-{key}" for sub, key in REMOVED_KEYS])
+def test_threshold_keys_are_unknown(tmp_path, monkeypatch, subcommand, key):
+    def no_work(*args):
+        raise AssertionError("work started before the keys were checked")
+
+    monkeypatch.setattr(cli, "_OBJECTS", {name: no_work for name in cli._OBJECTS})
+    monkeypatch.setattr(cli, "_RUNNERS", {name: no_work for name in cli._RUNNERS})
+    text = RANGE_BASE[subcommand] + f"{key} = {REMOVED_KEYS[subcommand, key]}\n"
+    code, out = run_cli(tmp_path, text, subcommand)
+    assert code == 2
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"] == f"unknown key {key!r} in section [{subcommand}]"
+
+
+def test_no_config_turns_the_growth_fail_into_a_pass(tmp_path):
+    # the README config FAILs by design; a loose tolerance must not make it PASS
+    readme = ILLPOSED_MIN.replace("8, 16, 32, 64, 128", "64, 128, 256, 512, 1024").replace(
+        "freq_resolution = 16", "freq_resolution = 32")
+    code, out = run_cli(tmp_path, readme + "tolerance = 3\n", "illposed")
+    assert code == 2
+    data = json.loads((out / "report.json").read_text())
+    assert data["verdict"] == "ERROR"
+    assert "unknown key 'tolerance'" in data["error"]["message"]
 
 
 @pytest.mark.parametrize("subcommand, key, value", _range_cases())

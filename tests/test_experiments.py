@@ -269,12 +269,12 @@ class TestEnsembleLadders:
     def test_kato_ladder_drift_small(self):
         stats = estimate_ladder("kato", 6, GRID, T=0.1, seed=21, rungs=3)
         assert len(stats.ratios) == 6
-        assert stats.passes(drift_limit=2.0)
+        assert stats.passes()
         assert stats.ladder_drift < 1.1
 
     def test_maximal_ladder_drift_small(self):
         stats = estimate_ladder("maximal", 6, GRID, T=0.1, seed=22, rungs=3)
-        assert stats.passes(drift_limit=2.0)
+        assert stats.passes()
 
     def test_lowfreq_needs_fine_frequency_grid(self):
         coarse = make_grid(128, 8.0)  # dxi = 2 pi / 8 > 1/4
@@ -284,7 +284,7 @@ class TestEnsembleLadders:
     def test_lowfreq_ladder(self):
         grid = make_grid(512, 32.0)
         stats = estimate_ladder("lowfreq", 4, grid, T=0.5, seed=23, rungs=3)
-        assert stats.passes(drift_limit=2.0)
+        assert stats.passes()
 
     def test_lowfreq_requires_unit_time_window(self):
         grid = make_grid(512, 32.0)
@@ -371,7 +371,7 @@ class TestEnsembleLadders:
     def test_xst_group_ladder(self):
         stats = estimate_ladder("xst", 4, GRID, T=0.1, seed=25, rungs=3, s=0.45)
         assert len(stats.ratios) == 4
-        assert stats.passes(drift_limit=2.0)
+        assert stats.passes()
 
     def test_sup_ratio_stable_under_more_trials(self):
         small = estimate_ladder("kato", 4, GRID, T=0.1, seed=30, rungs=2)
@@ -410,13 +410,19 @@ class TestReporting:
                                 resolution_ladder=[(64, 1.0), (128, 1.4), (256, 1.5)])
         assert stats.ladder_drift == pytest.approx(1.5)
         assert stats.passes()
-        assert not stats.passes(drift_limit=1.2)
+        # the drift limit 2 is a constant and the bound is strict
+        for top in (2.0, 3.0):
+            drifted = RatioStatistics(ratios=[1.0],
+                                      resolution_ladder=[(64, 1.0), (128, 1.4), (256, top)])
+            assert drifted.ladder_drift == top
+            assert not drifted.passes()
 
     def test_report_roundtrip_json(self):
         rep = ExperimentReport(
             experiment_id="demo",
             inputs={"n": 4},
             points=[{"value": np.float64(1.5)}],
+            verdict="PASS",
             slope=0.5,
             ci=0.01,
             seed=7,
@@ -431,11 +437,17 @@ class TestReporting:
         assert data["seed"] == 7
         assert data["code_version"]
 
+    def test_report_requires_a_verdict(self):
+        # a producer that forgets its verdict fails instead of passing silently
+        with pytest.raises(TypeError, match="verdict"):
+            ExperimentReport(experiment_id="demo", inputs={}, points=[])
+
     def test_report_csv_columns_sorted(self, tmp_path):
         rep = ExperimentReport(
             experiment_id="demo",
             inputs={},
             points=[{"b": 1.0, "a": 2.0}, {"a": 3.0}],
+            verdict="PASS",
         )
         path = tmp_path / "series.csv"
         write_report_csv(rep, str(path))

@@ -359,16 +359,6 @@ def test_audit_n9_sweep():
         assert audit_map(float(s), 12, 0.001)["N9"], s
 
 
-def test_audit_flags():
-    audit = norm_family_audit(0.45, 12, 0.001)
-    flags = {e.id: e.t_power_flag for e, _ in audit}
-    assert flags == {
-        "N1": False, "N2": True, "N3": True, "N4": True, "N5": True,
-        "N6": True, "N7": True, "N8": True, "N9": False, "N10": False,
-        "N11": False, "N12": False,
-    }
-
-
 def test_audit_triplet_alpha_consistency():
     # every reported triplet must satisfy the alpha-match identity exactly
     for e, verdict in norm_family_audit(0.45, 12, 0.001):

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..norms import _row_blocks
 from ..spectral import _SIGMA, _forward, _inverse, make_grid
+from .reporting import ExperimentReport
 
 TWO_PI = 2.0 * np.pi
 
@@ -465,8 +466,6 @@ def illposed_growth_fit(
     band the exact kernel is of order N^-2 (see kernel_bracket_4n), so this
     band cannot show that exponent and the verdict stays FAIL.
     """
-    from .reporting import ExperimentReport
-
     rungs = _fit_rungs(s, theta, T, N_list, freq_resolution)
     points = []
     for p in rungs:

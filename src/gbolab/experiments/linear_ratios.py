@@ -32,30 +32,27 @@ class _FreeEvolution(SpaceTimeField):
     """V(t)phi kept as the half spectra of Re phi and Im phi and the rung's
     propagator factors: kernels read it a real field's row block at a time,
     the block at start as (halves * shifts[start // P]) * base[start % P:][:k]
-    with P = len(base) a multiple of the block, and .slices builds the stack."""
+    with P = len(base) a multiple of the block, and .slices is the irfft of
+    the same blocks."""
 
     def __init__(self, grid, times, halves, factors):
         self.grid, self.times, self._halves, self._factors = grid, times, halves, factors
 
     @functools.cached_property
     def slices(self) -> np.ndarray:
-        return np.concatenate([rows.copy() for _, rows in self._blocks(spectral=False)])
+        parts = np.concatenate([np.fft.irfft(half, self.grid.n) for _, half in self._blocks()],
+                               axis=1)
+        return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
 
-    def _blocks(self, spectral: bool):
-        (base, shifts), n, real = self._factors, self.grid.n, len(self._halves) == 1
+    def _blocks(self):
+        (base, shifts), n = self._factors, self.grid.n
         blocks, P = _row_blocks(self.n_times, n * 8), len(base)
         half = np.empty((len(self._halves), blocks[0].stop, n // 2 + 1), dtype=complex)
-        if not spectral:
-            values = np.empty((blocks[0].stop, n), float if real else complex)
-            outs = [values] if real else [values.real, values.imag]
         for rows in blocks:
             start, k = rows.start, rows.stop - rows.start
             np.multiply((self._halves * shifts[start // P])[:, None],
                         base[start % P:start % P + k], out=half[:, :k])
-            if not spectral:
-                for h, out in zip(half, outs):
-                    np.fft.irfft(h[:k], n, out=out[:k])
-            yield rows, half[:, :k] if spectral else values[:k]
+            yield rows, half[:, :k]
 
 
 # The rungs of a ladder share the length, T and the time steps per grid point.

@@ -21,6 +21,10 @@ from .reporting import ExperimentReport
 
 __all__ = ["scaling_invariance_check"]
 
+# The verdict's thresholds: the norm-law gap, and the flow-commutation defect
+# relative to the slice magnitude.
+_NORM_TOL, _FLOW_TOL = 1e-10, 1e-6
+
 
 def scaling_invariance_check(
     u0: Field,
@@ -37,8 +41,8 @@ def scaling_invariance_check(
     applies the scaling map to the whole trajectory, and compares against
     evolving the rescaled data with dt and t_end divided by lam^2.  The
     report verdict is PASS when every norm ratio matches its law within
-    1e-10 and every commutation defect stays below 1e-6 relative to the
-    slice magnitude.
+    _NORM_TOL and every commutation defect stays within _FLOW_TOL relative
+    to the slice magnitude.
     """
     _check_lambdas(lambda_list)
     k = config.k
@@ -75,7 +79,7 @@ def scaling_invariance_check(
         worst_flow = np.maximum(worst_flow, defect)
         points.append({"lambda": float(lam), "flow_defect": defect})
 
-    verdict = "PASS" if worst_norm <= 1e-10 and worst_flow <= 1e-6 else "FAIL"
+    verdict = "PASS" if worst_norm <= _NORM_TOL and worst_flow <= _FLOW_TOL else "FAIL"
     return ExperimentReport(
         experiment_id="scaling_invariance",
         inputs={
@@ -85,11 +89,13 @@ def scaling_invariance_check(
             "critical_index": critical,
             "dt": config.dt,
             "t_end": config.t_end,
+            "norm_tol": _NORM_TOL,
+            "flow_tol": _FLOW_TOL,
         },
         points=points,
         verdict=verdict,
         notes=[
-            f"worst norm-law gap {worst_norm:.3e} (tolerance 1e-10)",
-            f"worst flow-commutation defect {worst_flow:.3e} (tolerance 1e-6)",
+            f"worst norm-law gap {worst_norm:.3e} (tolerance {_NORM_TOL:g})",
+            f"worst flow-commutation defect {worst_flow:.3e} (tolerance {_FLOW_TOL:g})",
         ],
     )

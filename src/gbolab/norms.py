@@ -8,9 +8,10 @@ with the homogeneous variant using |xi|^{2s} and dropping the zero mode.
 The mixed space-time norm L^p_x L^q_t of a slice array takes the time norm
 first, by the trapezoid rule as one weighted sum of |v|^q over the times
 (exact on non-uniform times), then the space norm by a Riemann sum (max for
-an infinite exponent).  It and the X^s_T pieces read row blocks of a fixed
-byte size (the pieces on half spectra), which a free evolution makes from its
-own half spectra, so neither a stack nor a stack-sized temporary is built.
+an infinite exponent).  It and the X^s_T pieces are one fold over a field's
+rfft half spectra in row blocks of a fixed byte size, which a free evolution
+makes from its own half spectra, so neither a stack nor a stack-sized
+temporary is built.
 
 The admissibility predicate reads a derivative budget alpha at exponents
 (p, q) as exact fractions (alpha, a, b) with a = 1/p, b = 1/q, 1/inf = 0:
@@ -82,16 +83,13 @@ class SpaceTimeField:
     def n_times(self) -> int:
         return self.times.size
 
-    def _blocks(self, spectral: bool):
-        """(rows, the rows) a block at a time or, if spectral, (rows, the rfft
-        half spectra of their real and imaginary parts, (parts, rows, n//2+1))."""
+    def _blocks(self):
+        """(rows, the rfft half spectra of the rows' real and imaginary parts,
+        (parts, rows, n//2+1)) a block at a time, in one buffer per call."""
         v, blocks = self.slices, _row_blocks(self.n_times, self.slices[0].nbytes)
-        if not spectral:
-            yield from ((rows, v[rows]) for rows in blocks)
-            return
         parts = [v.real, v.imag] if np.iscomplexobj(v) else [v]
         half = np.empty((len(parts), blocks[0].stop, self.grid.n // 2 + 1), complex)
-        for rows in blocks:  # one buffer per call, written through out=
+        for rows in blocks:  # written through out=
             for part, out in zip(parts, half):
                 np.fft.rfft(part[rows], out=out[:rows.stop - rows.start])
             yield rows, half[:, :rows.stop - rows.start]
@@ -190,21 +188,41 @@ def _time_weights(times: np.ndarray, q: float) -> np.ndarray:
     return np.append(half, 0.0) + np.insert(half, 0, 0.0)
 
 
-def _add_block(acc: np.ndarray, mag: np.ndarray, w: np.ndarray, q: float) -> None:
-    """Fold one row block of |v| (overwritten) into the running time norm:
-    the max for q = inf, else the weighted sum w @ |v|^q."""
-    if np.isinf(q):
-        np.maximum(acc, np.max(mag, axis=0), out=acc)
-    else:
-        acc += w @ np.power(mag, q, out=mag)
-
-
-def _space_norm(acc: np.ndarray, q: float, dx: float, p: float) -> float:
-    """The L^p_x norm (Riemann sum) of the time norm held in acc."""
-    inner = acc if np.isinf(q) else acc ** (1.0 / q)
-    if np.isinf(p):
-        return float(np.max(inner))
-    return float((np.sum(inner ** p) * dx) ** (1.0 / p))
+def _fold(u: SpaceTimeField, pieces, weight=None) -> tuple[float, list[float]]:
+    """One pass over u's half-spectrum blocks.  Each piece (symbol, p, q)
+    gives the L^p_x L^q_t norm of the irfft of symbol * half (None: half),
+    |.| over the real and imaginary parts, its time norm folded in block by
+    block: the max for q = inf, else the weighted sum w @ |v|^q.  With an
+    H^s weight on the half grid it also gives sup_t of the squared H^s norm
+    of the slices (else 0)."""
+    n, sup_hs = u.grid.n, 0.0
+    # the smallest time exponent decides whether one time sample will do
+    w = _time_weights(u.times, min(q for _, _, q in pieces))
+    accs = [np.zeros(n) for _ in pieces]
+    for rows, half in u._blocks():
+        if rows.start == 0:  # the first block is the largest: one buffer each
+            piece, parts = np.empty_like(half), np.empty(half.shape[:-1] + (n,))
+        piece, parts = piece[:, :half.shape[1]], parts[:, :half.shape[1]]
+        if weight is not None:
+            # |half|^2 is weighted in piece.real, which the first piece then overwrites
+            amp = np.square(np.abs(half, out=piece.real), out=piece.real)
+            hs = np.sum(np.multiply(weight, amp, out=amp), axis=(0, -1))
+            sup_hs = np.maximum(sup_hs, np.max(hs))
+        for (symbol, _, q), acc in zip(pieces, accs):
+            np.fft.irfft(half if symbol is None else np.multiply(symbol, half, out=piece),
+                         n, out=parts)
+            mag = np.abs(parts[0], out=parts[0]) if len(parts) == 1 else np.hypot(
+                *parts, out=parts[0])
+            if np.isinf(q):
+                np.maximum(acc, np.max(mag, axis=0), out=acc)
+            else:
+                acc += w[rows] @ np.power(mag, q, out=mag)
+    norms = []
+    for (_, p, q), acc in zip(pieces, accs):
+        inner = acc if np.isinf(q) else acc ** (1.0 / q)
+        norms.append(float(np.max(inner)) if np.isinf(p)
+                     else float((np.sum(inner ** p) * u.grid.dx) ** (1.0 / p)))
+    return float(sup_hs), norms
 
 
 def mixed_norm(u: SpaceTimeField, p: float, q: float) -> float:
@@ -212,11 +230,7 @@ def mixed_norm(u: SpaceTimeField, p: float, q: float) -> float:
     exponents are float('inf')."""
     if not (p >= 1 and q >= 1):
         raise ValueError(f"exponents must be >= 1, got p = {p}, q = {q}")
-    w, acc, mag = _time_weights(u.times, q), np.zeros(u.grid.n), None
-    for rows, block in u._blocks(spectral=False):
-        mag = np.empty(block.shape) if mag is None else mag[:len(block)]
-        _add_block(acc, np.abs(block, out=mag), w[rows], q)
-    return _space_norm(acc, q, u.grid.dx, p)
+    return _fold(u, [(None, p, q)])[1][0]
 
 
 @dataclass(frozen=True)
@@ -252,7 +266,7 @@ def xst_components(u: SpaceTimeField, s: float) -> XstComponents:
     ||D^{s-1/4} u||_{L^4_x L^inf_t};  ||P_0 u||_{L^2_x L^inf_t}.
 
     Each piece is one even multiplier on the rfft half spectra of the real
-    and imaginary parts of the slices, a block of rows at a time.  The
+    and imaginary parts of the slices, all four in one pass.  The
     negative-order maximal symbol vanishes at xi = 0, so that piece sees the
     mean-free part of each slice (the mean travels with the low-frequency
     component).
@@ -262,25 +276,10 @@ def xst_components(u: SpaceTimeField, s: float) -> XstComponents:
     # bins 0 < m < n/2 stand for m and -m; raw bins are n/L x calibrated ones
     weight = (1.0 + xi ** 2) ** s * (grid.dx ** 2 * grid.dxi / (2 * np.pi))
     weight[1:-1] *= 2.0
-    pieces = [(_lowpass_symbol(xi) if order is None else _fractional_symbol(xi, s + order),
-               p, q) for order, p, q in _PIECES]
-    w, sup_hs, piece = _time_weights(u.times, 2.0), 0.0, None
-    accs = [np.zeros(grid.n) for _ in pieces]
-    for rows, half in u._blocks(spectral=True):
-        if piece is None:
-            piece, parts = np.empty_like(half), np.empty(half.shape[:-1] + (grid.n,))
-        piece, parts = piece[:, :half.shape[1]], parts[:, :half.shape[1]]
-        # |half|^2 is weighted in piece.real, which the first piece then overwrites
-        amp = np.square(np.abs(half, out=piece.real), out=piece.real)
-        hs = np.sum(np.multiply(weight, amp, out=amp), axis=(0, -1))
-        sup_hs = np.maximum(sup_hs, np.max(hs))
-        for (symbol, _, q), acc in zip(pieces, accs):
-            np.fft.irfft(np.multiply(symbol, half, out=piece), grid.n, out=parts)
-            mag = np.abs(parts[0], out=parts[0]) if len(parts) == 1 else np.hypot(
-                *parts, out=parts[0])
-            _add_block(acc, mag, w[rows], q)
-    return XstComponents(float(np.sqrt(sup_hs)), *(
-        _space_norm(acc, q, grid.dx, p) for (_, p, q), acc in zip(pieces, accs)))
+    sup_hs, norms = _fold(u, [
+        (_lowpass_symbol(xi) if order is None else _fractional_symbol(xi, s + order), p, q)
+        for order, p, q in _PIECES], weight)
+    return XstComponents(float(np.sqrt(sup_hs)), *norms)
 
 
 def xst_norm(u: SpaceTimeField, s: float) -> float:

@@ -45,10 +45,12 @@ __all__ = [
     "tilde_projection",
     "band_projections",
     "free_evolve",
+    "free_evolution_phases",
     "sign_convention_label",
     "antiderivative",
     "boundary_taper",
     "interior_window_mask",
+    "windowed_l2",
 ]
 
 _REAL_TOL = 1e-12

@@ -406,6 +406,11 @@ rungs = 2
         code, out = run_cli(tmp_path, SCALING_OK, "scaling")
         assert code == 0
 
+    def test_scaling_report_records_its_thresholds(self, tmp_path):
+        code, out = run_cli(tmp_path, SCALING_OK, "scaling")
+        params = json.loads((out / "report.json").read_text())["params"]
+        assert (params["norm_tol"], params["flow_tol"]) == (1e-10, 1e-6)
+
     def test_gauge_residual_pass(self, tmp_path):
         code, out = run_cli(tmp_path, GAUGE_OK, "gauge-residual")
         assert code == 0

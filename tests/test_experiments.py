@@ -334,7 +334,7 @@ class TestEnsembleLadders:
         # and no block straddles a period
         ones = np.ones((1, n // 2 + 1))
         unit = linear_ratios._FreeEvolution(grid, times, ones, (base, shifts))
-        blocks = [(span, half[0].copy()) for span, half in unit._blocks(spectral=True)]
+        blocks = [(span, half[0].copy()) for span, half in unit._blocks()]
         assert [span.start for span, _ in blocks] == list(range(0, n_time + 1, R))
         assert all(span.start // P == (span.stop - 1) // P for span, _ in blocks)
         np.testing.assert_array_equal(np.concatenate([h for _, h in blocks]), rows)

@@ -1,5 +1,7 @@
 """Source hygiene: every module under src/ and tests/ uses each name it
 imports, every name a module lists in ``__all__`` is bound in it, every
+public function or class of a module with an ``__all__`` is listed there
+(of an ``experiments`` submodule, in the package's), every
 exported name has a reader under src/ or perfbench/ or serves a lab check,
 and so does every option (a defaulted parameter or dataclass field).  A
 private top-level name under src/ needs a reader under src/ or perfbench/:
@@ -15,6 +17,7 @@ SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
 TESTS = sorted((ROOT / "tests").rglob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").rglob("*.py"))
+EXPERIMENTS = SRC / "gbolab" / "experiments"
 
 # Exported names that no module under src/ or perfbench/ reads, kept because
 # an acceptance check or a README promise rests on them.
@@ -219,6 +222,13 @@ def _stale_exports(tree: ast.Module) -> list[str]:
     return [name for name in _all_names(tree) if name not in bound]
 
 
+def _unlisted_publics(tree: ast.Module, listed: set[str]) -> list[str]:
+    """Public top-level functions and classes of the module not in listed."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in listed]
+
+
 def test_sources_found():
     assert any(path.name == "cli.py" for path in MODULES)
     assert any(path.name == "test_hygiene.py" for path in TESTS)
@@ -228,6 +238,10 @@ def test_checks_catch_what_they_name():
     tree = ast.parse("import os\nfrom x import gone\n__all__ = ['gone', 'lost']\n")
     assert _unused_imports(tree) == ["os (line 1)"]
     assert _stale_exports(tree) == ["lost"]
+    listing = ast.parse("__all__ = ['shown']\ndef shown():\n    pass\n"
+                        "def hidden():\n    pass\nclass Hidden:\n    pass\n"
+                        "def _private():\n    pass\n")
+    assert _unlisted_publics(listing, set(_all_names(listing))) == ["hidden", "Hidden"]
     lib = ast.parse("__all__ = ['used', 'unused', 'loop']\n"
                     "def loop(n):\n    return loop(n - 1)\n")
     user = ast.parse("import lib\nlib.used()\n")
@@ -281,6 +295,19 @@ def test_all_names_are_bound(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     stale = _stale_exports(tree)
     assert not stale, f"__all__ of {_id(path)} lists unbound names: {stale}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_id)
+def test_public_names_are_listed(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    if path.parent == EXPERIMENTS and path.name != "__init__.py":
+        listed = set(_all_names(ast.parse((EXPERIMENTS / "__init__.py").read_text())))
+    elif "__all__" in _module_bindings(tree):
+        listed = set(_all_names(tree))
+    else:
+        return
+    unlisted = _unlisted_publics(tree, listed)
+    assert not unlisted, f"public names that {_id(path)} does not export: {unlisted}"
 
 
 def test_every_export_has_a_reader_or_a_lab_check():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gbolab.experiments import free_evolution_spacetime, plane_wave
 from gbolab.norms import (
     _BLOCK_BYTES,
+    _PIECES,
     AdmissibleTriplet,
     SpaceTimeField,
     is_one_admissible,
@@ -31,7 +32,7 @@ from gbolab.spectral import (
 )
 
 GRID = make_grid(256, 2 * np.pi)
-# 16 real or 8 complex rows a block: 53 rows span four or seven row blocks,
+# 4 real or 2 complex rows a block: 17 rows span five or nine row blocks,
 # the last one partial
 WIDE = make_grid(4096, 2 * np.pi)
 WIDE_ROWS = 3 * (_BLOCK_BYTES // (8 * WIDE.n)) + 5
@@ -240,6 +241,21 @@ def test_xst_components_match_per_slice_reference(s, kind):
     got = [c.sup_sobolev, c.smoothing, c.maximal, c.low_frequency]
     stored = SpaceTimeField(grid, u.times, u.slices)
     np.testing.assert_allclose(got, xst_reference(stored, s), rtol=1e-12, atol=0.0)
+
+
+# a free evolution streams its row blocks from its half spectra (real rows
+# a block, also for complex phi); its stored stack is read in the stack's own
+@pytest.mark.parametrize("p, q", [(p, q) for _, p, q in _PIECES] + [(4.0, 2.0)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_mixed_norm_streamed_matches_stored(kind, p, q):
+    rng = np.random.default_rng(17)
+    values = rng.normal(size=WIDE.n)
+    if kind == "complex":
+        values = values + 1j * rng.normal(size=WIDE.n)
+    u = free_evolution_spacetime(field_from_values(WIDE, values), 0.5, WIDE_ROWS - 1)
+    assert WIDE_ROWS % (_BLOCK_BYTES // (8 * WIDE.n)) != 0
+    stored = SpaceTimeField(WIDE, u.times, u.slices)
+    assert mixed_norm(u, p, q) == pytest.approx(mixed_norm(stored, p, q), rel=1e-13, abs=0.0)
 
 
 def test_xst_rejects_bad_s():

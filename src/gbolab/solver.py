@@ -13,7 +13,10 @@ odd dispersion vanishes on the Nyquist mode, which stays put), so the scheme
 is exact on linear flows and the dt restriction comes only from the
 nonlinear term.  The nonlinearity is evaluated pseudospectrally in
 conservative form c * d_x(u^{k+1})/(k+1) (which conserves the zero mode
-exactly; the power by repeated squaring) with 2/3-rule dealiasing.
+exactly; the power by repeated squaring) with the 2/3 rule, which removes
+aliasing from quadratic products only (k = 1): at k = 12 and amplitude 0.7
+the flux's relative aliasing defect is 9.4e-15 at the flow benchmark
+(n = 2048, L = 60) but 2.7e-3 at n = 128, L = 40.
 """
 
 from __future__ import annotations

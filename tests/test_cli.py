@@ -3,7 +3,11 @@
 import configparser
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +328,27 @@ rungs = 2
         data = json.loads((out / "report.json").read_text())
         names = {pt["estimate"] for pt in data["points"]}
         assert names == {"kato", "maximal", "lowfreq", "xst"}
+
+    def test_estimates_never_loads_numpy_random(self, tmp_path):
+        # the suite loads numpy.random itself, so only a fresh interpreter can
+        # tell that importing every module and drawing packets leaves it out
+        script = """
+import importlib, pkgutil, sys
+import gbolab
+for module in pkgutil.walk_packages(gbolab.__path__, "gbolab."):
+    importlib.import_module(module.name)
+code = gbolab.cli.main(["estimates", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, "numpy.random" in sys.modules)
+"""
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(ESTIMATES_KATO.replace("which = kato", "which = all"))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", script, str(cfg_file), str(tmp_path / "out")],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split()[-2:] == ["0", "False"]  # exit code 0, never loaded
 
     def test_estimates_which_accepts_spaced_list(self, tmp_path):
         text = """

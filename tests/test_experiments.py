@@ -35,6 +35,21 @@ SMALL = make_grid(64, 2 * np.pi)
 # Packet ensembles.
 
 
+def reference_ensemble(grid, n_trials, seed, kind="modulated"):
+    """make_packet_ensemble drawing through numpy.random, the reference whose
+    coefficients the package's own generator must reproduce exactly."""
+    (lo, hi), widths = packets._limits(grid, kind)
+    rng = np.random.default_rng(seed)
+    fields = []
+    for _ in range(n_trials):
+        center = np.exp(rng.uniform(np.log(lo), np.log(hi))) if kind == "modulated" else 0.0
+        width = rng.uniform(*widths)
+        x0 = rng.uniform(-grid.length / 8, grid.length / 8)
+        amplitude = rng.uniform(0.5, 2.0)
+        fields.append(packets._packet(grid, amplitude, center, width, x0))
+    return fields
+
+
 def max_active_frequency(f):
     """Reference scan of a drawn packet: the largest |xi| whose coefficient
     exceeds 1e-12 of the peak, the level below which it is rounding."""
@@ -79,6 +94,33 @@ class TestPackets:
         with pytest.raises(ValueError, match=r"\[8, xi_max/4\].*xi_max = 20\.1"):
             make_packet_ensemble(coarse, 2, seed=0)
         assert len(make_packet_ensemble(coarse, 2, seed=0, kind="broadband")) == 2
+
+    def test_draws_are_numpy_default_rng_stream(self):
+        # the draws of four modulated trials, in make_packet_ensemble's order,
+        # from one-word, two-word, three-word and five-word seeds
+        (lo, hi), widths = packets._limits(GRID, "modulated")
+        limits = [(np.log(lo), np.log(hi)), widths,
+                  (-GRID.length / 8, GRID.length / 8), (0.5, 2.0)] * 4
+        for seed in [*range(64), 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 11]:
+            ours, numpys = packets._Uniform(seed), np.random.default_rng(seed)
+            assert [ours.uniform(a, b) for a, b in limits] == [
+                numpys.uniform(a, b) for a, b in limits], seed
+
+    @pytest.mark.parametrize("kind", ["modulated", "broadband"])
+    def test_ensemble_equals_numpy_reference(self, kind):
+        for seed in (0, 3, 7, 2**32, 2**64 + 3):
+            ours = make_packet_ensemble(GRID, 3, seed, kind)
+            reference = reference_ensemble(GRID, 3, seed, kind)
+            assert len(ours) == len(reference) == 3
+            for f, g in zip(ours, reference):
+                assert np.array_equal(f.coeffs, g.coeffs)
+
+    def test_generator_rejects_negative_and_float_seeds(self):
+        # a negative seed's word split would never end, as -1 >> 32 == -1
+        with pytest.raises(ValueError, match="non-negative"):
+            packets._Uniform(-1)
+        with pytest.raises(TypeError):
+            packets._Uniform(1.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -126,6 +168,20 @@ class TestPackets:
             assert sobolev_norm(fine, s) == pytest.approx(
                 sobolev_norm(fields[0], s), rel=1e-12
             )
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_embed_keeps_nyquist_content_real(self, factor):
+        # the coarse Nyquist coefficient c of real data is the mode c cos(pi n x / L)
+        coarse = make_grid(16, 2 * np.pi)
+        f = field_from_values(coarse, np.random.default_rng(0).normal(size=coarse.n))
+        assert abs(f.coeffs[0]) > 0.1
+        fine = embed_field(f, factor)
+        assert fine.real
+        x = fine.grid.x
+        interpolant = (np.exp(1j * np.outer(x, coarse.frequencies[1:])) @ f.coeffs[1:]
+                       + f.coeffs[0] * np.cos(np.pi * coarse.n * x / coarse.length))
+        np.testing.assert_allclose(fine.values, interpolant / coarse.length, atol=1e-13)
+        np.testing.assert_allclose(fine.values[::factor], f.values, atol=1e-13)
 
     def test_embed_requires_power_of_two(self):
         fields = make_packet_ensemble(GRID, 1, seed=2)

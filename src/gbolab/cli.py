@@ -11,7 +11,7 @@ import io
 import json
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -20,10 +20,9 @@ import numpy as np
 from .experiments.illposed import _fit_rungs, illposed_growth_fit
 from .experiments.linear_ratios import ESTIMATES, _check_ladder, estimate_ladder
 from .experiments.reporting import _DRIFT_LIMIT, ExperimentReport, write_report_csv
-from .experiments.scaling import scaling_invariance_check
 from .gauge import _check_gauge, gauge_equation_residual
 from .norms import is_one_admissible, norm_family_audit
-from .solver import SolverConfig, _check_lambdas, evolve
+from .solver import SolverConfig, evolve
 from .spectral import Field, SpectralGrid, field_from_values, make_grid
 
 SCHEMA_VERSION = 1
@@ -108,17 +107,6 @@ _SCHEMAS: dict[str, dict] = {
         "s": (float, _REQUIRED),
         "k": (int, _REQUIRED),
         "eps": (float, 1e-3),
-    },
-    "scaling": {
-        "n": (int, _REQUIRED),
-        "length": (float, _REQUIRED),
-        "amplitude": (float, _REQUIRED),
-        "width": (float, 1.0),
-        "k": (int, _REQUIRED),
-        "lambda_list": (_floats, _REQUIRED),
-        "s_list": (_floats, _REQUIRED),
-        "dt": (float, 4e-4),
-        "t_end": (float, 6.4e-3),
     },
 }
 
@@ -240,11 +228,6 @@ def _estimate_ladders(p: dict) -> tuple[list[str], SpectralGrid]:
     return names, grid
 
 
-def _scaling_flow(p: dict) -> tuple[Field, SolverConfig]:
-    _check_lambdas(p["lambda_list"])
-    return _flow(SolverConfig(k=p["k"], rescaled=True, dt=p["dt"], t_end=p["t_end"]), p)
-
-
 _OBJECTS = {
     "simulate": lambda p: _flow(SolverConfig(
         k=p["k"], sign=p["sign"], rescaled=p["rescaled"], dt=p["dt"], t_end=p["t_end"],
@@ -254,7 +237,6 @@ _OBJECTS = {
                                      p["freq_resolution"]),
     "estimates": _estimate_ladders,
     "admissible": lambda p: norm_family_audit(p["s"], p["k"], p["eps"]),
-    "scaling": _scaling_flow,
 }
 
 
@@ -348,13 +330,6 @@ def _run_admissible(cfg: RunConfig) -> ExperimentReport:
     )
 
 
-def _run_scaling(cfg: RunConfig) -> ExperimentReport:
-    p = cfg.params
-    u0, solver_cfg = cfg.objects
-    report = scaling_invariance_check(u0, p["lambda_list"], p["s_list"], solver_cfg)
-    return replace(report, inputs=dict(p, **report.inputs))
-
-
 _RUNNERS = {
     "simulate": _run_simulate,
     "gauge-residual": _run_gauge_residual,
@@ -363,7 +338,6 @@ _RUNNERS = {
         freq_resolution=cfg.params["freq_resolution"]),
     "estimates": _run_estimates,
     "admissible": _run_admissible,
-    "scaling": _run_scaling,
 }
 
 

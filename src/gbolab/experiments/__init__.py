@@ -1,6 +1,5 @@
-"""Numerical experiments: smoothing-estimate ratios, the high-frequency
-ill-posedness pipeline, and the scaling-law check, plus shared report
-plumbing."""
+"""Numerical experiments: smoothing-estimate ratios and the high-frequency
+ill-posedness pipeline, plus shared report plumbing."""
 
 from .illposed import (
     FrequencyProfile,
@@ -28,7 +27,6 @@ from .reporting import (
     RatioStatistics,
     write_report_csv,
 )
-from .scaling import scaling_invariance_check
 
 __all__ = [
     "ESTIMATES",
@@ -51,7 +49,6 @@ __all__ = [
     "oracle_agreement",
     "plane_wave",
     "plane_wave_growth_exponent",
-    "scaling_invariance_check",
     "torus_duhamel_oracle",
     "write_report_csv",
 ]

@@ -2,9 +2,8 @@ r"""Norms on fields and space-time samples; admissibility bookkeeping.
 
 Sobolev norms follow the transform calibration of :mod:`gbolab.spectral`:
 
-    ||f||_{H^s}^2 = (1/2pi) * sum_m (1 + xi_m^2)^s |fhat_m|^2 * dxi
+    ||f||_{H^s}^2 = (1/2pi) * sum_m (1 + xi_m^2)^s |fhat_m|^2 * dxi.
 
-with the homogeneous variant using |xi|^{2s} and dropping the zero mode.
 The mixed space-time norm L^p_x L^q_t of a slice array takes the time norm
 first, by the trapezoid rule as one weighted sum of |v|^q over the times
 (exact on non-uniform times), then the space norm by a Riemann sum (max for
@@ -148,19 +147,9 @@ class NormFamilyEntry:
 # Norms.
 
 
-def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
-    """H^s norm with weight (1+xi^2)^s, or |xi|^{2s} when homogeneous.
-
-    The homogeneous variant drops the zero mode; for s < 0 it requires
-    mean-zero input (the weight would have to blow up at xi = 0).
-    """
-    xi, coeffs = f.grid.frequencies, f.coeffs
-    if not homogeneous:
-        weighted = (1.0 + xi ** 2) ** s * np.abs(coeffs) ** 2
-    else:
-        if s < 0 and np.abs(coeffs[f.grid.n // 2]) > 1e-10 * (np.max(np.abs(coeffs)) or 1.0):
-            raise ValueError("homogeneous norm with s < 0 requires mean-zero input")
-        weighted = np.abs(xi[xi != 0]) ** (2 * s) * np.abs(coeffs[xi != 0]) ** 2
+def sobolev_norm(f: Field, s: float) -> float:
+    """H^s norm with weight (1+xi^2)^s."""
+    weighted = (1.0 + f.grid.frequencies ** 2) ** s * np.abs(f.coeffs) ** 2
     return float(np.sqrt(np.sum(weighted) * f.grid.dxi / (2 * np.pi)))
 
 

@@ -1,5 +1,5 @@
-r"""Time integration of the Benjamin-Ono-type flows, Duhamel residual, and
-the scaling map.
+r"""Time integration of the Benjamin-Ono-type flows and their Duhamel
+residual.
 
 Two flavors of the evolution are supported, selected by SolverConfig:
 
@@ -32,7 +32,6 @@ from gbolab.spectral import (
     _half_grid,
     _propagator,
     field_from_values,
-    make_grid,
 )
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "step",
     "evolve",
     "duhamel_residual",
-    "rescale",
-    "rescale_traj",
     "stability_bound",
 ]
 
@@ -256,38 +253,3 @@ def duhamel_residual(traj: Trajectory) -> float:
     err = traj.slices[::2] - np.fft.irfft(predicted, grid.n)
     worst = np.sqrt(np.sum(err ** 2, axis=-1) * grid.dx).max()
     return float(worst / (np.sqrt(np.sum(u0 ** 2) * grid.dx) or 1.0))
-
-
-# ---------------------------------------------------------------------------
-# Scaling map.
-
-
-def _check_lambdas(lambdas) -> None:
-    if min(lambdas) <= 0:
-        raise ValueError(f"lambda (each of lambda_list) must be positive, got {min(lambdas)}")
-
-
-def rescale(u0: Field, lam: float, k: int) -> Field:
-    """The scaling companion lam^{1/k} u(lam * x) on the grid of length L/lam.
-
-    The rescaled grid shares the point count, so the samples are exactly
-    the pointwise-scaled originals (lam * x'_j = x_j); no interpolation.
-    """
-    _check_lambdas([lam])
-    new_grid = make_grid(u0.grid.n, u0.grid.length / lam)
-    return field_from_values(new_grid, lam ** (1.0 / k) * u0.values)
-
-
-def rescale_traj(traj: Trajectory, lam: float) -> Trajectory:
-    """Apply the scaling map to every slice and map times t -> t/lam^2."""
-    k = traj.config.k
-    new_grid = make_grid(traj.grid.n, traj.grid.length / lam)
-    cfg = replace(
-        traj.config, dt=traj.config.dt / lam ** 2, t_end=traj.config.t_end / lam ** 2
-    )
-    return Trajectory(
-        grid=new_grid,
-        times=traj.times / lam ** 2,
-        slices=lam ** (1.0 / k) * traj.slices,
-        config=cfg,
-    )

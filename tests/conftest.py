@@ -3,14 +3,18 @@
 The acceptance tests each report a single verdict line; this hook gathers
 them and prints the collection as its own terminal section so the run ends
 with a compact scoreboard even when individual tests are verbose.  The
-tests that read a trajectory at several slice spacings share ``subsample``.
+tests that read a trajectory at several slice spacings share ``subsample``;
+the scaling checks share the scaling map ``rescale``/``rescale_traj``, the
+homogeneous norm it acts on, and ``commutation_defect``.
 """
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from gbolab.solver import Trajectory
+from gbolab.solver import SolverConfig, Trajectory, evolve
+from gbolab.spectral import Field, field_from_values, make_grid
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -34,6 +38,46 @@ def subsample(traj: Trajectory, every: int) -> Trajectory:
         slices=traj.slices[::every],
         config=cfg,
     )
+
+
+def rescale(u0: Field, lam: float, k: int) -> Field:
+    """The scaling companion lam^{1/k} u(lam * x) on the grid of length L/lam.
+
+    The rescaled grid shares the point count, so the samples are exactly
+    the pointwise-scaled originals (lam * x'_j = x_j); no interpolation.
+    """
+    new_grid = make_grid(u0.grid.n, u0.grid.length / lam)
+    return field_from_values(new_grid, lam ** (1.0 / k) * u0.values)
+
+
+def rescale_traj(traj: Trajectory, lam: float) -> Trajectory:
+    """Apply the scaling map to every slice and map times t -> t/lam^2."""
+    cfg = traj.config
+    return Trajectory(
+        grid=make_grid(traj.grid.n, traj.grid.length / lam),
+        times=traj.times / lam ** 2,
+        slices=lam ** (1.0 / cfg.k) * traj.slices,
+        config=replace(cfg, dt=cfg.dt / lam ** 2, t_end=cfg.t_end / lam ** 2),
+    )
+
+
+def homogeneous_norm(f: Field, s: float) -> float:
+    """The homogeneous H^s norm: weight |xi|^{2s}, zero mode dropped.  Under
+    the scaling map at power k it scales by exactly lam^(s + 1/k - 1/2)."""
+    xi, coeffs = f.grid.frequencies, f.coeffs
+    weighted = np.abs(xi[xi != 0]) ** (2 * s) * np.abs(coeffs[xi != 0]) ** 2
+    return float(np.sqrt(np.sum(weighted) * f.grid.dxi / (2 * np.pi)))
+
+
+def commutation_defect(u0: Field, lam: float, cfg: SolverConfig) -> float:
+    """How far "evolve, then rescale" lands from "rescale, then evolve with
+    dt and t_end divided by lam^2": the largest slice gap over the largest
+    slice magnitude.  Each term of an integrating-factor RK4 step scales by
+    one power of lam only if the flux is homogeneous of degree k + 1."""
+    mapped = rescale_traj(evolve(u0, cfg), lam)
+    direct = evolve(rescale(u0, lam, cfg.k), mapped.config)
+    np.testing.assert_allclose(mapped.times, direct.times, rtol=0, atol=1e-15)
+    return float(np.max(np.abs(mapped.slices - direct.slices)) / np.max(np.abs(direct.slices)))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

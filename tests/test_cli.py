@@ -68,16 +68,6 @@ t_end = 0.16
 strides = 100, 50, 25
 """
 
-SCALING_OK = """
-[scaling]
-n = 256
-length = 40.0
-amplitude = 0.01
-k = 12
-lambda_list = 1.0, 2.0
-s_list = 0.3, 0.49
-"""
-
 
 def run_cli(tmp_path, config_text, subcommand, extra=()):
     tmp_path.mkdir(parents=True, exist_ok=True)
@@ -234,17 +224,24 @@ class TestErrorPaths:
     @pytest.mark.parametrize("subcommand, config, key", [
         ("illposed", ILLPOSED_MIN.replace("theta = 0.2", "theta = nan"), "theta"),
         ("illposed", ILLPOSED_MIN.replace("T = 1.0", "T = inf"), "T"),
-        ("scaling", SCALING_OK.replace("lambda_list = 1.0, 2.0",
-                                       "lambda_list = 1.0, nan"), "lambda_list"),
+        ("illposed", ILLPOSED_MIN.replace("8, 16, 32", "8, nan, 32"), "N_list"),
         ("simulate", SIMULATE_OK + "width = nan\n", "width"),
-    ], ids=["illposed-theta", "illposed-T", "scaling-lambda_list",
-            "simulate-width"])
+    ], ids=["illposed-theta", "illposed-T", "illposed-N_list", "simulate-width"])
     def test_non_finite_value_exit_two(self, tmp_path, subcommand, config, key):
         code, out = run_cli(tmp_path, config, subcommand)
         assert code == 2
         data = json.loads((out / "report.json").read_text())
         assert data["error"]["type"] == "ConfigError"
         assert repr(key) in data["error"]["message"]
+
+    def test_scaling_is_an_unknown_subcommand(self, tmp_path):
+        # the scaling identities are checked by the tests (acceptance 4, test_solver.py), not a run
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(ADMISSIBLE_OK)
+        with pytest.raises(SystemExit) as exc:
+            main(["scaling", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_blowup_reported_as_error(self, tmp_path):
         text = """
@@ -427,15 +424,6 @@ rungs = 2
         assert data["error"]["type"] == "ConfigError"
         assert data["error"]["message"].startswith(f"{key} must")
 
-    def test_scaling_pass(self, tmp_path):
-        code, out = run_cli(tmp_path, SCALING_OK, "scaling")
-        assert code == 0
-
-    def test_scaling_report_records_its_thresholds(self, tmp_path):
-        code, out = run_cli(tmp_path, SCALING_OK, "scaling")
-        params = json.loads((out / "report.json").read_text())["params"]
-        assert (params["norm_tol"], params["flow_tol"]) == (1e-10, 1e-6)
-
     def test_gauge_residual_pass(self, tmp_path):
         code, out = run_cli(tmp_path, GAUGE_OK, "gauge-residual")
         assert code == 0
@@ -472,7 +460,6 @@ RANGE_BASE = {
     "illposed": ILLPOSED_MIN,
     "estimates": ESTIMATES_KATO.replace("which = kato", "which = all"),
     "admissible": ADMISSIBLE_OK,
-    "scaling": SCALING_OK,
 }
 OUT_OF_RANGE = {
     ("simulate", "n"): ["12"],
@@ -518,23 +505,11 @@ OUT_OF_RANGE = {
     ("admissible", "s"): ["0.6"],
     ("admissible", "k"): ["1"],
     ("admissible", "eps"): ["0"],
-    ("scaling", "n"): ["12"],
-    ("scaling", "length"): ["0"],
-    ("scaling", "amplitude"): ["0"],
-    ("scaling", "width"): ["0"],
-    ("scaling", "k"): ["0"],
-    ("scaling", "lambda_list"): ["1.0, 0"],
-    ("scaling", "dt"): ["0"],
-    ("scaling", "t_end"): ["0"],
 }
 # Keys set together with an out-of-range value: at N = 0.5, alpha = N^-2000
 # overflows float64.
 ALSO_SET = {
     ("illposed", "theta", "2000"): {"N_list": "0.5, 1, 2, 4, 8"},
-}
-WITHOUT_RANGE = {
-    # the scaling law is stated for every real regularity
-    ("scaling", "s_list"),
 }
 
 
@@ -543,8 +518,7 @@ def _range_cases():
     for subcommand, schema in cli._SCHEMAS.items():
         for key, (parse, _) in schema.items():
             numeric = parse in (int, float, cli._floats, cli._ints)
-            if (subcommand, key) in WITHOUT_RANGE or not (
-                    numeric or (subcommand, key) in OUT_OF_RANGE):
+            if not (numeric or (subcommand, key) in OUT_OF_RANGE):
                 continue
             # a numeric key without an entry fails below, so a new key needs one
             for value in OUT_OF_RANGE.get((subcommand, key), [None]):
@@ -555,7 +529,7 @@ def _range_cases():
 
 def test_range_tables_name_only_schema_keys():
     # _range_cases walks the schemas, so an entry for a key they lack would be skipped
-    stale = {(sub, key) for sub, key in set(OUT_OF_RANGE) | WITHOUT_RANGE
+    stale = {(sub, key) for sub, key in OUT_OF_RANGE
              if key not in cli._SCHEMAS[sub]}
     assert not stale, stale
 

@@ -1,8 +1,7 @@
-"""Packets, ratio experiments, reporting, and the scaling-law check."""
+"""Packets, ratio experiments and reporting."""
 
 import json
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,13 +16,11 @@ from gbolab.experiments import (
     make_packet_ensemble,
     plane_wave,
     plane_wave_growth_exponent,
-    scaling_invariance_check,
     write_report_csv,
 )
-from gbolab.experiments import linear_ratios, packets, scaling
+from gbolab.experiments import linear_ratios, packets
 from gbolab.experiments.linear_ratios import ESTIMATES, _check_ladder, _time_table
 from gbolab.norms import _BLOCK_BYTES, mixed_norm, sobolev_norm, xst_components, xst_norm
-from gbolab.solver import SolverConfig
 from gbolab.spectral import (_propagator, field_from_coeffs, field_from_values, free_evolve,
                              make_grid)
 
@@ -425,9 +422,11 @@ class TestEnsembleLadders:
         assert all(0.69 < sup <= 2 ** -0.5 * (1 + 1e-12) for sup in sups), sups
 
     def test_xst_group_ladder(self):
-        stats = estimate_ladder("xst", 4, GRID, T=0.1, seed=25, rungs=3, s=0.45)
-        assert len(stats.ratios) == 4
-        assert stats.passes()
+        # the xst estimate is stated for 0 < s < 1/2: the default and one below it
+        for s in (0.3, 0.45):
+            stats = estimate_ladder("xst", 4, GRID, T=0.1, seed=25, rungs=3, s=s)
+            assert len(stats.ratios) == 4
+            assert stats.passes(), s
 
     def test_sup_ratio_stable_under_more_trials(self):
         small = estimate_ladder("kato", 4, GRID, T=0.1, seed=30, rungs=2)
@@ -512,69 +511,3 @@ class TestReporting:
         assert lines[1].startswith("2.0,")
         assert lines[2].endswith(",")
 
-
-# ---------------------------------------------------------------------------
-# Scaling law.
-
-
-# the time step and span of the CLI's [scaling] defaults
-SCALING_CFG = SolverConfig(k=12, rescaled=True, dt=4e-4, t_end=6.4e-3)
-
-
-@pytest.fixture(scope="module")
-def small_bump():
-    grid = make_grid(256, 40.0)
-    return field_from_values(grid, 0.01 * np.exp(-grid.x ** 2))
-
-
-class TestScalingCheck:
-
-    def test_lambda_one_all_ratios_one(self, small_bump):
-        rep = scaling_invariance_check(small_bump, [1.0], [0.3, 0.49], SCALING_CFG)
-        assert rep.verdict == "PASS"
-        for pt in rep.points:
-            if "norm_ratio" in pt:
-                assert pt["norm_ratio"] == 1.0
-
-    def test_critical_index_invariant(self, small_bump):
-        rep = scaling_invariance_check(small_bump, [2.0], [5.0 / 12.0], SCALING_CFG)
-        (norm_pt,) = [pt for pt in rep.points if "norm_ratio" in pt]
-        assert norm_pt["critical"]
-        assert abs(norm_pt["norm_ratio"] - 1.0) <= 1e-10
-
-    def test_norm_law_exponent(self, small_bump):
-        rep = scaling_invariance_check(small_bump, [2.0], [0.3], SCALING_CFG)
-        (norm_pt,) = [pt for pt in rep.points if "norm_ratio" in pt]
-        assert norm_pt["norm_ratio"] == pytest.approx(
-            2.0 ** (0.3 + 1.0 / 12.0 - 0.5), abs=1e-10
-        )
-
-    def test_flow_commutation_defect_tiny(self, small_bump):
-        rep = scaling_invariance_check(small_bump, [2.0], [0.3], SCALING_CFG)
-        (flow_pt,) = [pt for pt in rep.points if "flow_defect" in pt]
-        assert flow_pt["flow_defect"] <= 1e-6
-
-    def test_nan_gap_fails(self):
-        # at s = 400 the homogeneous norms overflow, inf / inf, and the gap is
-        # nan; the worst gap must stay nan, not fold away under max
-        grid = make_grid(256, 40.0)
-        u0 = field_from_values(grid, 0.5 * np.exp(-grid.x ** 2 / 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            rep = scaling_invariance_check(u0, [0.5, 2.0], [0.2, 400.0],
-                                           replace(SCALING_CFG, k=4))
-        assert any(np.isnan(pt["gap"]) for pt in rep.points if "gap" in pt)
-        assert rep.verdict == "FAIL"
-        assert "worst norm-law gap nan" in rep.notes[0]
-
-    def test_bad_lambda_rejected_before_evolve(self, small_bump, monkeypatch):
-        def no_evolve(*args, **kwargs):
-            raise AssertionError("evolve ran before lambda_list was checked")
-
-        monkeypatch.setattr(scaling, "evolve", no_evolve)
-        with pytest.raises(ValueError, match="lambda_list"):
-            scaling_invariance_check(small_bump, [2.0, 0.0], [0.3], SCALING_CFG)
-
-    def test_bad_k_rejected(self):
-        # the check takes k from its SolverConfig, which rejects k < 1
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            replace(SCALING_CFG, k=0)

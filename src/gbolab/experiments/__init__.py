@@ -7,7 +7,6 @@ from .illposed import (
     QuadratureError,
     convolution_power,
     hN_sobolev_norm,
-    illposed_build_hN,
     illposed_growth_fit,
     illposed_v_details,
     kernel_bracket_4n,
@@ -41,7 +40,6 @@ __all__ = [
     "estimate_ratio",
     "free_evolution_spacetime",
     "hN_sobolev_norm",
-    "illposed_build_hN",
     "illposed_growth_fit",
     "illposed_v_details",
     "kernel_bracket_4n",

@@ -13,6 +13,9 @@ frequency (_band_4n).  The growth fit reads it on the band window, and
 oracle_agreement at the frequencies of an independent oracle, which
 evolves on a torus the positive band alone, whose 4-fold products are the
 only ones to reach 4N, and integrates by brute-force Simpson.
+
+Every propagator factor, of the band and of the oracle, is spectral._phases
+at sgn(xi) xi^2 = xi^2: each frequency the module evaluates is positive.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..norms import _row_blocks
-from ..spectral import _SIGMA, _forward, _inverse, make_grid
+from ..spectral import _SIGMA, _forward, _inverse, _phases, make_grid
 from .reporting import ExperimentReport
 
 TWO_PI = 2.0 * np.pi
@@ -109,33 +112,12 @@ class FrequencyProfile:
         return math.sqrt(self.hs_mass(s))
 
 
-def illposed_build_hN(p: IllposedParams) -> tuple[FrequencyProfile, FrequencyProfile]:
-    """Frequency profile of the concentrated data, (positive, negative) bands.
-
-    The transform equals amplitude on [N, N+alpha] and on the mirror band,
-    zero elsewhere; evenness makes the field real.
-    """
-    h = p.alpha / p.freq_resolution
-    offsets = (np.arange(p.freq_resolution) + 0.5) * h
-    xi_pos = p.N + offsets
-    vals = np.full(xi_pos.size, p.amplitude, dtype=float)
-    positive = FrequencyProfile(xi_pos, vals, h)
-    negative = FrequencyProfile(-xi_pos[::-1], vals.copy(), h)
-    return positive, negative
-
-
 def hN_sobolev_norm(p: IllposedParams) -> float:
-    """H^s norm of the data at s = p.s, by band quadrature."""
-    pos, neg = illposed_build_hN(p)
-    return math.sqrt(pos.hs_mass(p.s) + neg.hs_mass(p.s))
-
-
-# ---------------------------------------------------------------------------
-# Interaction phase.
-
-
-def _dispersion(xi):
-    return xi * np.abs(xi)
+    """H^s norm of the data at s = p.s, by band quadrature: the transform is
+    amplitude on [N, N+alpha] and on its mirror, of the same H^s mass."""
+    h = p.alpha / p.freq_resolution
+    xi = p.N + (np.arange(p.freq_resolution) + 0.5) * h
+    return math.sqrt(2.0 * FrequencyProfile(xi, np.full(xi.size, p.amplitude), h).hs_mass(p.s))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +127,7 @@ def _dispersion(xi):
 def convolution_power(alpha: float, M: int) -> FrequencyProfile:
     """4-fold self-convolution of the indicator of [0, alpha].
 
-    Computed by iterated discrete convolution of midpoint samples with
+    The band's m = 0 fiber measure (_fiber_moments) on M midpoint samples of
     spacing alpha/M; supported on [0, 4 alpha]; total mass alpha^4 exactly.
     """
     if alpha <= 0:
@@ -153,16 +135,11 @@ def convolution_power(alpha: float, M: int) -> FrequencyProfile:
     if M < 32:
         raise ValueError("M must be at least 32")
     h = alpha / M
-    c1 = np.ones(M)
-    c4 = _convolve4(c1, c1, c1, c1, h)
-    # sample j of c1 sits at (j + 1/2) h, so sample j of c4 sits at (j + 2) h
+    ones = np.ones(M)
+    c4 = _fiber_moments(ones, ones, 0, h)  # y^2 does not enter the zeroth moment
+    # sample j of the indicator sits at (j + 1/2) h, so sample j of c4 at (j + 2) h
     xi = (np.arange(c4.size) + 2.0) * h
     return FrequencyProfile(xi, c4, h)
-
-
-def _convolve4(a, b, c, d, h: float) -> np.ndarray:
-    """Discrete 4-fold convolution of samples with spacing h, as a density."""
-    return np.convolve(np.convolve(a, b) * h, np.convolve(c, d) * h) * h
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +162,9 @@ def _band_window(p: IllposedParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _prefactor(p: IllposedParams, xi0: np.ndarray) -> np.ndarray:
-    """6 i xi0 e^{i sigma T xi0 |xi0|} (2 pi)^-3 A^4, the Picard term's factor
-    outside the fiber integral of the time kernel."""
-    return (
-        6.0 * 1j * xi0 * np.exp(_SIGMA * 1j * p.T * _dispersion(xi0))
-        * (TWO_PI ** -3) * p.amplitude ** 4
-    )
+    """6 i xi0 e^{i sigma T xi0^2} (2 pi)^-3 A^4, the Picard term's factor
+    outside the fiber integral of the time kernel (xi0 > 0)."""
+    return 6.0 * 1j * xi0 * _phases(xi0 ** 2, p.T) * (TWO_PI ** -3) * p.amplitude ** 4
 
 
 # Fine-grid factor and series length of the separable 4N path.  The fine
@@ -202,7 +176,8 @@ _SERIES_TERMS = 2
 
 
 def _fiber_moments(f: np.ndarray, y2: np.ndarray, m: int, h: float) -> np.ndarray:
-    """Fiber integrals of (sum_i y_i^2)^m prod_i f(y_i) at every node.
+    """Fiber integrals of (sum_i y_i^2)^m prod_i f(y_i) at every node, as
+    densities of discrete 4-fold convolutions of samples with spacing h.
 
     The multinomial expansion of the power is grouped by the multiset of
     exponents, so each distinct 4-fold convolution is formed once.
@@ -213,10 +188,11 @@ def _fiber_moments(f: np.ndarray, y2: np.ndarray, m: int, h: float) -> np.ndarra
             key = tuple(sorted(k, reverse=True))
             ways = math.factorial(m) // math.prod(math.factorial(i) for i in k)
             coefs[key] = coefs.get(key, 0) + ways
-    return sum(
-        coef * _convolve4(*(f * y2 ** i for i in key), h)
-        for key, coef in coefs.items()
-    )
+    out = 0
+    for key, coef in coefs.items():
+        a, b, c, d = (f * y2 ** i for i in key)
+        out += coef * (np.convolve(np.convolve(a, b) * h, np.convolve(c, d) * h) * h)
+    return out
 
 
 def _band_4n(
@@ -247,7 +223,7 @@ def _band_4n(
     hf = p.alpha / R
     y = (np.arange(R) + 0.5) * hf
     y2 = y ** 2
-    chirp = np.exp(_SIGMA * 1j * p.T * y2)
+    chirp = _phases(y2, p.T)
     ones = np.ones_like(y)
 
     eta = xi0 - 4.0 * p.N
@@ -257,7 +233,7 @@ def _band_4n(
     def at_eta(moments):
         return np.interp(eta / hf, nodes, np.r_[0.0, moments, 0.0])
 
-    rotation = np.exp(-_SIGMA * 1j * p.T * c)
+    rotation = _phases(c, -p.T)
     out = np.zeros(xi0.size, dtype=np.complex128)
     for m in range(terms):
         tilted = at_eta(_fiber_moments(chirp, y2, m, hf))
@@ -336,8 +312,6 @@ def torus_duhamel_oracle(
     window = (xi_out >= 4 * p.N - dxi / 2) & (xi_out <= 4 * (p.N + p.alpha) + dxi / 2)
     xi_out = xi_out[window]
 
-    omega = _SIGMA * _dispersion(m * dxi)
-    omega_out = _SIGMA * _dispersion(xi_out)
     n = 1 << (4 * (m.size - 1)).bit_length()
     grid = make_grid(n, TWO_PI / dxi)
     out_slots = (m_out[window] - 4 * m[0] + n // 2) % n
@@ -354,11 +328,11 @@ def torus_duhamel_oracle(
     for rows in _row_blocks(ts.size, n * 16):  # complex rows
         t = ts[rows, None]
         evolved = np.zeros((t.shape[0], n), dtype=np.complex128)
-        evolved[:, n // 2 : n // 2 + m.size] = coeffs * np.exp(1j * omega * t)
+        evolved[:, n // 2 : n // 2 + m.size] = coeffs * _phases((m * dxi) ** 2, t)
         what = _forward(grid, _inverse(grid, evolved) ** 4)[:, out_slots]
-        accum += weights[rows] @ (np.exp(-1j * omega_out * t) * what)
+        accum += weights[rows] @ (_phases(xi_out ** 2, -t) * what)
 
-    vhat = 6.0 * 1j * xi_out * np.exp(1j * omega_out * p.T) * accum
+    vhat = 6.0 * 1j * xi_out * _phases(xi_out ** 2, p.T) * accum
     return FrequencyProfile(xi_out, vhat, dxi)
 
 

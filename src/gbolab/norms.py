@@ -15,11 +15,11 @@ temporary is built.
 The admissibility predicate reads a derivative budget alpha at exponents
 (p, q) as exact fractions (alpha, a, b) with a = 1/p, b = 1/q, 1/inf = 0:
 admissible means the endpoint (1/2, 0, 1/2), or a > 0, b >= 0, 2a + b <= 1/2
-and alpha = a + 2b - 1/2.  The twelve-entry audit takes its float inputs at
-their exact values and reduces each member of the working family of
-space-time norms to such triplets plus the side conditions the predicate does
-not decide, each decided with no tolerance; the N9 entry pins the regularity
-threshold s > 5/12, whose closed form gives the minimal nonlinearity power 12.
+and alpha = a + 2b - 1/2.  The twelve-entry audit reduces each norm of the
+family, at the exact values of its float inputs, to such triplets plus side
+conditions, all decided with no tolerance.  N2..N8 share a time shift delta
+derived from (s, k), so they pass iff s > s_k = 1/2 - 1/k for k >= 4; N9 pins
+s > 5/12, whose closed form gives the minimal nonlinearity power 12.
 """
 
 from __future__ import annotations
@@ -309,10 +309,9 @@ def lemma_triplets(s: float) -> list[AdmissibleTriplet]:
 # Norm-family audit.
 #
 # s_k = 1/2 - 1/k is the scaling-critical index at nonlinearity power k.
-# Entries N2..N8 trade a positive power of the timespan for a small shift
-# delta in their triplet's time exponent, 1/q - delta; N1 and N9..N12 do not.
-# Any small delta > 0 serves; the audit fixes one.
-_DELTA = Fraction(1, 1000)
+# Entries N2..N8 trade a positive power of the timespan for a shift delta > 0
+# in their triplet's time exponent, 1/q - delta, one delta derived from s and k
+# (norm_family_audit); N1 and N9..N12 do not.
 
 
 def _n9_triplet(s: Fraction, eps: Fraction) -> AdmissibleTriplet:
@@ -330,8 +329,8 @@ def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntr
 
     Returns (entry, verdict) pairs for N1..N12.  Each entry carries the
     norm's own reciprocal exponents, the admissibility triplet(s) it reduces
-    to (including the _DELTA adjustments in the time exponent where a
-    timespan power is traded), and the side conditions the predicate does
+    to (including the delta shift of the time exponent where a timespan
+    power is traded), and the side conditions the predicate does
     not decide; the verdict is all of them.  ``eps`` enters the
     fixed-exponent entries N9 and N11.  s and eps are taken at their exact
     values, so every verdict is an exact comparison.
@@ -341,11 +340,24 @@ def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntr
     _check_regularity(s)
     if not (eps > 0 and np.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    s, eps, delta, zero = Fraction(s), Fraction(eps), _DELTA, Fraction(0)
+    s, eps, zero = Fraction(s), Fraction(eps), Fraction(0)
     sk = _HALF - Fraction(1, k)
+    a8, b8 = (Fraction(5, 6) - s / 3) / (k - 1), 2 * s / 3 - Fraction(1, 6)
+    shifted = (  # N2..N7: 1/p + 2/q = 1/k
+        ("N2", Fraction(1, 3 * k), Fraction(1, 3 * k)),
+        ("N3", (1 - s) / k, s / (2 * k)),
+        ("N4", (Fraction(1, 3) + s) / k, (Fraction(1, 3) - s / 2) / k),
+        ("N5", 4 * s / (3 * k), (_HALF - 2 * s / 3) / k),
+        ("N6", (1 - s / 3) / k, s / (6 * k)),
+        ("N7", Fraction(1, k + 1), Fraction(1, 2 * k * (k + 1))))
+    # delta: the midpoint of the range N2..N8's rules leave.  0 and 2a + b <= 1/2 bound
+    # it below (N8's bound is (4 - k)/2, the rest are <= 0 for k >= 4), 1/q - delta >= 0
+    # and the gain s > s_k + 2 delta above: for k >= 4 N2..N8 pass iff s > s_k.
+    lows = [2 * a + b - _HALF for _, a, b in shifted] + [(k - 1) * (2 * a8 - _HALF) + b8]
+    highs = [b for _, _, b in shifted] + [b8, (s - sk) / 2]
+    delta = (max(zero, *lows) + min(highs)) / 2
     gain = (("derivative gain positive: s > s_k + 2*delta", s - sk - 2 * delta > 0),)
     gain8 = s - sk - 2 * delta / k
-    a8, b8 = (Fraction(5, 6) - s / 3) / (k - 1), 2 * s / 3 - Fraction(1, 6)
     entries = [
         # N1: plain L^p_x L^inf_t for 4 <= p <= 1/(1/2 - s); reduction triplet
         # (1/p - 1/2, 1/p, 0), audited at both endpoints of the p-range.  The
@@ -354,21 +366,12 @@ def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntr
             AdmissibleTriplet(Fraction(-1, 4), Fraction(1, 4), zero),
             AdmissibleTriplet(-s, _HALF - s, zero)), ()),
         # N2..N7: norms L^p_x L^q_t with 1/p + 2/q = 1/k; reduction triplet
-        # (alpha - s, 1/p, 1/q - delta) with alpha = s - s_k - 2*delta.  The
-        # predicate's 1/q - delta >= 0 is the time slack; 1/q = delta, where
-        # it would differ from 1/q > delta, needs an s that is not dyadic
-        # wherever the gain holds, so no float s reaches it.
+        # (alpha - s, 1/p, 1/q - delta) with alpha = s - s_k - 2*delta.
         *(NormFamilyEntry(id_, zero, a, b,
                           (AdmissibleTriplet(-sk - 2 * delta, a, b - delta),), gain)
-          for id_, a, b in (
-              ("N2", Fraction(1, 3 * k), Fraction(1, 3 * k)),
-              ("N3", (1 - s) / k, s / (2 * k)),
-              ("N4", (Fraction(1, 3) + s) / k, (Fraction(1, 3) - s / 2) / k),
-              ("N5", 4 * s / (3 * k), (_HALF - 2 * s / 3) / k),
-              ("N6", (1 - s / 3) / k, s / (6 * k)),
-              ("N7", Fraction(1, k + 1), Fraction(1, 2 * k * (k + 1))))),
+          for id_, a, b in shifted),
         # N8: the high-power entry with the k/(k-1) derivative trade; its time
-        # exponent 2s/3 - 1/6 > delta is the predicate's, as for N2..N7.
+        # exponent 2s/3 - 1/6 >= delta is the predicate's, as for N2..N7.
         NormFamilyEntry(
             "N8", zero, a8, max(b8, zero) / (k - 1),
             (AdmissibleTriplet(Fraction(k, k - 1) * gain8 - s, a8, (b8 - delta) / (k - 1)),),

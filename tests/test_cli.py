@@ -120,6 +120,22 @@ amplitude = 0.1
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("[admissible]\ns = snail\nk = 12\n", "admissible")
 
+    @pytest.mark.parametrize("text, subcommand, match", [
+        (ADMISSIBLE_OK, "frobnicate", "unknown subcommand 'frobnicate'"),
+        ("[admissible\ns = 0.45\n", "admissible", "config syntax"),
+        (SIMULATE_OK.replace("rescaled = yes", "rescaled = maybe"), "simulate",
+         "not a boolean: 'maybe'"),
+        (ILLPOSED_MIN.replace("8, 16, 32, 64, 128", ""), "illposed", "'N_list': empty list"),
+    ], ids=["unknown-subcommand", "syntax", "bool", "empty-list"])
+    def test_guards_reject_bad_input(self, text, subcommand, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text, subcommand)
+
+    @pytest.mark.parametrize("value", ["0", "false", "No", "OFF"])
+    def test_bool_reads_false_values(self, value):
+        text = SIMULATE_OK.replace("rescaled = yes", f"rescaled = {value}")
+        assert parse_config(text, "simulate").params["rescaled"] is False
+
     def test_seed_key_threads_through(self):
         cfg = parse_config(ESTIMATES_KATO + "seed = 9\n", "estimates")
         assert cfg.params["seed"] == 9
@@ -165,6 +181,11 @@ class TestAdmissibleRuns:
                          *(f"N{i}: {gain}" for i in range(2, 8)), f"N8: {gain}/k",
                          "N9: inadmissible triplet (alpha, 1/p, 1/q) = (-0.194, 0.3, 0.003)"]
         assert "note: N9: inadmissible triplet" in (out / "summary.txt").read_text()
+
+    def test_pass_just_above_the_critical_index_at_high_power(self, tmp_path):
+        # s_30 = 7/15 = 0.4667: every entry passes at s = 0.48, k = 30
+        code, _ = run_cli(tmp_path, "[admissible]\ns = 0.48\nk = 30\n", "admissible")
+        assert code == 0
 
     def test_rerun_byte_identical_modulo_timestamp(self, tmp_path):
         code1, out1 = run_cli(tmp_path / "a", ADMISSIBLE_OK, "admissible")

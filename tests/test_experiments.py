@@ -123,6 +123,11 @@ class TestPackets:
         with pytest.raises(ValueError):
             make_packet_ensemble(GRID, 2, seed=0, kind="chirp")
 
+    @pytest.mark.parametrize("mode", [0, -3, SMALL.n // 2, SMALL.n])
+    def test_plane_wave_mode_inside_the_band(self, mode):
+        with pytest.raises(ValueError, match="strictly inside the resolved band"):
+            plane_wave(SMALL, mode)
+
     def test_max_active_frequency_single_mode(self):
         # the reference scan that test_reach_bounds_every_drawn_packet reads
         f = plane_wave(GRID, 13)
@@ -443,6 +448,11 @@ class TestPlaneWaveGrowth:
         assert slope == pytest.approx(0.5, abs=1e-6)
         assert len(pts) == 5
 
+    @pytest.mark.parametrize("modes", [[], [4]])
+    def test_needs_two_modes(self, modes):
+        with pytest.raises(ValueError, match="at least two modes"):
+            plane_wave_growth_exponent(GRID, T=0.25, modes=modes)
+
     def test_ratio_values_exact(self):
         slope, pts = plane_wave_growth_exponent(GRID, T=0.25, modes=[16, 32])
         for xi, ratio in pts:
@@ -496,6 +506,16 @@ class TestReporting:
         # a producer that forgets its verdict fails instead of passing silently
         with pytest.raises(TypeError, match="verdict"):
             ExperimentReport(experiment_id="demo", inputs={}, points=[])
+
+    @pytest.mark.parametrize("points, csv", [
+        ([{"N": np.float64(8.0)}], "N\n8.0\n"), ([], "")], ids=["one-point", "no-points"])
+    def test_report_plain_values_and_csv(self, tmp_path, points, csv):
+        # arrays anywhere in a report become JSON lists; no points, an empty CSV
+        rep = ExperimentReport(experiment_id="demo", inputs={"N_list": np.array([8.0, 16.0])},
+                               points=points, verdict="PASS")
+        assert json.loads(json.dumps(rep.to_dict()))["params"] == {"N_list": [8.0, 16.0]}
+        write_report_csv(rep, str(tmp_path / "series.csv"))
+        assert (tmp_path / "series.csv").read_text() == csv
 
     def test_report_csv_columns_sorted(self, tmp_path):
         rep = ExperimentReport(

@@ -240,6 +240,19 @@ def test_residual_rejects_nonuniform_times():
         gauge_equation_residual(traj, [1])
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda f, g: gauge_equation_residual(
+        evolve(f, SolverConfig(k=12, rescaled=True, dt=2e-4, t_end=2e-3)), [1, 0]),
+     r"thinning factors must be positive, got \[1, 0\]"),
+    (bilinear_G_direct, "share a grid"),
+    (bilinear_G_projected, "share a grid"),
+], ids=["thinning-below-one", "G-direct-grids", "G-projected-grids"])
+def test_guards_reject_bad_input(call, match):
+    f, g = gaussian(make_grid(256, 40.0), 0.3), gaussian(make_grid(256, 20.0), 0.3)
+    with pytest.raises(ValueError, match=match):
+        call(f, g)
+
+
 def test_residual_zero_trajectory():
     grid = make_grid(256, 40.0)
     cfg = SolverConfig(k=12, rescaled=True, dt=2e-4, t_end=2e-3)

@@ -7,7 +7,8 @@ and so does every option (a defaulted parameter or dataclass field).  An
 option that the CLI feeds from a run's config counts as set only if a config
 in README.md or perfbench/ gives that key another value.  A private
 top-level name under src/ needs a reader under src/ or perfbench/: code that
-only tests read belongs in tests/."""
+only tests read belongs in tests/.  Outside spectral.py no exp call under
+src/ reads _SIGMA: the propagator phase is spectral._phases."""
 
 import ast
 import configparser
@@ -319,6 +320,19 @@ def _unlisted_publics(tree: ast.Module, listed: set[str]) -> list[str]:
             and not node.name.startswith("_") and node.name not in listed]
 
 
+def _phases_by_hand(tree: ast.Module) -> list[int]:
+    """Lines of the exp calls whose arguments read _SIGMA (as a name or an
+    attribute): a propagator phase written out beside spectral._phases.  A
+    phase built from a value computed earlier, as in omega = _SIGMA * xi**2
+    and then np.exp(1j * omega * t), reads no _SIGMA in the call and is not
+    seen."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "exp"
+            and any(getattr(n, "id", getattr(n, "attr", None)) == "_SIGMA"
+                    for arg in node.args for n in ast.walk(arg))]
+
+
 def test_sources_found():
     assert any(path.name == "cli.py" for path in MODULES)
     assert any(path.name == "test_hygiene.py" for path in TESTS)
@@ -341,6 +355,10 @@ def test_checks_catch_what_they_name():
                         "def _self(n):\n    return _self(n - 1)\n"
                         "class _Unread:\n    pass\n_used()\n")
     assert _unread_privates([private], [private, user]) == {"_self", "_Unread"}
+    phases = ast.parse("a = np.exp(_SIGMA * 1j * t * xi)\n"
+                       "b = exp(-spectral._SIGMA * 1j * t)\n"
+                       "omega = _SIGMA * xi\nc = np.exp(1j * omega * t)\n")
+    assert _phases_by_hand(phases) == [1, 2]
 
 
 def test_option_guard_catches_what_it_names():
@@ -385,6 +403,13 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = _unused_imports(tree)
     assert not unused, f"unused imports in {_id(path)}: {unused}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "spectral.py"], ids=_id)
+def test_propagator_phase_stays_in_spectral(path):
+    lines = _phases_by_hand(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, (f"{_id(path)} builds a propagator phase by hand at lines {lines}; "
+                       f"use spectral._phases")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=_id)

@@ -13,11 +13,9 @@ from gbolab.experiments.illposed import (
     _band_4n,
     _band_window,
     _cubic_bspline,
-    _dispersion,
     _prefactor,
     convolution_power,
     hN_sobolev_norm,
-    illposed_build_hN,
     illposed_growth_fit,
     illposed_v_details,
     kernel_bracket_4n,
@@ -54,17 +52,13 @@ class TestParams:
 
 
 class TestDataProfile:
-    def test_even_symmetry(self):
-        p = IllposedParams(N=64.0, **CHEAP)
-        pos, neg = illposed_build_hN(p)
-        np.testing.assert_allclose(neg.xi, -pos.xi[::-1])
-        np.testing.assert_allclose(neg.values, pos.values[::-1])
-
-    def test_profile_covers_band_at_constant_height(self):
-        p = IllposedParams(N=64.0, **CHEAP)
-        pos, _ = illposed_build_hN(p)
-        assert pos.xi[0] > p.N and pos.xi[-1] < p.N + p.alpha
-        np.testing.assert_allclose(pos.values, p.amplitude)
+    @pytest.mark.parametrize("N", [64.0, 256.0, 1024.0])
+    @pytest.mark.parametrize("theta", [0.1, 0.2, 0.3])
+    def test_norm_at_s_zero_is_exact(self, N, theta):
+        # two bands of width alpha and height amplitude, amplitude^2 alpha = 1
+        # at s = 0: the L2 norm is (2 / 2pi)^(1/2) whatever N and theta
+        p = IllposedParams(N=N, s=0.0, theta=theta, T=1.0)
+        assert hN_sobolev_norm(p) == pytest.approx(np.pi ** -0.5, rel=1e-14)
 
     def test_norm_in_unit_window(self):
         p = IllposedParams(N=256.0, s=0.2, theta=0.2, T=1.0)
@@ -84,6 +78,11 @@ class TestDataProfile:
             for N in (64.0, 256.0, 1024.0)
         ]
         assert max(norms) / min(norms) < 1.05
+
+
+def _dispersion(xi):
+    """sgn(xi) xi^2, the symbol the propagator phase multiplies by -t."""
+    return xi * np.abs(xi)
 
 
 def _phase_polynomial(xi0, xi1, xi2, xi3):
@@ -290,6 +289,15 @@ class TestConvolutionPower:
         prof = convolution_power(alpha, 64)
         mass = prof.values.sum() * (alpha / 64)
         assert mass == pytest.approx(alpha ** 4, rel=1e-10)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: FrequencyProfile(np.zeros(3), np.zeros(4), 1.0), "same shape"),
+        (lambda: convolution_power(0.0, 64), "alpha must be positive"),
+        (lambda: convolution_power(0.5, 16), "M must be at least 32"),
+    ], ids=["profile-shape", "alpha", "M"])
+    def test_guards_reject_bad_input(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
     def test_matches_quadrature_oracle(self):
         # the closed form alpha^3 B(xi / alpha), B the cubic B-spline

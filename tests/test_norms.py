@@ -148,6 +148,17 @@ def test_spacetime_field_validation():
         mixed_norm(u, 2.0, np.nan)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: SpaceTimeField(GRID, np.array([0.0, 1.0]), np.zeros((3, GRID.n))),
+     r"slices shape \(3, 256\) does not match \(2, 256\)"),
+    (lambda: mixed_norm(constant_field(1.0, n_times=1), 2.0, 4.0),
+     "finite time exponent needs at least two time samples"),
+], ids=["slices-shape", "one-sample-finite-q"])
+def test_spacetime_guards(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # --- Sobolev norms -----------------------------------------------------------
 
 
@@ -343,9 +354,30 @@ def test_audit_n9_exact_boundary():
 
 
 def test_audit_gain_rule_exact_boundary():
-    # at k = 4 N2 needs s > s_k + 2*delta = 1/4 + 2/1000, decided exactly
-    assert not audit_map(0.252 - 1e-13, 4, 0.001)["N2"]
-    assert audit_map(0.252 + 1e-13, 4, 0.001)["N2"]
+    # at k = 4 the derived delta leaves N2 the rule s > s_k = 1/4, decided exactly
+    assert not audit_map(0.25, 4, 0.001)["N2"]
+    assert audit_map(0.25 + 1e-13, 4, 0.001)["N2"]
+
+
+@pytest.mark.parametrize("k", [12, 22, 30, 60, 200, 1000])
+def test_audit_threshold_is_the_critical_index(k):
+    # the paper's well-posedness range s > s_k at every k >= 12: the whole
+    # audit passes just above s_k and fails just below it
+    sk = 0.5 - 1.0 / k
+    assert all(audit_map(sk + 1e-6, k, 1e-9).values())
+    assert not all(audit_map(sk - 1e-6, k, 1e-9).values())
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_audit_n8_fails_where_no_delta_exists(k):
+    # at s = 1/4 N8's time exponent 2s/3 - 1/6 is 0, so no delta > 0 fits
+    assert not audit_map(0.25, k, 0.001)["N8"]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_audit_fails_every_s_below_power_four(k):
+    for s in np.linspace(0.01, 0.49, 49):
+        assert not all(audit_map(float(s), k, 1e-9).values()), s
 
 
 def test_audit_n11_fails_at_eps_quarter():

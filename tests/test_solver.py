@@ -362,6 +362,20 @@ def test_blowup_guard_names_first_nonfinite_step():
             evolve(u0, cfg)
 
 
+@pytest.mark.parametrize("values, k, error, match", [
+    (1j * gaussian(make_grid(64, 2 * np.pi)).values, 12, ValueError, "real fields"),
+    # k = 1 at amplitude 1e4 and dt at the bound: the second slice is finite,
+    # but past 1e6 x the initial L-inf
+    (gaussian(make_grid(64, 2 * np.pi), amplitude=1e4, width=1.0).values, 1,
+     BlowUpError, r"L-inf .* exceeded 1e6 x initial at t = 0\.000976562$"),
+], ids=["complex-field", "linf-guard"])
+def test_evolve_guards(values, k, error, match):
+    grid = make_grid(64, 2 * np.pi)
+    dt = stability_bound(grid)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):
+        evolve(field_from_values(grid, values), SolverConfig(k=k, dt=dt, t_end=8 * dt))
+
+
 # --- Duhamel residual ----------------------------------------------------------
 
 
@@ -437,13 +451,6 @@ def test_rescale_identity():
     same = rescale(u0, 1.0, 12)
     assert same.grid == u0.grid
     np.testing.assert_allclose(same.values, u0.values, atol=0)
-
-
-def test_rescale_rejects_bad_lambda():
-    grid = make_grid(256, 40.0)
-    u0 = gaussian(grid)
-    with pytest.raises(ValueError):
-        rescale(u0, -2.0, 12)
 
 
 def test_rescale_critical_norm_invariant():

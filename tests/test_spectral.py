@@ -66,6 +66,35 @@ def test_grid_identity_is_size_and_length():
     assert grid != (64, 2 * np.pi)
 
 
+@pytest.mark.parametrize("n, length, match", [
+    (0, 1.0, "power of two >= 8, got 0"),
+    (4, 1.0, "power of two >= 8, got 4"),
+    (12, 1.0, "power of two >= 8, got 12"),
+    (8, 0.0, "positive and finite, got 0.0"),
+    (8, -1.0, "positive and finite, got -1.0"),
+    (8, np.inf, "positive and finite, got inf"),
+    (8, np.nan, "positive and finite, got nan"),
+], ids=["n-0", "n-4", "n-12", "length-0", "length-negative", "length-inf", "length-nan"])
+def test_make_grid_rejects_out_of_range(n, length, match):
+    with pytest.raises(ValueError, match=match):
+        make_grid(n, length)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda f: field_from_values(GRID, np.zeros(GRID.n + 1)), r"values must have shape \(256,\)"),
+    (lambda f: field_from_coeffs(GRID, np.zeros(GRID.n - 1)), r"coeffs must have shape \(256,\)"),
+    (lambda f: apply_multiplier(f, np.ones(GRID.n // 2)), "does not match grid"),
+    (lambda f: fractional_derivative(f, -1.5), "alpha must be >= -1, got -1.5"),
+    (lambda f: project_half_line(f, "leq"), "side must be 'plus' or 'minus'"),
+    (lambda f: band_projections(f, 2, "plus"), "side must be 'leq' or 'geq'"),
+], ids=["values-shape", "coeffs-shape", "symbol-shape", "alpha-below-minus-one",
+        "half-line-side", "band-side"])
+def test_guards_reject_bad_input(call, match):
+    f = field_from_values(GRID, np.sin(GRID.x))
+    with pytest.raises(ValueError, match=match):
+        call(f)
+
+
 # --- transform calibration -------------------------------------------------
 
 

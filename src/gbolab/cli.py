@@ -40,15 +40,6 @@ class ConfigError(ValueError):
 # Config schemas: key -> (parser, required, default).
 
 
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _floats(text: str) -> list[float]:
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     if not parts:
@@ -67,8 +58,7 @@ _SCHEMAS: dict[str, dict] = {
         "n": (int, _REQUIRED),
         "length": (float, _REQUIRED),
         "k": (int, _REQUIRED),
-        "sign": (str, "minus"),
-        "rescaled": (_bool, False),
+        "flow": (str, "minus"),
         "dt": (float, _REQUIRED),
         "t_end": (float, _REQUIRED),
         "slice_stride": (int, 1),
@@ -206,7 +196,7 @@ def _residual_ladder(p: dict) -> tuple[list[int], Field, SolverConfig]:
     strides = sorted(set(p["strides"]), reverse=True)
     if len(strides) < 2 or any(s % strides[-1] for s in strides):
         raise ConfigError("strides must be two or more distinct multiples of the smallest")
-    u0, cfg = _flow(SolverConfig(k=p["k"], rescaled=True, dt=p["dt"], t_end=p["t_end"],
+    u0, cfg = _flow(SolverConfig(k=p["k"], flow="rescaled", dt=p["dt"], t_end=p["t_end"],
                                  slice_stride=strides[-1]), p)
     _check_gauge(p["k"])
     try:  # the finest stride's slices, thinned by each stride's factor
@@ -230,7 +220,7 @@ def _estimate_ladders(p: dict) -> tuple[list[str], SpectralGrid]:
 
 _OBJECTS = {
     "simulate": lambda p: _flow(SolverConfig(
-        k=p["k"], sign=p["sign"], rescaled=p["rescaled"], dt=p["dt"], t_end=p["t_end"],
+        k=p["k"], flow=p["flow"], dt=p["dt"], t_end=p["t_end"],
         slice_stride=p["slice_stride"]), p),
     "gauge-residual": _residual_ladder,
     "illposed": lambda p: _fit_rungs(p["s"], p["theta"], p["T"], p["N_list"],
@@ -404,9 +394,8 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="INI config file")
         sp.add_argument("--out", default=".", help="output directory")
-        if name == "estimates":
-            sp.add_argument("--seed", type=int,
-                            help="override the config seed")
+        if "seed" in _SCHEMAS[name]:
+            sp.add_argument("--seed", type=int, help="override the config seed")
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
 

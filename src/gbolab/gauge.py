@@ -151,10 +151,10 @@ def gauge_equation_residual(u_traj: Trajectory, every: list[int]) -> list[float]
     one for each thinning factor e in ``every``, of the slices u_traj.slices[::e].
 
     ``u_traj`` must be a solver trajectory of the rescaled flow
-    u_t + H u_xx = 2 u^k u_x (k read from its config) whose coarsest thinning
-    keeps at least 5 uniformly spaced slices.  Each residual is the max over
-    its thinning's interior slices of the windowed residual, relative to
-    their largest windowed ||H w_xx||.
+    u_t + H u_xx = 2 u^k u_x (``flow='rescaled'``, k read from its config)
+    whose coarsest thinning keeps at least 5 uniformly spaced slices.  Each
+    residual is the max over its thinning's interior slices of the windowed
+    residual, relative to their largest windowed ||H w_xx||.
 
     Each slice is gauged once for all thinnings: one multiplier for H w_xx,
     one each for P_-u_x and P_-u_xx (u real, so u_x = 2 Re P_-u_x and
@@ -162,11 +162,9 @@ def gauge_equation_residual(u_traj: Trajectory, every: list[int]) -> list[float]
     together.  Only the window's columns of w and of H w_xx - rhs are kept,
     and each thinning's time stencil runs one interior slice at a time.
     """
-    if not u_traj.config.rescaled:
-        raise ValueError(
-            "trajectory is not flagged as rescaled-equation output; "
-            "run the solver with rescaled=True"
-        )
+    if u_traj.config.flow != "rescaled":
+        raise ValueError(f"the gauge identity holds for the rescaled flow, not "
+                         f"{u_traj.config.flow!r}; run the solver with flow='rescaled'")
     k = u_traj.config.k
     _check_gauge(k, u_traj.n_times, every)
 

@@ -1,12 +1,13 @@
 r"""Time integration of the Benjamin-Ono-type flows and their Duhamel
 residual.
 
-Two flavors of the evolution are supported, selected by SolverConfig:
+Three flows are supported, selected by SolverConfig.flow:
 
-    standard:  u_t + H u_xx + sign * u^k u_x = 0
+    minus:     u_t + H u_xx - u^k u_x = 0
+    plus:      u_t + H u_xx + u^k u_x = 0
     rescaled:  u_t + H u_xx = 2 u^k u_x
 
-Both are integrated by an integrating-factor classical RK4 in the frame of
+All are integrated by an integrating-factor classical RK4 in the frame of
 the free group on the raw ``np.fft.rfft`` half spectrum m = 0..n/2 of the
 samples: the linear part is advanced exactly by the free propagator (its
 odd dispersion vanishes on the Nyquist mode, which stays put), so the scheme
@@ -50,19 +51,22 @@ class BlowUpError(RuntimeError):
     coefficients, or a recorded slice's L-inf exceeds 1e6 x initial."""
 
 
+# Each flow's c in the RHS convention d_t u = -H d_xx u + c u^k u_x.
+_COEFFICIENTS = {"minus": 1.0, "plus": -1.0, "rescaled": 2.0}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters of one run.
 
-    ``sign`` is the nonlinearity sign of the standard flow ('plus' or
-    'minus'); it is ignored when ``rescaled`` is set.  The step size must
-    satisfy dt <= 0.5/xi_max^2 on the grid it is used with (checked when a
-    grid is available, see validate_for_grid).
+    ``flow`` names the equation, 'minus', 'plus' or 'rescaled' (see the
+    module docstring).  The step size must satisfy dt <= 0.5/xi_max^2 on
+    the grid it is used with (checked when a grid is available, see
+    validate_for_grid).
     """
 
     k: int
-    sign: str = "minus"
-    rescaled: bool = False
+    flow: str = "minus"
     dt: float = 1e-4
     t_end: float = 1e-2
     slice_stride: int = 1
@@ -70,8 +74,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.sign not in ("plus", "minus"):
-            raise ValueError(f"sign must be 'plus' or 'minus', got {self.sign!r}")
+        if self.flow not in _COEFFICIENTS:
+            raise ValueError(f"flow must be one of {', '.join(map(repr, _COEFFICIENTS))}, "
+                             f"got {self.flow!r}")
         if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
             raise ValueError(
                 f"dt and t_end must be positive and finite, got {self.dt}, {self.t_end}"
@@ -125,14 +130,6 @@ class Trajectory(SpaceTimeField):
 # Nonlinearity.
 
 
-def _nonlinear_coefficient(cfg: SolverConfig) -> float:
-    # RHS convention d_t u = -H d_xx u + N(u):
-    # rescaled flow has N = 2 u^k u_x; the standard flow N = -sign*u^k*u_x.
-    if cfg.rescaled:
-        return 2.0
-    return -1.0 if cfg.sign == "plus" else 1.0
-
-
 def _power(values: np.ndarray, p: int) -> np.ndarray:
     """values ** p (p >= 1) by repeated squaring, several times faster than
     numpy's general power; equal to it to rounding, not bitwise."""
@@ -146,7 +143,7 @@ def _flux(grid: SpectralGrid, cfg: SolverConfig):
     """The map from real samples u (last axis) to the half spectrum of the
     conservative nonlinearity c/(k+1) * d_x(u^{k+1}), 2/3-dealiased."""
     xi, mask = _half_grid(grid)
-    symbol = mask * (1j * xi) * (_nonlinear_coefficient(cfg) / (cfg.k + 1))
+    symbol = mask * (1j * xi) * (_COEFFICIENTS[cfg.flow] / (cfg.k + 1))
     return lambda values: symbol * np.fft.rfft(_power(values, cfg.k + 1))
 
 

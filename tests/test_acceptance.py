@@ -235,7 +235,7 @@ def test_scaling_symmetry(acceptance_log):
     t0 = time.monotonic()
     grid = make_grid(256, 40.0)
     u0 = gaussian(grid, 0.7)
-    cfg = SolverConfig(k=12, rescaled=True, dt=5e-4, t_end=0.05)
+    cfg = SolverConfig(k=12, flow="rescaled", dt=5e-4, t_end=0.05)
     lam, critical = 2.0, 0.5 - 1.0 / cfg.k
     scaled = rescale(u0, lam, cfg.k)
     ratios = {s: homogeneous_norm(scaled, s) / homogeneous_norm(u0, s)
@@ -268,7 +268,7 @@ def test_gauge_residual_ladder(acceptance_log):
     t0 = time.monotonic()
     grid = make_grid(2048, 60.0)
     u0 = gaussian(grid, 0.75)
-    cfg = SolverConfig(k=12, rescaled=True, dt=4e-5, t_end=0.16, slice_stride=125)
+    cfg = SolverConfig(k=12, flow="rescaled", dt=4e-5, t_end=0.16, slice_stride=125)
     traj = evolve(u0, cfg)
     norms = gauge_equation_residual(traj, [4, 2, 1])
     r1 = norms[0] / norms[1]
@@ -295,7 +295,7 @@ def test_duhamel_residual_order(acceptance_log):
     u0 = field_from_values(
         grid, 1.1 * np.exp(-(grid.x ** 2) / 2.0) * np.cos(2.5 * grid.x)
     )
-    cfg = SolverConfig(k=12, rescaled=True, dt=1e-4, t_end=0.0512, slice_stride=8)
+    cfg = SolverConfig(k=12, flow="rescaled", dt=1e-4, t_end=0.0512, slice_stride=8)
     traj = evolve(u0, cfg)
     resid = [duhamel_residual(subsample(traj, every)) for every in (4, 2, 1)]
     orders = [float(np.log2(resid[i] / resid[i + 1])) for i in range(2)]

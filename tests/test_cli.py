@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbolab import cli
+from gbolab import cli, solver
 from gbolab.cli import ConfigError, main, parse_config
 from gbolab.experiments import linear_ratios
 from gbolab.experiments.illposed import QuadratureError
@@ -50,7 +50,7 @@ SIMULATE_OK = """
 n = 256
 length = 40.0
 k = 12
-rescaled = yes
+flow = rescaled
 dt = 4e-4
 t_end = 0.02
 slice_stride = 10
@@ -123,18 +123,13 @@ amplitude = 0.1
     @pytest.mark.parametrize("text, subcommand, match", [
         (ADMISSIBLE_OK, "frobnicate", "unknown subcommand 'frobnicate'"),
         ("[admissible\ns = 0.45\n", "admissible", "config syntax"),
-        (SIMULATE_OK.replace("rescaled = yes", "rescaled = maybe"), "simulate",
-         "not a boolean: 'maybe'"),
+        (SIMULATE_OK.replace("flow = rescaled", "flow = maybe"), "simulate",
+         "flow must be one of 'minus', 'plus', 'rescaled', got 'maybe'"),
         (ILLPOSED_MIN.replace("8, 16, 32, 64, 128", ""), "illposed", "'N_list': empty list"),
-    ], ids=["unknown-subcommand", "syntax", "bool", "empty-list"])
+    ], ids=["unknown-subcommand", "syntax", "flow", "empty-list"])
     def test_guards_reject_bad_input(self, text, subcommand, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(text, subcommand)
-
-    @pytest.mark.parametrize("value", ["0", "false", "No", "OFF"])
-    def test_bool_reads_false_values(self, value):
-        text = SIMULATE_OK.replace("rescaled = yes", f"rescaled = {value}")
-        assert parse_config(text, "simulate").params["rescaled"] is False
 
     def test_seed_key_threads_through(self):
         cfg = parse_config(ESTIMATES_KATO + "seed = 9\n", "estimates")
@@ -309,18 +304,21 @@ amplitude = 10000.0
 
 class TestOtherSubcommands:
     def test_simulate_writes_conservation_series(self, tmp_path):
-        code, out = run_cli(tmp_path, SIMULATE_OK, "simulate")
-        assert code == 0
-        lines = (out / "series.csv").read_text().splitlines()
-        assert lines[0] == "l2,linf,mass,t"
-        assert len(lines) == 2 + 5  # header + t=0 + five strided slices
-        # every row is the solver's ledger to the last bit
-        traj = evolve(cli._gaussian_field(256, 40.0, 0.3, 1.0),
-                      SolverConfig(k=12, rescaled=True, dt=4e-4, t_end=0.02,
-                                   slice_stride=10))
-        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-        assert rows == np.column_stack(
-            [traj.l2, traj.linf, traj.mass, traj.times]).tolist()
+        for flow in solver._COEFFICIENTS:
+            text = SIMULATE_OK.replace("flow = rescaled", f"flow = {flow}")
+            code, out = run_cli(tmp_path / flow, text, "simulate")
+            assert code == 0
+            assert json.loads((out / "report.json").read_text())["params"]["flow"] == flow
+            lines = (out / "series.csv").read_text().splitlines()
+            assert lines[0] == "l2,linf,mass,t"
+            assert len(lines) == 2 + 5  # header + t=0 + five strided slices
+            # every row is the solver's ledger to the last bit
+            traj = evolve(cli._gaussian_field(256, 40.0, 0.3, 1.0),
+                          SolverConfig(k=12, flow=flow, dt=4e-4, t_end=0.02,
+                                       slice_stride=10))
+            rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+            assert rows == np.column_stack(
+                [traj.l2, traj.linf, traj.mass, traj.times]).tolist()
 
     def test_illposed_runs_and_reports_slope(self, tmp_path):
         code, out = run_cli(tmp_path, ILLPOSED_MIN, "illposed")
@@ -486,7 +484,7 @@ OUT_OF_RANGE = {
     ("simulate", "n"): ["12"],
     ("simulate", "length"): ["0"],
     ("simulate", "k"): ["0"],
-    ("simulate", "sign"): ["up"],  # not numeric, but the library checks it too
+    ("simulate", "flow"): ["up"],  # not numeric, but the library checks it too
     # 0.01 exceeds the stability bound 0.5/xi_max^2 = 1.2e-3 of n = 256, L = 40
     ("simulate", "dt"): ["0", "0.01"],
     ("simulate", "t_end"): ["0", "0.0201"],  # 0.0201 is no multiple of dt
@@ -555,8 +553,9 @@ def test_range_tables_name_only_schema_keys():
     assert not stale, stale
 
 
-# The verdict thresholds are constants, not keys: each former threshold key, set
-# to its old default, is an unknown key before any work.
+# The verdict thresholds are constants, not keys, and one flow key replaced sign
+# and rescaled: each former key, set to an old value, is an unknown key before
+# any work.
 REMOVED_KEYS = {
     ("simulate", "mass_tol"): "1e-10",
     ("simulate", "l2_tol"): "1e-6",
@@ -564,6 +563,8 @@ REMOVED_KEYS = {
     ("gauge-residual", "max_residual"): "1e-4",
     ("illposed", "tolerance"): "0.1",
     ("estimates", "drift_limit"): "2.0",
+    ("simulate", "sign"): "plus",
+    ("simulate", "rescaled"): "yes",
 }
 
 
@@ -646,7 +647,7 @@ def test_subsample_thins_the_ledger_bit_for_bit():
     # the ledger is read off the slices, so thinning the slices must give
     # exactly the thinned ledger of the full trajectory
     u0 = cli._gaussian_field(256, 40.0, 0.3, 1.0)
-    traj = evolve(u0, SolverConfig(k=12, rescaled=True, dt=4e-4, t_end=4e-3))
+    traj = evolve(u0, SolverConfig(k=12, flow="rescaled", dt=4e-4, t_end=4e-3))
     sub = subsample(traj, 2)
     assert sub.config.slice_stride == 2
     assert sub.n_times == 6

@@ -211,21 +211,21 @@ def rescaled_trajectory(n=512, length=60.0, amplitude=0.75, k=12, dt=2e-4,
                         t_end=0.16, stride=100):
     grid = make_grid(n, length)
     u0 = gaussian(grid, amplitude)
-    cfg = SolverConfig(k=k, rescaled=True, dt=dt, t_end=t_end, slice_stride=stride)
+    cfg = SolverConfig(k=k, flow="rescaled", dt=dt, t_end=t_end, slice_stride=stride)
     return evolve(u0, cfg)
 
 
 def test_residual_requires_rescaled_flag():
     grid = make_grid(256, 40.0)
-    cfg = SolverConfig(k=12, dt=2e-4, t_end=2e-3)
-    traj = evolve(gaussian(grid, 0.3), cfg)
-    with pytest.raises(ValueError):
-        gauge_equation_residual(traj, [1])
+    for flow in ("minus", "plus"):
+        traj = evolve(gaussian(grid, 0.3), SolverConfig(k=12, flow=flow, dt=2e-4, t_end=2e-3))
+        with pytest.raises(ValueError, match=f"for the rescaled flow, not '{flow}'"):
+            gauge_equation_residual(traj, [1])
 
 
 def test_residual_requires_five_slices():
     grid = make_grid(256, 40.0)
-    cfg = SolverConfig(k=12, rescaled=True, dt=2e-4, t_end=6e-4)
+    cfg = SolverConfig(k=12, flow="rescaled", dt=2e-4, t_end=6e-4)
     traj = evolve(gaussian(grid, 0.3), cfg)
     with pytest.raises(ValueError, match="thinning by 1 leaves 4 of 4 slices"):
         gauge_equation_residual(traj, [1])
@@ -233,7 +233,7 @@ def test_residual_requires_five_slices():
 
 def test_residual_rejects_nonuniform_times():
     grid = make_grid(256, 40.0)
-    cfg = SolverConfig(k=12, rescaled=True, dt=2e-4, t_end=2e-3)
+    cfg = SolverConfig(k=12, flow="rescaled", dt=2e-4, t_end=2e-3)
     traj = evolve(gaussian(grid, 0.3), cfg)
     traj.times[5] += 0.25 * cfg.dt
     with pytest.raises(ValueError, match="uniformly spaced"):
@@ -242,7 +242,7 @@ def test_residual_rejects_nonuniform_times():
 
 @pytest.mark.parametrize("call, match", [
     (lambda f, g: gauge_equation_residual(
-        evolve(f, SolverConfig(k=12, rescaled=True, dt=2e-4, t_end=2e-3)), [1, 0]),
+        evolve(f, SolverConfig(k=12, flow="rescaled", dt=2e-4, t_end=2e-3)), [1, 0]),
      r"thinning factors must be positive, got \[1, 0\]"),
     (bilinear_G_direct, "share a grid"),
     (bilinear_G_projected, "share a grid"),
@@ -255,7 +255,7 @@ def test_guards_reject_bad_input(call, match):
 
 def test_residual_zero_trajectory():
     grid = make_grid(256, 40.0)
-    cfg = SolverConfig(k=12, rescaled=True, dt=2e-4, t_end=2e-3)
+    cfg = SolverConfig(k=12, flow="rescaled", dt=2e-4, t_end=2e-3)
     traj = evolve(field_from_values(grid, np.zeros(grid.n)), cfg)
     assert gauge_equation_residual(traj, [1]) == [0.0]
 

@@ -47,7 +47,6 @@ LAB_CHECKS = (
 # because a check needs values other than the default.
 OPTION_CHECKS = (
     "torus_duhamel_oracle.modes_per_alpha",  # three comb geometries against the full-line reference
-    "SolverConfig.sign",  # the plus flow: Benjamin's wave, the RHS signs, scaling commutation
     "estimate_ladder.n_time",  # test_one_propagator_table_per_rung: a second family at n_time 32
     "estimate_ladder.s",  # test_xst_group_ladder at s = 0.3 and 0.45
 )

@@ -6,10 +6,10 @@ import pytest
 from gbolab import solver
 from gbolab.experiments.illposed import IllposedParams
 from gbolab.solver import (
+    _COEFFICIENTS,
     BlowUpError,
     _cumulative_simpson,
     _flux,
-    _nonlinear_coefficient,
     _power,
     SolverConfig,
     duhamel_residual,
@@ -54,7 +54,7 @@ def _reference_flux(grid, cfg):
     # zero-centred continuum-calibrated coefficients, the power by numpy's **
     m = np.arange(-grid.n // 2, grid.n // 2)
     symbol = (np.abs(m) <= grid.n // 3) * (1j * grid.frequencies)
-    coef = _nonlinear_coefficient(cfg) / (cfg.k + 1)
+    coef = _COEFFICIENTS[cfg.flow] / (cfg.k + 1)
     return lambda values: symbol * _forward(grid, values ** (cfg.k + 1)) * coef
 
 
@@ -100,8 +100,8 @@ def _reference_duhamel_residual(traj):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(k=0)
-    with pytest.raises(ValueError):
-        SolverConfig(k=2, sign="negative")
+    with pytest.raises(ValueError, match="flow must be one of"):
+        SolverConfig(k=2, flow="negative")
     with pytest.raises(ValueError):
         SolverConfig(k=2, dt=-1e-3)
 
@@ -152,7 +152,7 @@ def _product_rhs(u, cfg):
     grid, v = u.grid, u.values.real
     xi, mask = _half_grid(grid)
     ux = np.fft.irfft(mask * 1j * xi * np.fft.rfft(v), grid.n)
-    half = mask * np.fft.rfft(v ** cfg.k * ux) * _nonlinear_coefficient(cfg)
+    half = mask * np.fft.rfft(v ** cfg.k * ux) * _COEFFICIENTS[cfg.flow]
     return np.fft.irfft(half, grid.n)
 
 
@@ -191,9 +191,9 @@ def test_rhs_conservative_vs_product():
 def test_rhs_sign_conventions():
     grid = make_grid(256, 2 * np.pi)
     u = gaussian(grid, amplitude=0.5)
-    plus = _rhs(u, SolverConfig(k=2, sign="plus", dt=1e-5, t_end=1e-4))
-    minus = _rhs(u, SolverConfig(k=2, sign="minus", dt=1e-5, t_end=1e-4))
-    resc = _rhs(u, SolverConfig(k=2, rescaled=True, dt=1e-5, t_end=1e-4))
+    plus = _rhs(u, SolverConfig(k=2, flow="plus", dt=1e-5, t_end=1e-4))
+    minus = _rhs(u, SolverConfig(k=2, flow="minus", dt=1e-5, t_end=1e-4))
+    resc = _rhs(u, SolverConfig(k=2, flow="rescaled", dt=1e-5, t_end=1e-4))
     np.testing.assert_allclose(plus, -minus, atol=1e-14)
     np.testing.assert_allclose(resc, 2 * minus, atol=1e-14)
 
@@ -263,7 +263,7 @@ def test_evolve_matches_complex_reference(n, length, k, dt, t_end):
     grid = make_grid(n, length)
     u0 = noisy_gaussian(grid, amplitude=0.75, noise=0.02)
     assert abs(u0.coeffs[0]) > 1e-4 * np.abs(u0.coeffs).max()  # Nyquist content
-    cfg = SolverConfig(k=k, rescaled=True, dt=dt, t_end=t_end, slice_stride=5)
+    cfg = SolverConfig(k=k, flow="rescaled", dt=dt, t_end=t_end, slice_stride=5)
     slices = evolve(u0, cfg).slices
     ref = _reference_evolve(u0, cfg)
     assert slices.shape == ref.shape
@@ -320,11 +320,8 @@ def benjamin_wave(x, t, gamma, c):
     return (2.0 * np.sinh(gamma) / (np.cosh(gamma) - np.cos(x - v * t)) + v) / c, v
 
 
-@pytest.mark.parametrize("flow,c", [
-    ({"sign": "minus"}, 1.0),
-    ({"sign": "plus"}, -1.0),
-    ({"rescaled": True}, 2.0),
-], ids=["minus", "plus", "rescaled"])
+@pytest.mark.parametrize("flow,c", [("minus", 1.0), ("plus", -1.0), ("rescaled", 2.0)],
+                         ids=["minus", "plus", "rescaled"])
 def test_benjamin_wave_is_exact(flow, c):
     # An outside reference for the propagator's sign and the nonlinear
     # coefficient together: flipping either moves the wave by O(1).
@@ -337,7 +334,7 @@ def test_benjamin_wave_is_exact(flow, c):
     residual = -v * du.values + hu_xx - c * values * du.values
     assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(v * du.values))
 
-    cfg = SolverConfig(k=1, dt=1e-4, t_end=0.1, slice_stride=1000, **flow)
+    cfg = SolverConfig(k=1, dt=1e-4, t_end=0.1, slice_stride=1000, flow=flow)
     traj = evolve(u0, cfg)
     exact, _ = benjamin_wave(grid.x, traj.times[-1], gamma, c)
     assert np.max(np.abs(traj.slices[-1] - exact)) <= 1e-10 * np.max(np.abs(exact))
@@ -473,14 +470,12 @@ def test_rescale_norm_law():
         assert abs(ratio - lam ** (s + 1.0 / k - 0.5)) < 1e-10
 
 
-@pytest.mark.parametrize("flow", [
-    {"sign": "minus"}, {"sign": "plus"}, {"rescaled": True},
-], ids=["minus", "plus", "rescaled"])
+@pytest.mark.parametrize("flow", ["minus", "plus", "rescaled"])
 def test_flow_commutes_with_rescaling(flow):
     # at amplitude 0.7 the nonlinear term is far from negligible (it was 0.15)
     grid = make_grid(256, 40.0)
     u0 = gaussian(grid, amplitude=0.7, width=2.0)
-    cfg = SolverConfig(k=12, dt=4e-4, t_end=6.4e-3, **flow)
+    cfg = SolverConfig(k=12, dt=4e-4, t_end=6.4e-3, flow=flow)
     assert commutation_defect(u0, 2.0, cfg) < 1e-6
 
 
@@ -490,10 +485,10 @@ def test_commutation_sees_a_flux_of_the_wrong_degree(monkeypatch):
     # at the former amplitude 0.01 the flow is linear and it stays 5e-16
     def flux_power_k(grid, cfg):
         xi, mask = _half_grid(grid)
-        symbol = mask * (1j * xi) * (_nonlinear_coefficient(cfg) / (cfg.k + 1))
+        symbol = mask * (1j * xi) * (_COEFFICIENTS[cfg.flow] / (cfg.k + 1))
         return lambda values: symbol * np.fft.rfft(_power(values, cfg.k))
 
     monkeypatch.setattr(solver, "_flux", flux_power_k)
     u0 = gaussian(make_grid(256, 40.0), amplitude=0.7, width=1.0)
-    cfg = SolverConfig(k=12, rescaled=True, dt=5e-4, t_end=0.05)
+    cfg = SolverConfig(k=12, flow="rescaled", dt=5e-4, t_end=0.05)
     assert commutation_defect(u0, 2.0, cfg) > 1e-6

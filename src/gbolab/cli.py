@@ -21,7 +21,7 @@ from .experiments.illposed import _fit_rungs, illposed_growth_fit
 from .experiments.linear_ratios import ESTIMATES, _check_ladder, estimate_ladder
 from .experiments.reporting import _DRIFT_LIMIT, ExperimentReport, write_report_csv
 from .gauge import _check_gauge, gauge_equation_residual
-from .norms import is_one_admissible, norm_family_audit
+from .norms import _delta_range, is_one_admissible, norm_family_audit
 from .solver import SolverConfig, evolve
 from .spectral import Field, SpectralGrid, field_from_values, make_grid
 
@@ -306,7 +306,11 @@ def _run_admissible(cfg: RunConfig) -> ExperimentReport:
     points = [{"id": entry.id, "derivative_order": float(entry.derivative_order),
                "p": entry.p, "q": entry.q, "passes": ok} for entry, ok in cfg.objects]
     failing = [point["id"] for point in points if not point["passes"]]
-    reasons = [f"{e.id}: {why}" for e, ok in cfg.objects if not ok for why in [
+    # with no delta, one note names the bounds that cross, not N2..N8's rules at none
+    rows, (low, by), (cap, capped) = _delta_range(cfg.params["s"], cfg.params["k"])
+    note = "no delta satisfies N2..N8's rules: %s needs delta >= %.6g, %s needs delta <= %.6g"
+    shared = {row[0]: note % (by, low, capped, cap) for row in rows} if low > cap else {}
+    reasons = [shared.get(e.id) or f"{e.id}: {why}" for e, ok in cfg.objects if not ok for why in [
         f"side condition fails: {text}" for text, holds in e.side_conditions if not holds] + [
         "inadmissible triplet (alpha, 1/p, 1/q) = (%.6g, %.6g, %.6g)" % (t.alpha, t.a, t.b)
         for t in e.triplets if not is_one_admissible(t)]]
@@ -316,7 +320,7 @@ def _run_admissible(cfg: RunConfig) -> ExperimentReport:
         points=points,
         verdict="FAIL" if failing else "PASS",
         notes=[f"failing entries: {', '.join(failing)}" if failing
-               else "all twelve entries admissible", *reasons],
+               else "all twelve entries admissible", *dict.fromkeys(reasons)],
     )
 
 

@@ -5,7 +5,6 @@ from .illposed import (
     FrequencyProfile,
     IllposedParams,
     QuadratureError,
-    convolution_power,
     hN_sobolev_norm,
     illposed_growth_fit,
     illposed_v_details,
@@ -34,7 +33,6 @@ __all__ = [
     "IllposedParams",
     "QuadratureError",
     "RatioStatistics",
-    "convolution_power",
     "embed_field",
     "estimate_ladder",
     "estimate_ratio",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..norms import _row_blocks
-from ..spectral import _SIGMA, _forward, _inverse, _phases, make_grid
+from ..spectral import _SIGMA, _phases
 from .reporting import ExperimentReport
 
 TWO_PI = 2.0 * np.pi
@@ -118,28 +118,6 @@ def hN_sobolev_norm(p: IllposedParams) -> float:
     h = p.alpha / p.freq_resolution
     xi = p.N + (np.arange(p.freq_resolution) + 0.5) * h
     return math.sqrt(2.0 * FrequencyProfile(xi, np.full(xi.size, p.amplitude), h).hs_mass(p.s))
-
-
-# ---------------------------------------------------------------------------
-# Indicator self-convolution.
-
-
-def convolution_power(alpha: float, M: int) -> FrequencyProfile:
-    """4-fold self-convolution of the indicator of [0, alpha].
-
-    The band's m = 0 fiber measure (_fiber_moments) on M midpoint samples of
-    spacing alpha/M; supported on [0, 4 alpha]; total mass alpha^4 exactly.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if M < 32:
-        raise ValueError("M must be at least 32")
-    h = alpha / M
-    ones = np.ones(M)
-    c4 = _fiber_moments(ones, ones, 0, h)  # y^2 does not enter the zeroth moment
-    # sample j of the indicator sits at (j + 1/2) h, so sample j of c4 at (j + 2) h
-    xi = (np.arange(c4.size) + 2.0) * h
-    return FrequencyProfile(xi, c4, h)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +271,8 @@ def torus_duhamel_oracle(
     Only the positive band is evolved: a product with a negative-band
     factor lies at or below 2N + 3 alpha < 4N.  Shifted down by its first
     mode, the J band modes have 4-fold sums 0 .. 4(J-1); a power-of-two
-    grid of n >= 4(J-1) + 1 points, hence 4(J-1) + 4, holds them and the
-    window, at most two modes beyond them, without wrap.  n depends on
+    transform of n >= 4(J-1) + 1 points, hence 4(J-1) + 4, holds them and
+    the window, at most two modes beyond them, without wrap.  n depends on
     modes_per_alpha alone, so the cost grows like N^2, the sample count.
     """
     if modes_per_alpha < 8:
@@ -313,8 +291,7 @@ def torus_duhamel_oracle(
     xi_out = xi_out[window]
 
     n = 1 << (4 * (m.size - 1)).bit_length()
-    grid = make_grid(n, TWO_PI / dxi)
-    out_slots = (m_out[window] - 4 * m[0] + n // 2) % n
+    out_slots = (m_out[window] - 4 * m[0]) % n
 
     p_max = 12.5 * (p.N + p.alpha) ** 2
     n_t = int(np.ceil(1.3 * p_max * p.T / np.pi)) * 2
@@ -327,13 +304,13 @@ def torus_duhamel_oracle(
     accum = np.zeros(xi_out.size, dtype=np.complex128)
     for rows in _row_blocks(ts.size, n * 16):  # complex rows
         t = ts[rows, None]
-        evolved = np.zeros((t.shape[0], n), dtype=np.complex128)
-        evolved[:, n // 2 : n // 2 + m.size] = coeffs * _phases((m * dxi) ** 2, t)
         # squared twice: numpy's complex power is several times slower
-        what = _forward(grid, np.square(np.square(_inverse(grid, evolved))))[:, out_slots]
+        values = np.fft.ifft(coeffs * _phases((m * dxi) ** 2, t), n)
+        what = np.fft.fft(np.square(np.square(values)))[:, out_slots]
         accum += weights[rows] @ (_phases(xi_out ** 2, -t) * what)
 
-    vhat = 6.0 * 1j * xi_out * _phases(xi_out ** 2, p.T) * accum
+    # raw transforms: the (-1)^m signs cancel in the product, the scale (n/L)^3 stays, L = 2 pi/dxi
+    vhat = 6.0 * 1j * xi_out * _phases(xi_out ** 2, p.T) * accum * (n * dxi / TWO_PI) ** 3
     return FrequencyProfile(xi_out, vhat, dxi)
 
 

@@ -17,7 +17,7 @@ import functools
 import numpy as np
 
 from ..norms import (_PIECES, SpaceTimeField, _check_regularity, _row_blocks,
-                     mixed_norm, sobolev_norm, xst_norm)
+                     mixed_norm, sobolev_norm, xst_components)
 from ..spectral import Field, SpectralGrid, _propagator, fractional_derivative, lowpass_P0
 from .packets import _check_ensemble, _reach, embed_field, make_packet_ensemble, plane_wave
 from .reporting import RatioStatistics
@@ -141,7 +141,7 @@ def estimate_ratio(
     """
     _check_estimate(estimate, phi.grid, T, s, n_time)
     if estimate == "xst":
-        lhs = xst_norm(free_evolution_spacetime(phi, T, n_time), s)
+        lhs = xst_components(free_evolution_spacetime(phi, T, n_time), s).total
         rhs = sobolev_norm(phi, s)
     else:
         order, p, q = _SPECS[estimate]

@@ -79,8 +79,8 @@ def _check_gauge(k: int, n_times: int = 5, every=(1,)) -> None:
     in the coarsest thinning of n_times slices by the factors ``every``."""
     if k < 2:
         raise ValueError(f"k must be >= 2 for the gauge transform, got {k}")
-    if min(every) < 1:
-        raise ValueError(f"thinning factors must be positive, got {list(every)}")
+    if not every or not all(isinstance(e, (int, np.integer)) and e >= 1 for e in every):
+        raise ValueError(f"every must list positive integer thinning factors, got {list(every)}")
     n_slices = (n_times - 1) // max(every) + 1
     if n_slices < 5:
         raise ValueError(f"thinning by {max(every)} leaves {n_slices} of {n_times} slices; "

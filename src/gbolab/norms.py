@@ -45,7 +45,6 @@ __all__ = [
     "XstComponents",
     "sobolev_norm",
     "mixed_norm",
-    "xst_norm",
     "xst_components",
     "is_one_admissible",
     "lemma_triplets",
@@ -271,11 +270,6 @@ def xst_components(u: SpaceTimeField, s: float) -> XstComponents:
     return XstComponents(float(np.sqrt(sup_hs)), *norms)
 
 
-def xst_norm(u: SpaceTimeField, s: float) -> float:
-    """Total solution-space norm (sum of the four components)."""
-    return xst_components(u, s).total
-
-
 # ---------------------------------------------------------------------------
 # Admissibility.
 
@@ -324,6 +318,24 @@ def _fixed(id_: str, order: Fraction, t: AdmissibleTriplet, *side) -> NormFamily
     return NormFamilyEntry(id_, order, t.a, t.b, (t,), side)
 
 
+def _delta_range(s: float | Fraction, k: int):
+    """N2..N8's rows (id, 1/p, 1/q, w), of triplet time exponent (1/q - delta)/w, and
+    their delta's range as (bound, rule): the largest of 0 and 2/p + 1/q <= 1/2's
+    bounds (N8's (4 - k)/2 empties it at k <= 3), and the least 1/q - delta >= 0 cap."""
+    s = Fraction(s)
+    rows = (  # N2..N7: 1/p + 2/q = 1/k
+        ("N2", Fraction(1, 3 * k), Fraction(1, 3 * k), 1),
+        ("N3", (1 - s) / k, s / (2 * k), 1),
+        ("N4", (Fraction(1, 3) + s) / k, (Fraction(1, 3) - s / 2) / k, 1),
+        ("N5", 4 * s / (3 * k), (_HALF - 2 * s / 3) / k, 1),
+        ("N6", (1 - s / 3) / k, s / (6 * k), 1),
+        ("N7", Fraction(1, k + 1), Fraction(1, 2 * k * (k + 1)), 1),
+        ("N8", (Fraction(5, 6) - s / 3) / (k - 1), 2 * s / 3 - Fraction(1, 6), k - 1))
+    low = max([(Fraction(0), "the time shift")] + [
+        (w * (2 * a - _HALF) + b, f"{id_}'s 2/p + 1/q <= 1/2") for id_, a, b, w in rows])
+    return rows, low, min((b, f"{id_}'s 1/q - delta >= 0") for id_, _, b, _ in rows)
+
+
 def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntry, bool]]:
     """Audit the twelve-member norm family at regularity s, power k, slack eps.
 
@@ -342,20 +354,9 @@ def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntr
         raise ValueError(f"eps must be positive and finite, got {eps}")
     s, eps, zero = Fraction(s), Fraction(eps), Fraction(0)
     sk = _HALF - Fraction(1, k)
-    a8, b8 = (Fraction(5, 6) - s / 3) / (k - 1), 2 * s / 3 - Fraction(1, 6)
-    shifted = (  # N2..N7: 1/p + 2/q = 1/k
-        ("N2", Fraction(1, 3 * k), Fraction(1, 3 * k)),
-        ("N3", (1 - s) / k, s / (2 * k)),
-        ("N4", (Fraction(1, 3) + s) / k, (Fraction(1, 3) - s / 2) / k),
-        ("N5", 4 * s / (3 * k), (_HALF - 2 * s / 3) / k),
-        ("N6", (1 - s / 3) / k, s / (6 * k)),
-        ("N7", Fraction(1, k + 1), Fraction(1, 2 * k * (k + 1))))
-    # delta: the midpoint of the range N2..N8's rules leave.  0 and 2a + b <= 1/2 bound
-    # it below (N8's bound is (4 - k)/2, the rest are <= 0 for k >= 4), 1/q - delta >= 0
-    # and the gain s > s_k + 2 delta above: for k >= 4 N2..N8 pass iff s > s_k.
-    lows = [2 * a + b - _HALF for _, a, b in shifted] + [(k - 1) * (2 * a8 - _HALF) + b8]
-    highs = [b for _, _, b in shifted] + [b8, (s - sk) / 2]
-    delta = (max(zero, *lows) + min(highs)) / 2
+    (*shifted, (_, a8, b8, _)), (low, _), (cap, _) = _delta_range(s, k)
+    # delta halves that range, capped by the gain too: for k >= 4 N2..N8 pass iff s > s_k
+    delta = (low + min(cap, (s - sk) / 2)) / 2
     gain = (("derivative gain positive: s > s_k + 2*delta", s - sk - 2 * delta > 0),)
     gain8 = s - sk - 2 * delta / k
     entries = [
@@ -369,7 +370,7 @@ def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntr
         # (alpha - s, 1/p, 1/q - delta) with alpha = s - s_k - 2*delta.
         *(NormFamilyEntry(id_, zero, a, b,
                           (AdmissibleTriplet(-sk - 2 * delta, a, b - delta),), gain)
-          for id_, a, b in shifted),
+          for id_, a, b, _ in shifted),
         # N8: the high-power entry with the k/(k-1) derivative trade; its time
         # exponent 2s/3 - 1/6 >= delta is the predicate's, as for N2..N7.
         NormFamilyEntry(

@@ -22,24 +22,17 @@ the flux's relative aliasing defect is 9.4e-15 at the flow benchmark
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from gbolab.norms import SpaceTimeField
-from gbolab.spectral import (
-    Field,
-    SpectralGrid,
-    _half_grid,
-    _propagator,
-    field_from_values,
-)
+from gbolab.spectral import Field, SpectralGrid, _half_grid, _propagator
 
 __all__ = [
     "SolverConfig",
     "Trajectory",
     "BlowUpError",
-    "step",
     "evolve",
     "duhamel_residual",
     "stability_bound",
@@ -166,12 +159,6 @@ def _stepper(grid: SpectralGrid, cfg: SolverConfig):
         return E2 * half + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
 
     return advance
-
-
-def step(u: Field, cfg: SolverConfig) -> Field:
-    """One integrating-factor RK4 step of size cfg.dt: evolve to t = dt."""
-    traj = evolve(u, replace(cfg, t_end=cfg.dt, slice_stride=1))
-    return field_from_values(u.grid, traj.slices[-1])
 
 
 def evolve(u0: Field, cfg: SolverConfig) -> Trajectory:

@@ -5,7 +5,8 @@ them and prints the collection as its own terminal section so the run ends
 with a compact scoreboard even when individual tests are verbose.  The
 tests that read a trajectory at several slice spacings share ``subsample``;
 the scaling checks share the scaling map ``rescale``/``rescale_traj``, the
-homogeneous norm it acts on, and ``commutation_defect``.
+homogeneous norm it acts on, and ``commutation_defect``; the quartic
+self-convolution checks share ``fiber_measure``.
 """
 
 from dataclasses import replace
@@ -13,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gbolab.experiments.illposed import FrequencyProfile, _fiber_moments
 from gbolab.solver import SolverConfig, Trajectory, evolve
 from gbolab.spectral import Field, field_from_values, make_grid
 
@@ -78,6 +80,16 @@ def commutation_defect(u0: Field, lam: float, cfg: SolverConfig) -> float:
     direct = evolve(rescale(u0, lam, cfg.k), mapped.config)
     np.testing.assert_allclose(mapped.times, direct.times, rtol=0, atol=1e-15)
     return float(np.max(np.abs(mapped.slices - direct.slices)) / np.max(np.abs(direct.slices)))
+
+
+def fiber_measure(alpha: float, M: int) -> FrequencyProfile:
+    """The 4-fold self-convolution of the indicator of [0, alpha] on M
+    midpoint samples: the band's m = 0 fiber measure (_fiber_moments), of
+    total mass alpha^4 exactly.  Sample j of the indicator sits at
+    (j + 1/2) h, so sample j of the measure sits at (j + 2) h."""
+    h, ones = alpha / M, np.ones(M)
+    c4 = _fiber_moments(ones, ones, 0, h)  # y^2 does not enter the zeroth moment
+    return FrequencyProfile((np.arange(c4.size) + 2.0) * h, c4, h)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -22,7 +22,6 @@ import pytest
 
 from gbolab.experiments import (
     IllposedParams,
-    convolution_power,
     estimate_ladder,
     illposed_growth_fit,
     kernel_bracket_4n,
@@ -46,7 +45,7 @@ from gbolab.spectral import (
     tilde_projection,
 )
 
-from conftest import commutation_defect, homogeneous_norm, rescale, subsample
+from conftest import commutation_defect, fiber_measure, homogeneous_norm, rescale, subsample
 
 
 def band_limited(grid, seed, max_mode=None):
@@ -470,7 +469,7 @@ def test_smoothing_ratio_ladders(acceptance_log):
 def test_convolution_profile(acceptance_log):
     t0 = time.monotonic()
     alpha = 0.5
-    prof = convolution_power(alpha, 256)
+    prof = fiber_measure(alpha, 256)
     targets = np.array([alpha, 2 * alpha, 3 * alpha])
     closed = alpha ** 3 * _cubic_bspline(targets / alpha)
     gaps = []

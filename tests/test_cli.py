@@ -177,6 +177,17 @@ class TestAdmissibleRuns:
                          "N9: inadmissible triplet (alpha, 1/p, 1/q) = (-0.194, 0.3, 0.003)"]
         assert "note: N9: inadmissible triplet" in (out / "summary.txt").read_text()
 
+    def test_no_delta_below_power_four_is_one_note(self, tmp_path):
+        # at k = 3 N8's rule 2/p + 1/q <= 1/2 needs delta >= (4 - k)/2 = 1/2, above
+        # every 1/q cap: one note names the two bounds that cross, and no rule is
+        # reported at a delta taken from the empty range
+        code, out = run_cli(tmp_path, "[admissible]\ns = 0.45\nk = 3\n", "admissible")
+        assert code == 1
+        notes = json.loads((out / "report.json").read_text())["notes"]
+        assert notes == ["failing entries: N2, N3, N4, N5, N6, N7, N8",
+                         "no delta satisfies N2..N8's rules: N8's 2/p + 1/q <= 1/2 needs "
+                         "delta >= 0.5, N6's 1/q - delta >= 0 needs delta <= 0.025"]
+
     def test_pass_just_above_the_critical_index_at_high_power(self, tmp_path):
         # s_30 = 7/15 = 0.4667: every entry passes at s = 0.48, k = 30
         code, _ = run_cli(tmp_path, "[admissible]\ns = 0.48\nk = 30\n", "admissible")

@@ -240,13 +240,20 @@ def test_residual_rejects_nonuniform_times():
         gauge_equation_residual(traj, [1])
 
 
+def _thinned(every):
+    """The gauge residual of a short rescaled trajectory, thinned by every."""
+    return lambda f, g: gauge_equation_residual(
+        evolve(f, SolverConfig(k=12, flow="rescaled", dt=2e-4, t_end=2e-3)), every)
+
+
 @pytest.mark.parametrize("call, match", [
-    (lambda f, g: gauge_equation_residual(
-        evolve(f, SolverConfig(k=12, flow="rescaled", dt=2e-4, t_end=2e-3)), [1, 0]),
-     r"thinning factors must be positive, got \[1, 0\]"),
+    (_thinned([1, 0]), r"every must list positive integer thinning factors, got \[1, 0\]"),
+    (_thinned([]), r"every must list positive integer thinning factors, got \[\]"),
+    (_thinned([1, 2.5]), r"every must list positive integer thinning factors, got \[1, 2\.5\]"),
     (bilinear_G_direct, "share a grid"),
     (bilinear_G_projected, "share a grid"),
-], ids=["thinning-below-one", "G-direct-grids", "G-projected-grids"])
+], ids=["thinning-below-one", "thinning-empty", "thinning-not-integer",
+        "G-direct-grids", "G-projected-grids"])
 def test_guards_reject_bad_input(call, match):
     f, g = gaussian(make_grid(256, 40.0), 0.3), gaussian(make_grid(256, 20.0), 0.3)
     with pytest.raises(ValueError, match=match):

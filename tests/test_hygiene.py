@@ -8,7 +8,9 @@ option that the CLI feeds from a run's config counts as set only if a config
 in README.md or perfbench/ gives that key another value.  A private
 top-level name under src/ needs a reader under src/ or perfbench/: code that
 only tests read belongs in tests/.  Outside spectral.py no exp call under
-src/ reads _SIGMA: the propagator phase is spectral._phases."""
+src/ reads _SIGMA: the propagator phase is spectral._phases; nor does any
+module under src/ read the shifted transforms _forward, _inverse or the grid's
+.signs: the (-1)^m convention lives in spectral.py."""
 
 import ast
 import configparser
@@ -28,19 +30,17 @@ EXPERIMENTS = SRC / "gbolab" / "experiments"
 # Exported names that no module under src/ or perfbench/ reads, kept because
 # an acceptance check or a README promise rests on them.
 LAB_CHECKS = (
-    "band_projections",  # README: Littlewood-Paley blocks, P_<=j + P_>=j+1 = Id
+    "band_projections",  # README operator: Littlewood-Paley blocks, P_<=j + P_>=j+1 = Id
     "bilinear_G_direct",  # acceptance 2; README: the kernel in two forms
     "bilinear_G_projected",  # acceptance 2
-    "convolution_power",  # acceptance 9
     "duhamel_residual",  # acceptance 6; README: Duhamel-form self-verification
-    "free_evolve",  # acceptance 1; README: the free propagator
-    "hilbert",  # acceptance 1: i·H = P₊ − P₋
+    "free_evolve",  # README operator: the free propagator; acceptance 1
+    "hilbert",  # README operator; acceptance 1: i·H = P₊ − P₋
     "lemma_triplets",  # README: triplets with machine-checked side conditions
-    "lp_block",  # acceptance 1
+    "lp_block",  # README operator: Littlewood-Paley blocks; acceptance 1
     "minimal_power",  # acceptance 3; README: re-derives the minimal power 12
     "plane_wave_growth_exponent",  # acceptance 8
-    "step",  # README: integrating-factor RK4, one step as a Field map
-    "tilde_projection",  # acceptance 1
+    "tilde_projection",  # README operator: Littlewood-Paley blocks; acceptance 1
 )
 
 # Options, as "owner.name", that nothing under src/ or perfbench/ sets, kept
@@ -332,6 +332,15 @@ def _phases_by_hand(tree: ast.Module) -> list[int]:
                     for arg in node.args for n in ast.walk(arg))]
 
 
+def _shifted_reads(tree: ast.Module) -> list[int]:
+    """Lines that read spectral's shifted transforms _forward or _inverse, or
+    the grid's (-1)^m signs .signs, as a name or an attribute."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(getattr(node, "ctx", None), ast.Load)
+                  and (getattr(node, "id", None) in ("_forward", "_inverse")
+                       or getattr(node, "attr", None) in ("_forward", "_inverse", "signs")))
+
+
 def test_sources_found():
     assert any(path.name == "cli.py" for path in MODULES)
     assert any(path.name == "test_hygiene.py" for path in TESTS)
@@ -358,6 +367,9 @@ def test_checks_catch_what_they_name():
                        "b = exp(-spectral._SIGMA * 1j * t)\n"
                        "omega = _SIGMA * xi\nc = np.exp(1j * omega * t)\n")
     assert _phases_by_hand(phases) == [1, 2]
+    shifted = ast.parse("from gbolab.spectral import _forward\nc = _forward(g, v)\n"
+                        "v = spectral._inverse(g, c)\nv *= grid.signs\nsigns = 1\n")
+    assert _shifted_reads(shifted) == [2, 3, 4]
 
 
 def test_option_guard_catches_what_it_names():
@@ -409,6 +421,13 @@ def test_propagator_phase_stays_in_spectral(path):
     lines = _phases_by_hand(ast.parse(path.read_text(), filename=str(path)))
     assert not lines, (f"{_id(path)} builds a propagator phase by hand at lines {lines}; "
                        f"use spectral._phases")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "spectral.py"], ids=_id)
+def test_shifted_transforms_stay_in_spectral(path):
+    lines = _shifted_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, (f"{_id(path)} reads spectral's shifted transforms or grid signs at "
+                       f"lines {lines}; only spectral.py holds the (-1)^m convention")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=_id)

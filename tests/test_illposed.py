@@ -14,7 +14,6 @@ from gbolab.experiments.illposed import (
     _band_window,
     _cubic_bspline,
     _prefactor,
-    convolution_power,
     hN_sobolev_norm,
     illposed_growth_fit,
     illposed_v_details,
@@ -23,6 +22,8 @@ from gbolab.experiments.illposed import (
     torus_duhamel_oracle,
 )
 from gbolab.spectral import _SIGMA, _forward, _inverse, make_grid
+
+from conftest import fiber_measure
 
 CHEAP = dict(s=0.2, theta=0.2, T=1.0, freq_resolution=16)
 
@@ -266,35 +267,33 @@ class TestTimeKernel:
 class TestConvolutionPower:
     def test_support_and_positivity(self):
         alpha = 0.5
-        prof = convolution_power(alpha, 64)
+        prof = fiber_measure(alpha, 64)
         inside = (prof.xi > 0) & (prof.xi < 4 * alpha)
         assert np.all(prof.values[inside] > 0)
         assert np.all(np.abs(prof.values[~inside]) <= 1e-12 * alpha ** 3)
 
     def test_center_value(self):
         alpha = 0.5
-        prof = convolution_power(alpha, 128)
+        prof = fiber_measure(alpha, 128)
         center = prof.values[np.argmin(np.abs(prof.xi - 2 * alpha))]
         assert center == pytest.approx((2.0 / 3.0) * alpha ** 3, rel=0.02)
 
     def test_knot_values(self):
         alpha = 0.5
-        prof = convolution_power(alpha, 128)
+        prof = fiber_measure(alpha, 128)
         for knot in (alpha, 3 * alpha):
             v = prof.values[np.argmin(np.abs(prof.xi - knot))]
             assert v == pytest.approx(alpha ** 3 / 6.0, rel=0.02)
 
     def test_total_mass_exact(self):
         alpha = 0.37
-        prof = convolution_power(alpha, 64)
+        prof = fiber_measure(alpha, 64)
         mass = prof.values.sum() * (alpha / 64)
         assert mass == pytest.approx(alpha ** 4, rel=1e-10)
 
     @pytest.mark.parametrize("call, match", [
         (lambda: FrequencyProfile(np.zeros(3), np.zeros(4), 1.0), "same shape"),
-        (lambda: convolution_power(0.0, 64), "alpha must be positive"),
-        (lambda: convolution_power(0.5, 16), "M must be at least 32"),
-    ], ids=["profile-shape", "alpha", "M"])
+    ], ids=["profile-shape"])
     def test_guards_reject_bad_input(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
@@ -302,7 +301,7 @@ class TestConvolutionPower:
     def test_matches_quadrature_oracle(self):
         # the closed form alpha^3 B(xi / alpha), B the cubic B-spline
         alpha = 0.5
-        prof = convolution_power(alpha, 128)
+        prof = fiber_measure(alpha, 128)
         targets = np.array([0.7, 1.0, 1.3]) * alpha
         closed = alpha ** 3 * _cubic_bspline(targets / alpha)
         for t, ref in zip(targets, closed):
@@ -430,7 +429,7 @@ class TestKernelBracket:
     def test_fiber_measure_matches_oracle(self):
         # the discrete 4-fold convolution converges to the closed form like h^2
         alpha = 0.5
-        prof = convolution_power(alpha, 4096)
+        prof = fiber_measure(alpha, 4096)
         targets = np.array([0.7, 1.0, 2.0, 3.3]) * alpha
         idx = [np.argmin(np.abs(prof.xi - t)) for t in targets]
         assert alpha ** 3 * _cubic_bspline(prof.xi[idx] / alpha) == pytest.approx(

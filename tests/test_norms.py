@@ -21,7 +21,6 @@ from gbolab.norms import (
     norm_family_audit,
     sobolev_norm,
     xst_components,
-    xst_norm,
 )
 from gbolab.spectral import (
     field_from_values,
@@ -192,7 +191,7 @@ def test_sobolev_nondecreasing_in_s():
 
 def test_xst_zero():
     u = constant_field(0.0)
-    assert xst_norm(u, 0.3) == 0.0
+    assert xst_components(u, 0.3).total == 0.0
 
 
 def test_xst_components_sum_to_total():
@@ -201,7 +200,7 @@ def test_xst_components_sum_to_total():
     slices = rng.normal(size=(9, GRID.n))
     u = SpaceTimeField(GRID, times, slices)
     c = xst_components(u, 0.3)
-    assert xst_norm(u, 0.3) == pytest.approx(
+    assert c.total == pytest.approx(
         c.sup_sobolev + c.smoothing + c.maximal + c.low_frequency, rel=1e-12
     )
 
@@ -269,7 +268,7 @@ def test_xst_rejects_bad_s():
     u = constant_field(1.0)
     for s in (0.0, 0.5, -0.2, 0.9):
         with pytest.raises(ValueError):
-            xst_norm(u, s)
+            xst_components(u, s)
 
 
 def test_xst_finite_on_free_evolution():
@@ -277,7 +276,7 @@ def test_xst_finite_on_free_evolution():
     times = np.linspace(0.0, 0.25, 9)
     slices = np.stack([free_evolve(seed_field, t).values for t in times])
     u = SpaceTimeField(GRID, times, slices)
-    total = xst_norm(u, 0.25)
+    total = xst_components(u, 0.25).total
     assert np.isfinite(total) and total > 0
 
 

@@ -17,13 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .experiments.illposed import _fit_rungs, illposed_growth_fit
 from .experiments.linear_ratios import ESTIMATES, _check_ladder, estimate_ladder
-from .experiments.reporting import _DRIFT_LIMIT, ExperimentReport, write_report_csv
+from .experiments.reporting import _DRIFT_LIMIT, ExperimentReport
 from .gauge import _check_gauge, gauge_equation_residual
 from .norms import _delta_range, is_one_admissible, norm_family_audit
 from .solver import SolverConfig, evolve
-from .spectral import Field, SpectralGrid, field_from_values, make_grid
+from .spectral import Field, SpectralGrid, field_from_values, make_grid, sign_convention_label
 
 SCHEMA_VERSION = 1
 
@@ -344,19 +345,31 @@ def _timestamp() -> str:
 
 
 def _write_record(out_dir: Path, record: dict, summary) -> None:
-    """report.json from the record, stamped, and summary.txt as summary(record)."""
+    """report.json from the record, stamped, with numpy values as plain ones, and
+    summary.txt as summary(record)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     record.update(schema_version=SCHEMA_VERSION, timestamp=_timestamp())
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
         fh.write("\n")
     with open(out_dir / "summary.txt", "w") as fh:
         fh.write(summary(record))
 
 
 def _write_success(report: ExperimentReport, out_dir: Path) -> None:
-    _write_record(out_dir, report.to_dict(), _summary_text)
-    write_report_csv(report, str(out_dir / "series.csv"))
+    """The report's record, with the code version and the propagator's sign
+    convention, and series.csv: one row per point, a column per point key."""
+    _write_record(out_dir, {
+        "id": report.experiment_id, "params": report.inputs, "points": report.points,
+        "slope": report.slope, "ci": report.ci, "verdict": report.verdict,
+        "notes": list(report.notes), "seed": report.seed,
+        "sign_convention": sign_convention_label(), "code_version": __version__,
+    }, _summary_text)
+    keys = sorted({key for point in report.points for key in point})
+    rows = [",".join("" if point.get(key) is None else str(point[key]) for key in keys)
+            for point in report.points]
+    with open(out_dir / "series.csv", "w") as fh:
+        fh.write("\n".join([",".join(keys), *rows]) + "\n" if rows else "")
 
 
 def _summary_text(data: dict) -> str:

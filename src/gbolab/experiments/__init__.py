@@ -1,5 +1,5 @@
 """Numerical experiments: smoothing-estimate ratios and the high-frequency
-ill-posedness pipeline, plus shared report plumbing."""
+ill-posedness pipeline, and the record types they return."""
 
 from .illposed import (
     FrequencyProfile,
@@ -20,11 +20,7 @@ from .linear_ratios import (
     plane_wave_growth_exponent,
 )
 from .packets import embed_field, make_packet_ensemble, plane_wave
-from .reporting import (
-    ExperimentReport,
-    RatioStatistics,
-    write_report_csv,
-)
+from .reporting import ExperimentReport, RatioStatistics
 
 __all__ = [
     "ESTIMATES",
@@ -46,5 +42,4 @@ __all__ = [
     "plane_wave",
     "plane_wave_growth_exponent",
     "torus_duhamel_oracle",
-    "write_report_csv",
 ]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,9 @@ class IllposedParams:
                 raise ValueError(
                     f"{name} must be positive and finite, got {getattr(self, name)}"
                 )
-        if self.freq_resolution < 16:
-            raise ValueError("freq_resolution must be at least 16")
+        if not isinstance(self.freq_resolution, numbers.Integral) or self.freq_resolution < 16:
+            raise ValueError(
+                f"freq_resolution must be an integer >= 16, got {self.freq_resolution}")
         with np.errstate(all="ignore"):  # an inf or a nan fails the rules below
             c = _resonance(np.float64(self.N), np.array([0.0, 4.0 * self.alpha]))
             if not self.T * c[1] * 2.0 ** -53 <= 1e-3:

@@ -1,17 +1,12 @@
-"""Report containers and writers shared by the experiment suites.
-
-Every artifact embeds the code version and the sign convention of the free
-propagator so a saved report is interpretable without the producing session.
-"""
+"""The record types that the experiments return: an experiment's report and
+an estimate's ratio statistics.  They hold results only; the CLI writes them
+out as its run artifacts."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .. import __version__
-from ..spectral import sign_convention_label
 
 
 # The estimates verdict: the ladder drift (largest / least sup ratio) must stay below it.
@@ -62,53 +57,3 @@ class ExperimentReport:
     ci: float | None = None
     notes: list = field(default_factory=list)
     seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.experiment_id,
-            "params": _plain(self.inputs),
-            "points": _plain(self.points),
-            "slope": _plain(self.slope),
-            "ci": _plain(self.ci),
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-            "seed": self.seed,
-            "sign_convention": sign_convention_label(),
-            "code_version": __version__,
-        }
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON serialization."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
-def write_report_csv(report: ExperimentReport, path: str) -> None:
-    """Companion CSV: one row per point, columns from the point dicts."""
-    points = [_plain(p) for p in report.points]
-    if not points:
-        with open(path, "w") as fh:
-            fh.write("")
-        return
-    keys = sorted({k for p in points for k in p})
-    lines = [",".join(keys)]
-    for p in points:
-        lines.append(",".join(_csv_cell(p.get(k)) for k in keys))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)

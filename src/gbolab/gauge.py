@@ -39,6 +39,7 @@ slice once and keeps only the window's columns.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,9 +78,9 @@ class GaugeState:
 def _check_gauge(k: int, n_times: int = 5, every=(1,)) -> None:
     """The gauge transform needs k >= 2; the residual's time stencil 5 slices
     in the coarsest thinning of n_times slices by the factors ``every``."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2 for the gauge transform, got {k}")
-    if not every or not all(isinstance(e, (int, np.integer)) and e >= 1 for e in every):
+    if not isinstance(k, numbers.Integral) or k < 2:
+        raise ValueError(f"k must be an integer >= 2 for the gauge transform, got {k}")
+    if not every or not all(isinstance(e, numbers.Integral) and e >= 1 for e in every):
         raise ValueError(f"every must list positive integer thinning factors, got {list(every)}")
     n_slices = (n_times - 1) // max(every) + 1
     if n_slices < 5:

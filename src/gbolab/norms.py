@@ -25,6 +25,7 @@ s > 5/12, whose closed form gives the minimal nonlinearity power 12.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -347,12 +348,13 @@ def norm_family_audit(s: float, k: int, eps: float) -> list[tuple[NormFamilyEntr
     fixed-exponent entries N9 and N11.  s and eps are taken at their exact
     values, so every verdict is an exact comparison.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2 for the norm family, got {k}")
+    if not isinstance(k, numbers.Integral) or k < 2:
+        raise ValueError(f"k must be an integer >= 2 for the norm family, got {k}")
     _check_regularity(s)
     if not (eps > 0 and np.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    s, eps, zero = Fraction(s), Fraction(eps), Fraction(0)
+    # a numpy k would hold Fraction's terms in int64, where s_k's arithmetic overflows
+    s, eps, zero, k = Fraction(s), Fraction(eps), Fraction(0), int(k)
     sk = _HALF - Fraction(1, k)
     (*shifted, (_, a8, b8, _)), (low, _), (cap, _) = _delta_range(s, k)
     # delta halves that range, capped by the gain too: for k >= 4 N2..N8 pass iff s > s_k

@@ -22,6 +22,7 @@ the flux's relative aliasing defect is 9.4e-15 at the flow benchmark
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ class SolverConfig:
     slice_stride: int = 1
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if not isinstance(self.k, numbers.Integral) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k}")
         if self.flow not in _COEFFICIENTS:
             raise ValueError(f"flow must be one of {', '.join(map(repr, _COEFFICIENTS))}, "
                              f"got {self.flow!r}")
@@ -74,8 +75,8 @@ class SolverConfig:
             raise ValueError(
                 f"dt and t_end must be positive and finite, got {self.dt}, {self.t_end}"
             )
-        if self.slice_stride < 1:
-            raise ValueError("slice_stride must be >= 1")
+        if not isinstance(self.slice_stride, numbers.Integral) or self.slice_stride < 1:
+            raise ValueError(f"slice_stride must be an integer >= 1, got {self.slice_stride}")
 
     def validate_for_grid(self, grid: SpectralGrid) -> None:
         bound = stability_bound(grid)

@@ -105,10 +105,9 @@ def make_grid(n: int, length: float) -> SpectralGrid:
                         signs=signs, sgn=sgn)
 
 
-# Both transforms act on the last axis, so one call transforms a whole
-# (n_times, n) slice stack.  Each works in place on one fresh buffer, so a
-# stack costs one stack-sized temporary beyond its result.  The (-1)^m signs
-# are unchanged by the half-length shift, so _inverse applies them after it.
+# Each transform runs its FFT in place on one fresh buffer, so it costs at most
+# one temporary beyond its result.  The (-1)^m signs are unchanged by the
+# half-length shift, so _inverse applies them after it.
 
 
 def _forward(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:

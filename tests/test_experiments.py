@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gbolab import __version__
+from gbolab.cli import _write_success
 from gbolab.experiments import (
     ExperimentReport,
     RatioStatistics,
@@ -16,7 +18,6 @@ from gbolab.experiments import (
     make_packet_ensemble,
     plane_wave,
     plane_wave_growth_exponent,
-    write_report_csv,
 )
 from gbolab.experiments import linear_ratios, packets
 from gbolab.experiments.linear_ratios import ESTIMATES, _check_ladder, _time_table
@@ -482,7 +483,8 @@ class TestReporting:
             assert drifted.ladder_drift == top
             assert not drifted.passes()
 
-    def test_report_roundtrip_json(self):
+    def test_report_roundtrip_json(self, tmp_path):
+        # the CLI's record: the report's fields, the code version, the sign convention
         rep = ExperimentReport(
             experiment_id="demo",
             inputs={"n": 4},
@@ -492,15 +494,21 @@ class TestReporting:
             ci=0.01,
             seed=7,
         )
-        data = json.loads(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
+        _write_success(rep, tmp_path)
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert set(data) == {"id", "params", "points", "slope", "ci", "verdict", "notes",
+                             "seed", "sign_convention", "code_version", "schema_version",
+                             "timestamp"}
         assert data["id"] == "demo"
         assert data["params"] == {"n": 4}
         assert data["points"] == [{"value": 1.5}]
         assert data["slope"] == 0.5
+        assert data["ci"] == 0.01
         assert data["verdict"] == "PASS"
+        assert data["notes"] == []
         assert data["sign_convention"] == "exp(-1i*t*xi*|xi|)"
         assert data["seed"] == 7
-        assert data["code_version"]
+        assert data["code_version"] == __version__
 
     def test_report_requires_a_verdict(self):
         # a producer that forgets its verdict fails instead of passing silently
@@ -508,26 +516,30 @@ class TestReporting:
             ExperimentReport(experiment_id="demo", inputs={}, points=[])
 
     @pytest.mark.parametrize("points, csv", [
-        ([{"N": np.float64(8.0)}], "N\n8.0\n"), ([], "")], ids=["one-point", "no-points"])
+        ([{"N": np.float64(8.0), "m": np.int64(3), "ok": np.bool_(True),
+           "v": np.array([1.0, 2.5])}], "N,m,ok,v\n8.0,3,True,[1.  2.5]\n"),
+        ([], "")], ids=["one-point", "no-points"])
     def test_report_plain_values_and_csv(self, tmp_path, points, csv):
-        # arrays anywhere in a report become JSON lists; no points, an empty CSV
-        rep = ExperimentReport(experiment_id="demo", inputs={"N_list": np.array([8.0, 16.0])},
-                               points=points, verdict="PASS")
-        assert json.loads(json.dumps(rep.to_dict()))["params"] == {"N_list": [8.0, 16.0]}
-        write_report_csv(rep, str(tmp_path / "series.csv"))
+        # numpy scalars and arrays anywhere in a report become plain JSON values
+        # and CSV cells, an array one cell; no points, an empty CSV
+        inputs = {"N_list": np.array([8.0, 16.0]), "x": np.float64(0.1), "n": np.int64(4),
+                  "flag": np.bool_(False)}
+        rep = ExperimentReport(experiment_id="demo", inputs=inputs, points=points,
+                               verdict="PASS")
+        _write_success(rep, tmp_path)
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert data["params"] == {"N_list": [8.0, 16.0], "x": 0.1, "n": 4, "flag": False}
+        assert data["points"] == [{"N": 8.0, "m": 3, "ok": True, "v": [1.0, 2.5]}][:len(points)]
         assert (tmp_path / "series.csv").read_text() == csv
 
     def test_report_csv_columns_sorted(self, tmp_path):
+        # columns are the sorted union of the point keys; a missing cell is empty
         rep = ExperimentReport(
             experiment_id="demo",
             inputs={},
-            points=[{"b": 1.0, "a": 2.0}, {"a": 3.0}],
+            points=[{"b": 1.0, "a": 2.0}, {"a": 3.0}, {"b": None}],
             verdict="PASS",
         )
-        path = tmp_path / "series.csv"
-        write_report_csv(rep, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1].startswith("2.0,")
-        assert lines[2].endswith(",")
+        _write_success(rep, tmp_path)
+        assert (tmp_path / "series.csv").read_text() == "a,b\n2.0,1.0\n3.0,\n,\n"
 

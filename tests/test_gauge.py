@@ -252,12 +252,20 @@ def _thinned(every):
     (_thinned([1, 2.5]), r"every must list positive integer thinning factors, got \[1, 2\.5\]"),
     (bilinear_G_direct, "share a grid"),
     (bilinear_G_projected, "share a grid"),
+    (lambda f, g: gauge_transform(f, 2.5),
+     r"k must be an integer >= 2 for the gauge transform, got 2\.5"),
 ], ids=["thinning-below-one", "thinning-empty", "thinning-not-integer",
-        "G-direct-grids", "G-projected-grids"])
+        "G-direct-grids", "G-projected-grids", "gauge-power-not-integer"])
 def test_guards_reject_bad_input(call, match):
     f, g = gaussian(make_grid(256, 40.0), 0.3), gaussian(make_grid(256, 20.0), 0.3)
     with pytest.raises(ValueError, match=match):
         call(f, g)
+
+
+def test_gauge_accepts_numpy_integer_power():
+    u = gaussian(make_grid(256, 40.0), 0.3)
+    assert np.array_equal(gauge_transform(u, np.int64(12)).w.coeffs,
+                          gauge_transform(u, 12).w.coeffs)
 
 
 def test_residual_zero_trajectory():

@@ -10,7 +10,8 @@ top-level name under src/ needs a reader under src/ or perfbench/: code that
 only tests read belongs in tests/.  Outside spectral.py no exp call under
 src/ reads _SIGMA: the propagator phase is spectral._phases; nor does any
 module under src/ read the shifted transforms _forward, _inverse or the grid's
-.signs: the (-1)^m convention lives in spectral.py."""
+.signs: the (-1)^m convention lives in spectral.py.  Only cli.py writes
+files: the run artifacts have one owner."""
 
 import ast
 import configparser
@@ -341,6 +342,26 @@ def _shifted_reads(tree: ast.Module) -> list[int]:
                        or getattr(node, "attr", None) in ("_forward", "_inverse", "signs")))
 
 
+def _file_writes(tree: ast.Module) -> list[int]:
+    """Lines of the calls that write a file: open (builtin or a path's
+    method) in a w, a or x mode or a mode that is no literal, write_text,
+    write_bytes and json.dump."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "open":
+            at = 1 if isinstance(node.func, ast.Name) else 0
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[at:at + 1]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax")
+                   for m in modes):
+                lines.append(node.lineno)
+        elif name in ("write_text", "write_bytes") or ast.unparse(node.func) == "json.dump":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def test_sources_found():
     assert any(path.name == "cli.py" for path in MODULES)
     assert any(path.name == "test_hygiene.py" for path in TESTS)
@@ -370,6 +391,10 @@ def test_checks_catch_what_they_name():
     shifted = ast.parse("from gbolab.spectral import _forward\nc = _forward(g, v)\n"
                         "v = spectral._inverse(g, c)\nv *= grid.signs\nsigns = 1\n")
     assert _shifted_reads(shifted) == [2, 3, 4]
+    writes = ast.parse("open(p)\nopen(p, 'w')\nwith open(p, mode='a') as fh:\n    pass\n"
+                       "p.open('x')\np.write_text(s)\np.write_bytes(b)\njson.dump(r, fh)\n"
+                       "json.dumps(r)\nopen(p, 'rb')\np.open()\nopen(p, m)\n")
+    assert _file_writes(writes) == [2, 3, 5, 6, 7, 8, 12]
 
 
 def test_option_guard_catches_what_it_names():
@@ -428,6 +453,13 @@ def test_shifted_transforms_stay_in_spectral(path):
     lines = _shifted_reads(ast.parse(path.read_text(), filename=str(path)))
     assert not lines, (f"{_id(path)} reads spectral's shifted transforms or grid signs at "
                        f"lines {lines}; only spectral.py holds the (-1)^m convention")
+
+
+def test_artifacts_written_only_by_cli():
+    writers = {_id(path): lines for path in MODULES if path.name != "cli.py"
+               if (lines := _file_writes(ast.parse(path.read_text(), filename=str(path))))}
+    assert not writers, (f"modules under src/ that write files (module: lines): {writers}; "
+                         "the run artifacts are cli.py's to write")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=_id)

@@ -51,6 +51,11 @@ class TestParams:
         with pytest.raises(ValueError):
             IllposedParams(**kwargs)
 
+    def test_numpy_integer_resolution_accepted(self):
+        kwargs = dict(N=16.0, s=0.2, theta=0.2, T=1.0)
+        assert IllposedParams(**kwargs, freq_resolution=np.int64(16)) == IllposedParams(
+            **kwargs, freq_resolution=16)
+
 
 class TestDataProfile:
     @pytest.mark.parametrize("N", [64.0, 256.0, 1024.0])
@@ -293,7 +298,10 @@ class TestConvolutionPower:
 
     @pytest.mark.parametrize("call, match", [
         (lambda: FrequencyProfile(np.zeros(3), np.zeros(4), 1.0), "same shape"),
-    ], ids=["profile-shape"])
+        # 16.5 cells of width alpha/16.5 would sum 17 of them
+        (lambda: IllposedParams(N=64.0, s=0.2, theta=0.2, T=1.0, freq_resolution=16.5),
+         r"freq_resolution must be an integer >= 16, got 16\.5"),
+    ], ids=["profile-shape", "freq-resolution-not-integer"])
     def test_guards_reject_bad_input(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()

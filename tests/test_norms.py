@@ -152,7 +152,9 @@ def test_spacetime_field_validation():
      r"slices shape \(3, 256\) does not match \(2, 256\)"),
     (lambda: mixed_norm(constant_field(1.0, n_times=1), 2.0, 4.0),
      "finite time exponent needs at least two time samples"),
-], ids=["slices-shape", "one-sample-finite-q"])
+    (lambda: norm_family_audit(0.45, 12.5, 1e-3),
+     r"k must be an integer >= 2 for the norm family, got 12\.5"),
+], ids=["slices-shape", "one-sample-finite-q", "audit-power-not-integer"])
 def test_spacetime_guards(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -330,6 +332,10 @@ def test_lemma_triplets_admissible():
 
 def audit_map(s, k, eps):
     return {e.id: verdict for e, verdict in norm_family_audit(s, k, eps)}
+
+
+def test_audit_accepts_numpy_integer_power():
+    assert norm_family_audit(0.45, np.int64(12), 1e-3) == norm_family_audit(0.45, 12, 1e-3)
 
 
 def test_audit_all_pass_at_reference_point():

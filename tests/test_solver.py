@@ -105,6 +105,13 @@ def test_config_validation():
         SolverConfig(k=2, flow="negative")
     with pytest.raises(ValueError):
         SolverConfig(k=2, dt=-1e-3)
+    # a fractional power or stride is no config: u^2.5 would integrate u^2's flux
+    with pytest.raises(ValueError, match=r"k must be an integer >= 1, got 2\.5"):
+        SolverConfig(k=2.5)
+    with pytest.raises(ValueError, match=r"slice_stride must be an integer >= 1, got 2\.5"):
+        SolverConfig(k=2, slice_stride=2.5)
+    assert SolverConfig(k=np.int64(12), slice_stride=np.int64(2)) == SolverConfig(
+        k=12, slice_stride=2)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -7,9 +7,9 @@ integral over the interaction set, and a growth fit of the norm against N.
 
 The quadruple products of band frequencies land near 0, +-2N, +-4N only;
 the interesting output is the band near 4N.  There the phase separates
-into one term per factor frequency, and the band is evaluated by 4-fold
-convolutions of one-dimensional chirps, interpolated in the output
-frequency (_band_4n).  The growth fit reads it on the band window, and
+into one term per factor frequency, and the band is evaluated by the 4-fold
+convolution power of a one-dimensional chirp series, interpolated in the
+output frequency (_band_4n).  The growth fit reads it on the band window, and
 oracle_agreement at the frequencies of an independent oracle, which
 evolves on a torus the positive band alone, whose 4-fold products are the
 only ones to reach 4N, and integrates by brute-force Simpson.
@@ -20,7 +20,6 @@ at sgn(xi) xi^2 = xi^2: each frequency the module evaluates is positive.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -155,24 +154,22 @@ _FINE = 4
 _SERIES_TERMS = 2
 
 
-def _fiber_moments(f: np.ndarray, y2: np.ndarray, m: int, h: float) -> np.ndarray:
-    """Fiber integrals of (sum_i y_i^2)^m prod_i f(y_i) at every node, as
-    densities of discrete 4-fold convolutions of samples with spacing h.
+def _fiber_moments(f: np.ndarray, y2: np.ndarray, terms: int, h: float) -> list[np.ndarray]:
+    """Fiber integrals of (sum_i y_i^2)^m prod_i f(y_i) at every node for each
+    m < terms, as densities of discrete 4-fold convolutions of samples with
+    spacing h.
 
-    The multinomial expansion of the power is grouped by the multiset of
-    exponents, so each distinct 4-fold convolution is formed once.
+    Moment m is m! times the lambda^m coefficient of the 4-fold convolution
+    power of the series f e^{lambda y^2} = sum_j f y^{2j} lambda^j / j!,
+    truncated after ``terms`` terms.  The series is squared twice; each
+    squaring convolves every pair of orders a < m - a once and doubles it.
     """
-    coefs: dict[tuple[int, ...], int] = {}
-    for k in itertools.product(range(m + 1), repeat=4):
-        if sum(k) == m:
-            key = tuple(sorted(k, reverse=True))
-            ways = math.factorial(m) // math.prod(math.factorial(i) for i in k)
-            coefs[key] = coefs.get(key, 0) + ways
-    out = 0
-    for key, coef in coefs.items():
-        a, b, c, d = (f * y2 ** i for i in key)
-        out += coef * (np.convolve(np.convolve(a, b) * h, np.convolve(c, d) * h) * h)
-    return out
+    series = [f * y2 ** j / math.factorial(j) for j in range(terms)]
+    for _ in range(2):
+        series = [h * sum((2 * np.convolve(series[a], series[m - a]) for a in range((m + 1) // 2)),
+                          np.convolve(series[m // 2], series[m // 2]) if m % 2 == 0 else 0)
+                  for m in range(terms)]
+    return [math.factorial(m) * moment for m, moment in enumerate(series)]
 
 
 def _band_4n(
@@ -188,11 +185,11 @@ def _band_4n(
         K(sigma P) = (i sigma / c) sum_m (S / c)^m (e^{-i sigma T c} e^{i sigma T S} - 1).
 
     Since e^{i sigma T S} = prod_i g(y_i), g(y) = 1_[0, alpha](y) e^{i sigma T y^2},
-    the fiber integral of each term is a sum of 4-fold convolutions of
-    y^{2k} g, taken against the same convolutions of y^{2k} (the discrete
-    fiber measure).  The chirp is sampled at midpoints of spacing
+    the fiber integrals of S^m e^{i sigma T S} and of S^m are the moments of
+    g and of the indicator (_fiber_moments): one 4-fold convolution power
+    each, for all m at once.  The chirp is sampled at midpoints of spacing
     h_f = alpha / (refine M), so node k of a 4-fold sum lies at
-    eta = (k + 2) h_f.  The convolutions are interpolated linearly in eta on
+    eta = (k + 2) h_f.  The moments are interpolated linearly in eta on
     these nodes and the support ends eta = 0 and 4 alpha, where the fiber
     measure vanishes, and are 0 outside them; c, the rotation and the
     prefactor are exact at each xi0.  The series keeps ``terms`` terms; it
@@ -215,10 +212,9 @@ def _band_4n(
 
     rotation = _phases(c, -p.T)
     out = np.zeros(xi0.size, dtype=np.complex128)
-    for m in range(terms):
-        tilted = at_eta(_fiber_moments(chirp, y2, m, hf))
-        flat = at_eta(_fiber_moments(ones, y2, m, hf))
-        out += (rotation * tilted - flat) / c ** m
+    moments = zip(_fiber_moments(chirp, y2, terms, hf), _fiber_moments(ones, y2, terms, hf))
+    for m, (tilted, flat) in enumerate(moments):
+        out += (rotation * at_eta(tilted) - at_eta(flat)) / c ** m
     out *= _SIGMA * 1j / c
     return FrequencyProfile(xi0, _prefactor(p, xi0) * out, p.alpha / M)
 

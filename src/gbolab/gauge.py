@@ -80,7 +80,7 @@ def _check_gauge(k: int, n_times: int = 5, every=(1,)) -> None:
     in the coarsest thinning of n_times slices by the factors ``every``."""
     if not isinstance(k, numbers.Integral) or k < 2:
         raise ValueError(f"k must be an integer >= 2 for the gauge transform, got {k}")
-    if not every or not all(isinstance(e, numbers.Integral) and e >= 1 for e in every):
+    if len(every) == 0 or not all(isinstance(e, numbers.Integral) and e >= 1 for e in every):
         raise ValueError(f"every must list positive integer thinning factors, got {list(every)}")
     n_slices = (n_times - 1) // max(every) + 1
     if n_slices < 5:

@@ -45,7 +45,6 @@ __all__ = [
     "tilde_projection",
     "band_projections",
     "free_evolve",
-    "free_evolution_phases",
     "sign_convention_label",
     "antiderivative",
     "boundary_taper",
@@ -139,15 +138,8 @@ class Field:
     coeffs: np.ndarray = field(repr=False)
     real: bool = False
 
-    def mean(self) -> float | complex:
-        m = self.coeffs[self.grid.n // 2] / self.grid.length
-        return m.real if self.real else m
-
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dx))
-
-    def linf_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def _looks_real(values: np.ndarray) -> bool:
@@ -317,33 +309,30 @@ def sign_convention_label() -> str:
 
 def free_evolve(f: Field, t: float) -> Field:
     """Advance under the linear flow by time t (exact multiplier, unitary)."""
-    return apply_multiplier(f, free_evolution_phases(f.grid, t))
-
-
-def free_evolution_phases(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
-    """The propagator multiplier values on the grid.
-
-    A column of times ``t[:, None]`` gives one row of phases per time.
-    """
-    return _phases(grid.sgn * grid.frequencies ** 2, t)
+    return apply_multiplier(f, _phases(f.grid.sgn * f.grid.frequencies ** 2, t))
 
 
 def _phases(sgn_xi2: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-    """e^{_SIGMA*i*t*sgn_xi2}: the propagator at the given values of sgn(xi)*xi^2."""
+    """e^{_SIGMA*i*t*sgn_xi2}: the propagator at the given values of sgn(xi)*xi^2.
+
+    A column of times ``t[:, None]`` gives one row of phases per time.
+    """
     phase = _SIGMA * 1j * t * sgn_xi2
     return np.exp(phase, out=phase)
 
 
 def _half_grid(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
-    """xi_m (= -xi_{-m} exactly) and the 2/3 mask m <= n/3 on m = 0..n/2."""
-    return -grid.frequencies[grid.n // 2::-1], np.arange(grid.n // 2 + 1) <= grid.n // 3
+    """The rfft bins xi_m = 2*pi*m/L, m = 0..n/2, and the 2/3 mask m <= n/3."""
+    m = np.arange(grid.n // 2 + 1)
+    return 2.0 * np.pi * m / grid.length, m <= grid.n // 3
 
 
 def _propagator(grid: SpectralGrid, t: float | np.ndarray) -> np.ndarray:
-    """free_evolution_phases(grid, -t) on the rfft bins, bin m holding mode
-    -m; a column of times gives rows.  Only these n/2 + 1 bins are
-    exponentiated."""
-    return _phases((grid.sgn * grid.frequencies ** 2)[grid.n // 2::-1], -t)
+    """The propagator on the rfft bins, _phases of xi_m^2; a column of times
+    gives rows.  The Nyquist bin, where sgn vanishes, is 1."""
+    xi2 = _half_grid(grid)[0] ** 2
+    xi2[-1] = 0.0
+    return _phases(xi2, t)
 
 
 # ---------------------------------------------------------------------------

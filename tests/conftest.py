@@ -6,7 +6,8 @@ with a compact scoreboard even when individual tests are verbose.  The
 tests that read a trajectory at several slice spacings share ``subsample``;
 the scaling checks share the scaling map ``rescale``/``rescale_traj``, the
 homogeneous norm it acts on, and ``commutation_defect``; the quartic
-self-convolution checks share ``fiber_measure``.
+self-convolution checks share ``fiber_measure``, and the checks on mean-zero
+data ``field_mean``.
 """
 
 from dataclasses import replace
@@ -40,6 +41,13 @@ def subsample(traj: Trajectory, every: int) -> Trajectory:
         slices=traj.slices[::every],
         config=cfg,
     )
+
+
+def field_mean(f: Field) -> float | complex:
+    """The mean of a Field over the grid, read from its zero mode; real for
+    real content."""
+    m = f.coeffs[f.grid.n // 2] / f.grid.length
+    return m.real if f.real else m
 
 
 def rescale(u0: Field, lam: float, k: int) -> Field:
@@ -88,7 +96,7 @@ def fiber_measure(alpha: float, M: int) -> FrequencyProfile:
     total mass alpha^4 exactly.  Sample j of the indicator sits at
     (j + 1/2) h, so sample j of the measure sits at (j + 2) h."""
     h, ones = alpha / M, np.ones(M)
-    c4 = _fiber_moments(ones, ones, 0, h)  # y^2 does not enter the zeroth moment
+    c4 = _fiber_moments(ones, ones, 1, h)[0]  # y^2 does not enter the zeroth moment
     return FrequencyProfile((np.arange(c4.size) + 2.0) * h, c4, h)
 
 

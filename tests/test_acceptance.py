@@ -45,7 +45,8 @@ from gbolab.spectral import (
     tilde_projection,
 )
 
-from conftest import commutation_defect, fiber_measure, homogeneous_norm, rescale, subsample
+from conftest import (commutation_defect, fiber_measure, field_mean, homogeneous_norm, rescale,
+                      subsample)
 
 
 def band_limited(grid, seed, max_mode=None):
@@ -97,7 +98,7 @@ def test_operator_identities(acceptance_log):
         worst = max(worst, np.max(np.abs(lhs - rhs)) / scale)
 
         # H o H = -Id away from the mean.
-        g = field_from_values(grid, f.values - f.mean())
+        g = field_from_values(grid, f.values - field_mean(f))
         hh = hilbert(hilbert(g))
         worst = max(worst, np.max(np.abs(hh.values + g.values)) / scale)
 

@@ -249,13 +249,15 @@ def _thinned(every):
 @pytest.mark.parametrize("call, match", [
     (_thinned([1, 0]), r"every must list positive integer thinning factors, got \[1, 0\]"),
     (_thinned([]), r"every must list positive integer thinning factors, got \[\]"),
+    (_thinned(np.array([], dtype=int)),
+     r"every must list positive integer thinning factors, got \[\]"),
     (_thinned([1, 2.5]), r"every must list positive integer thinning factors, got \[1, 2\.5\]"),
     (bilinear_G_direct, "share a grid"),
     (bilinear_G_projected, "share a grid"),
     (lambda f, g: gauge_transform(f, 2.5),
      r"k must be an integer >= 2 for the gauge transform, got 2\.5"),
-], ids=["thinning-below-one", "thinning-empty", "thinning-not-integer",
-        "G-direct-grids", "G-projected-grids", "gauge-power-not-integer"])
+], ids=["thinning-below-one", "thinning-empty", "thinning-empty-array",
+        "thinning-not-integer", "G-direct-grids", "G-projected-grids", "gauge-power-not-integer"])
 def test_guards_reject_bad_input(call, match):
     f, g = gaussian(make_grid(256, 40.0), 0.3), gaussian(make_grid(256, 20.0), 0.3)
     with pytest.raises(ValueError, match=match):
@@ -266,6 +268,12 @@ def test_gauge_accepts_numpy_integer_power():
     u = gaussian(make_grid(256, 40.0), 0.3)
     assert np.array_equal(gauge_transform(u, np.int64(12)).w.coeffs,
                           gauge_transform(u, 12).w.coeffs)
+
+
+def test_residual_accepts_an_array_of_thinning_factors():
+    traj = evolve(gaussian(make_grid(256, 40.0), 0.3),
+                  SolverConfig(k=12, flow="rescaled", dt=2e-4, t_end=2e-3))
+    assert gauge_equation_residual(traj, np.array([2, 1])) == gauge_equation_residual(traj, [2, 1])
 
 
 def test_residual_zero_trajectory():

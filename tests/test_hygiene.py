@@ -1,17 +1,18 @@
 """Source hygiene: every module under src/ and tests/ uses each name it
 imports, every name a module lists in ``__all__`` is bound in it, every
-public function or class of a module with an ``__all__`` is listed there
-(of an ``experiments`` submodule, in the package's), every
-exported name has a reader under src/ or perfbench/ or serves a lab check,
-and so does every option (a defaulted parameter or dataclass field).  An
-option that the CLI feeds from a run's config counts as set only if a config
-in README.md or perfbench/ gives that key another value.  A private
-top-level name under src/ needs a reader under src/ or perfbench/: code that
-only tests read belongs in tests/.  Outside spectral.py no exp call under
-src/ reads _SIGMA: the propagator phase is spectral._phases; nor does any
-module under src/ read the shifted transforms _forward, _inverse or the grid's
-.signs: the (-1)^m convention lives in spectral.py.  Only cli.py writes
-files: the run artifacts have one owner."""
+public function or class of a module with an ``__all__`` is listed there (of
+an ``experiments`` submodule, in the package's), every exported name has a
+reader under src/ or perfbench/ or serves a lab check, and so does every
+public method or property of a public class under src/ (read as an attribute
+outside its own definition) and every option (a defaulted parameter or
+dataclass field).  An option that the CLI feeds from a run's config counts
+as set only if a config in README.md or perfbench/ gives that key another
+value.  A private top-level name under src/ needs a reader under src/ or
+perfbench/: code that only tests read belongs in tests/.  Outside
+spectral.py no exp call under src/ reads _SIGMA: the propagator phase is
+spectral._phases; nor does any module under src/ read the shifted transforms
+_forward, _inverse or the grid's .signs: the (-1)^m convention lives in
+spectral.py.  Only cli.py writes files: the run artifacts have one owner."""
 
 import ast
 import configparser
@@ -28,8 +29,9 @@ TESTS = sorted((ROOT / "tests").rglob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").rglob("*.py"))
 EXPERIMENTS = SRC / "gbolab" / "experiments"
 
-# Exported names that no module under src/ or perfbench/ reads, kept because
-# an acceptance check or a README promise rests on them.
+# Exported names, and public methods or properties as "Class.name", that no
+# module under src/ or perfbench/ reads, kept because an acceptance check or a
+# README promise rests on them.
 LAB_CHECKS = (
     "band_projections",  # README operator: Littlewood-Paley blocks, P_<=j + P_>=j+1 = Id
     "bilinear_G_direct",  # acceptance 2; README: the kernel in two forms
@@ -135,6 +137,30 @@ def _unread_privates(modules: list[ast.Module], readers: list[ast.Module]) -> se
                for name in _module_bindings(ast.Module([node], []))}
     return {name for name in defined
             if name.startswith("_") and not name.startswith("__")} - read
+
+
+def _attributes_read(node: ast.AST, inside: frozenset = frozenset()) -> set[str]:
+    """Attribute names read under node, leaving out what a function reads of
+    its own name (or of the name of a function that encloses it)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        inside = inside | {node.name}
+    read = set()
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        read = {node.attr} - inside
+    for child in ast.iter_child_nodes(node):
+        read |= _attributes_read(child, inside)
+    return read
+
+
+def _unread_methods(modules: list[ast.Module], readers: list[ast.Module]) -> set[str]:
+    """"Class.name" of each public method or property of a public class that
+    no reader reads as an attribute outside the method's own definition."""
+    read = set().union(*map(_attributes_read, readers))
+    return {f"{cls.name}.{fn.name}" for tree in modules for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not fn.name.startswith("_") and fn.name not in read}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -384,6 +410,13 @@ def test_checks_catch_what_they_name():
                         "def _self(n):\n    return _self(n - 1)\n"
                         "class _Unread:\n    pass\n_used()\n")
     assert _unread_privates([private], [private, user]) == {"_self", "_Unread"}
+    methods = ast.parse("class Shown:\n    def used(self):\n        return self.size\n"
+                        "    def loop(self):\n        return self.loop()\n"
+                        "    @property\n    def size(self):\n        return 1\n"
+                        "    def _private(self):\n        pass\n"
+                        "class _Hidden:\n    def unread(self):\n        pass\n")
+    caller = ast.parse("s = Shown()\ns.used()\n")
+    assert _unread_methods([methods], [methods, caller]) == {"Shown.loop"}
     phases = ast.parse("a = np.exp(_SIGMA * 1j * t * xi)\n"
                        "b = exp(-spectral._SIGMA * 1j * t)\n"
                        "omega = _SIGMA * xi\nc = np.exp(1j * omega * t)\n")
@@ -486,13 +519,28 @@ def test_every_export_has_a_reader_or_a_lab_check():
     src = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
     bench = [ast.parse(path.read_text(), filename=str(path)) for path in PERFBENCH]
     unread = _unread_exports(src, src + bench)
-    assert not unread - set(LAB_CHECKS), (
+    checks = {name for name in LAB_CHECKS if "." not in name}
+    assert not unread - checks, (
         f"exported but read by no module under src/ or perfbench/: "
-        f"{sorted(unread - set(LAB_CHECKS))}; delete them or name the check "
+        f"{sorted(unread - checks)}; delete them or name the check "
         f"they serve in LAB_CHECKS")
-    assert not set(LAB_CHECKS) - unread, (
+    assert not checks - unread, (
         f"LAB_CHECKS lists names that now have a reader or are gone: "
-        f"{sorted(set(LAB_CHECKS) - unread)}")
+        f"{sorted(checks - unread)}")
+
+
+def test_every_method_has_a_reader_or_a_lab_check():
+    src = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+    bench = [ast.parse(path.read_text(), filename=str(path)) for path in PERFBENCH]
+    unread = _unread_methods(src, src + bench)
+    checks = {name for name in LAB_CHECKS if "." in name}
+    assert not unread - checks, (
+        f"public methods or properties that no module under src/ or perfbench/ "
+        f"reads: {sorted(unread - checks)}; move them to the tests that read them "
+        f"or name the check they serve in LAB_CHECKS")
+    assert not checks - unread, (
+        f"LAB_CHECKS lists methods that now have a reader or are gone: "
+        f"{sorted(checks - unread)}")
 
 
 def test_every_private_name_has_a_reader():

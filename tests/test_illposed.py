@@ -13,6 +13,7 @@ from gbolab.experiments.illposed import (
     _band_4n,
     _band_window,
     _cubic_bspline,
+    _fiber_moments,
     _prefactor,
     hN_sobolev_norm,
     illposed_growth_fit,
@@ -315,6 +316,23 @@ class TestConvolutionPower:
         for t, ref in zip(targets, closed):
             v = prof.values[np.argmin(np.abs(prof.xi - t))]
             assert v == pytest.approx(ref, rel=0.02)
+
+    @pytest.mark.parametrize("R", [3, 5])
+    @pytest.mark.parametrize("chirped", [False, True], ids=["ones", "chirp"])
+    def test_moments_match_brute_force_sum(self, R, chirped):
+        # node k: h^3 times the sum over every index 4-tuple i with sum k of
+        # (sum_j y_{i_j}^2)^m prod_j f(y_{i_j})
+        h = 0.3
+        y = (np.arange(R) + 0.5) * h
+        f = np.exp(-1.7j * y ** 2) if chirped else np.ones(R)
+        idx = np.indices((R,) * 4).reshape(4, -1)
+        S, weight = np.sum(y[idx] ** 2, axis=0), np.prod(f[idx], axis=0) * h ** 3
+        moments = _fiber_moments(f, y ** 2, 4, h)
+        assert len(moments) == 4
+        for m, moment in enumerate(moments):
+            brute = np.zeros(4 * R - 3, dtype=complex)
+            np.add.at(brute, idx.sum(axis=0), S ** m * weight)
+            np.testing.assert_allclose(moment, brute, rtol=1e-13, atol=0)
 
 
 @pytest.fixture(scope="module")

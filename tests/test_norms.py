@@ -30,7 +30,7 @@ from gbolab.spectral import (
     make_grid,
 )
 
-from conftest import homogeneous_norm
+from conftest import field_mean, homogeneous_norm
 
 GRID = make_grid(256, 2 * np.pi)
 # 4 real or 2 complex rows a block: 17 rows span five or nine row blocks,
@@ -215,7 +215,7 @@ def xst_reference(u, s):
         return SpaceTimeField(u.grid, u.times, np.stack([op(f).values for f in fields]))
 
     def mean_free(f):
-        return field_from_values(f.grid, f.values - f.mean())
+        return field_from_values(f.grid, f.values - field_mean(f))
 
     def maximal(f):
         return fractional_derivative(mean_free(f) if s < 0.25 else f, s - 0.25)

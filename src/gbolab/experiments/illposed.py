@@ -273,8 +273,8 @@ def torus_duhamel_oracle(
     the window, at most two modes beyond them, without wrap.  n depends on
     modes_per_alpha alone, so the cost grows like N^2, the sample count.
     """
-    if modes_per_alpha < 8:
-        raise ValueError("need at least 8 modes across the band")
+    if not isinstance(modes_per_alpha, numbers.Integral) or modes_per_alpha < 8:
+        raise ValueError(f"modes_per_alpha must be an integer >= 8, got {modes_per_alpha}")
     dxi = p.alpha / modes_per_alpha
     # comb modes whose cells meet the positive band, with cell-average weights
     m = np.arange(math.floor(p.N / dxi), math.ceil((p.N + p.alpha) / dxi) + 1)

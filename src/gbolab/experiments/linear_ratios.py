@@ -13,6 +13,7 @@ needs and is the negative control.
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -30,10 +31,8 @@ _SPECS = dict(zip(("kato", "maximal", "lowfreq"), _PIECES))
 
 class _FreeEvolution(SpaceTimeField):
     """V(t)phi kept as the half spectra of Re phi and Im phi and the rung's
-    propagator factors: kernels read it a real field's row block at a time,
-    the block at start as (halves * shifts[start // P]) * base[start % P:][:k]
-    with P = len(base) a multiple of the block, and .slices is the irfft of
-    the same blocks."""
+    propagator factors (first, step): kernels read it a real field's row
+    block at a time, and .slices is the irfft of the same blocks."""
 
     def __init__(self, grid, times, halves, factors):
         self.grid, self.times, self._halves, self._factors = grid, times, halves, factors
@@ -45,14 +44,16 @@ class _FreeEvolution(SpaceTimeField):
         return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
 
     def _blocks(self):
-        (base, shifts), n = self._factors, self.grid.n
-        blocks, P = _row_blocks(self.n_times, n * 8), len(base)
-        half = np.empty((len(self._halves), blocks[0].stop, n // 2 + 1), dtype=complex)
-        for rows in blocks:
-            start, k = rows.start, rows.stop - rows.start
-            np.multiply((self._halves * shifts[start // P])[:, None],
-                        base[start % P:start % P + k], out=half[:, :k])
-            yield rows, half[:, :k]
+        """Block b as (halves * first) * step**b, stepped in place in one
+        buffer per call: a yielded block is read-only and valid only until
+        the next one is drawn."""
+        (first, step), n_rows = self._factors, self.n_times
+        half = self._halves[:, None] * first
+        for start in range(0, n_rows, len(first)):
+            block = half[:, :min(len(first), n_rows - start)]
+            block.flags.writeable = False
+            yield slice(start, start + block.shape[1]), block
+            half *= step
 
 
 # The rungs of a ladder share the length, T and the time steps per grid point.
@@ -62,19 +63,18 @@ _tables: dict = {}
 
 
 def _time_table(grid: SpectralGrid, T: float, n_time: int) -> tuple[np.ndarray, np.ndarray]:
-    """_propagator at the sample times t_j as two read-only factors, base at
-    t_0 .. t_{P-1} and shifts at t_0, t_P, t_2P, ..., with P the multiple of a
-    real field's row block nearest sqrt(n_time + 1): the propagator at
-    t_{bP+i} is shifts[b] * base[i], as V(t + tau) = V(t) V(tau)."""
+    """_propagator at the sample times t_j as two read-only factors, first at
+    t_0 .. t_{R-1}, with R the rows of a real field's block, and step at
+    t_R: the rows of block b + 1 are those of block b times step, as
+    V(t + tau) = V(t) V(tau)."""
     family = (grid.length, T, n_time / grid.n)
     if any(family != (g.length, t, m / g.n) for g, t, m in _tables):
         _tables.clear()
     if (grid, T, n_time) not in _tables:
-        times = np.linspace(0.0, T, n_time + 1)[:, None]
         R = _row_blocks(n_time + 1, grid.n * 8)[0].stop
-        P = R * max(1, round(np.sqrt(n_time + 1) / R))
-        _tables[grid, T, n_time] = factors = (_propagator(grid, times[:P]),
-                                              _propagator(grid, times[::P]))
+        _tables[grid, T, n_time] = factors = (
+            _propagator(grid, np.linspace(0.0, T, n_time + 1)[:R, None]),
+            _propagator(grid, R * T / n_time))
         factors[0].flags.writeable = factors[1].flags.writeable = False
     return _tables[grid, T, n_time]
 
@@ -92,8 +92,8 @@ def free_evolution_spacetime(phi: Field, T: float, n_time: int) -> SpaceTimeFiel
 def _check_time(T: float, n_time: int) -> None:
     if not 0 < T < np.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
-    if n_time < 2:
-        raise ValueError(f"n_time must be at least 2, got {n_time}")
+    if not isinstance(n_time, numbers.Integral) or n_time < 2:
+        raise ValueError(f"n_time must be an integer >= 2, got {n_time}")
 
 
 def _check_estimate(estimate: str, grid: SpectralGrid, T: float, s: float, n_time: int) -> None:
@@ -116,8 +116,8 @@ def _check_ladder(estimate: str, n_trials: int, grid: SpectralGrid, T: float,
                   seed: int, n_time: int, rungs: int, s: float) -> str:
     """Every range of estimate_ladder, before any work; returns its packet kind."""
     _check_estimate(estimate, grid, T, s, n_time)
-    if rungs < 2:
-        raise ValueError(f"a ladder needs at least two rungs, got {rungs}")
+    if not isinstance(rungs, numbers.Integral) or rungs < 2:
+        raise ValueError(f"a ladder needs at least two rungs (an integer), got {rungs}")
     kind = "broadband" if estimate == "lowfreq" else "modulated"
     _check_ensemble(grid, n_trials, seed, kind)
     reach = _reach(grid, kind)  # from the draw's limits, so the seed cannot matter

@@ -9,6 +9,7 @@ re-rendered on a finer grid without changing the underlying function.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -105,10 +106,10 @@ def make_packet_ensemble(
 
 
 def _check_ensemble(grid: SpectralGrid, n_trials: int, seed: int, kind: str) -> None:
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not isinstance(n_trials, numbers.Integral) or n_trials < 1:
+        raise ValueError(f"n_trials must be an integer >= 1, got {n_trials}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if kind not in ("modulated", "broadband"):
         raise ValueError(f"unknown packet kind {kind!r}")
     (lo, hi), _ = _limits(grid, kind)
@@ -140,8 +141,8 @@ def embed_field(f: Field, factor: int) -> Field:
     is 0, as it is for every drawn packet, whose embedding is then plain zero
     padding.
     """
-    if factor < 1 or factor & (factor - 1):
-        raise ValueError("factor must be a positive power of two")
+    if not isinstance(factor, numbers.Integral) or factor < 1 or factor & (factor - 1):
+        raise ValueError(f"factor must be a positive power of two, got {factor}")
     if factor == 1:
         return f
     fine = make_grid(f.grid.n * factor, f.grid.length)
@@ -154,8 +155,8 @@ def embed_field(f: Field, factor: int) -> Field:
 
 def plane_wave(grid: SpectralGrid, mode: int) -> Field:
     """Complex exponential e^{i mode (2 pi / L) x}, the torus-only control."""
-    if not 0 < mode < grid.n // 2:
-        raise ValueError("mode must lie strictly inside the resolved band")
+    if not isinstance(mode, numbers.Integral) or not 0 < mode < grid.n // 2:
+        raise ValueError(f"mode must be an integer strictly inside the resolved band, got {mode}")
     coeffs = np.zeros(grid.n, dtype=np.complex128)
     coeffs[grid.n // 2 + mode] = grid.length
     return field_from_coeffs(grid, coeffs)

@@ -25,6 +25,7 @@ P+ + P- = Id and i*H = P+ - P- hold exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +92,7 @@ def make_grid(n: int, length: float) -> SpectralGrid:
     length : float
         Domain length L > 0; the grid covers [-L/2, L/2).
     """
-    if n < 8 or (n & (n - 1)) != 0:
+    if not isinstance(n, numbers.Integral) or n < 8 or (n & (n - 1)) != 0:
         raise ValueError(f"n must be a power of two >= 8, got {n}")
     if not 0 < length < np.inf:
         raise ValueError(f"length must be positive and finite, got {length}")
@@ -100,7 +101,7 @@ def make_grid(n: int, length: float) -> SpectralGrid:
     frequencies = 2.0 * np.pi * m / length
     signs = np.where(m % 2 == 0, 1.0, -1.0)
     sgn = np.where(m == -n // 2, 0.0, np.sign(m))
-    return SpectralGrid(n=n, length=float(length), x=x, frequencies=frequencies,
+    return SpectralGrid(n=int(n), length=float(length), x=x, frequencies=frequencies,
                         signs=signs, sgn=sgn)
 
 
@@ -252,8 +253,7 @@ def _eta(xi: np.ndarray) -> np.ndarray:
 
 def lp_block(f: Field, j: int) -> Field:
     """Dyadic block Q_j: multiplier eta(2^{-j} xi), support 2^{j-1} <= |xi| <= 2^{j+1}."""
-    sym = _eta(f.grid.frequencies * 2.0 ** (-j)).astype(np.complex128)
-    return apply_multiplier(f, sym)
+    return apply_multiplier(f, _eta(f.grid.frequencies * 2.0 ** (-j)))
 
 
 def lowpass_P0(f: Field) -> Field:
@@ -286,7 +286,6 @@ def band_projections(f: Field, j: int, side: str) -> Field:
         sym = 1.0 - _psi(xi * 2.0 ** (-(j - 1)))
     else:
         raise ValueError(f"side must be 'leq' or 'geq', got {side!r}")
-    sym = sym.astype(np.complex128)
     sym[f.grid.n // 2] = 0.0
     return apply_multiplier(f, sym)
 

@@ -410,7 +410,7 @@ rungs = 2
         assert code == 2
         error = json.loads((out / "report.json").read_text())["error"]
         assert error["type"] == "ConfigError"
-        assert "seed must be non-negative, got -1" in error["message"]
+        assert "seed must be a non-negative integer, got -1" in error["message"]
 
     def test_estimates_repeated_name_rejected(self, tmp_path):
         text = ESTIMATES_KATO.replace("which = kato", "which = lowfreq, lowfreq")

@@ -191,6 +191,21 @@ class TestPackets:
         with pytest.raises(ValueError):
             embed_field(fields[0], 3)
 
+    @pytest.mark.parametrize("kind", ["float", "numpy-int"])
+    @pytest.mark.parametrize("field, value, call", [
+        ("n_trials", 3, lambda v: [f.coeffs for f in make_packet_ensemble(GRID, v, 4)]),
+        ("seed", 4, lambda v: [f.coeffs for f in make_packet_ensemble(GRID, 3, v)]),
+        ("factor", 2, lambda v: embed_field(plane_wave(SMALL, 3), v).coeffs),
+        ("mode", 5, lambda v: plane_wave(SMALL, v).coeffs),
+    ], ids=["ensemble-n_trials", "ensemble-seed", "embed-factor", "plane-wave-mode"])
+    def test_integer_inputs_are_integers(self, field, value, call, kind):
+        # a float is rejected by name; a numpy integer gives the int's result
+        if kind == "float":
+            with pytest.raises(ValueError, match=field):
+                call(float(value))
+        else:
+            np.testing.assert_array_equal(call(np.int64(value)), call(value))
+
     def test_plane_wave_is_unit_exponential(self):
         f = plane_wave(GRID, 4)
         expected = np.exp(2j * np.pi * 4 * GRID.x / GRID.length)
@@ -217,14 +232,16 @@ class TestEstimateRatios:
     def test_spacetime_rows_are_free_evolutions(self, real):
         # White noise has Nyquist content, which both paths leave in place.
         rng = np.random.default_rng(3)
+        # one real row a row block at n = 16384: the nine rows are nine blocks,
+        # each stepped from the one before (two complex rows a block: five)
+        wide = make_grid(16384, 40.0)
+        packet = np.exp(-wide.x ** 2 + 30j * wide.x)
         if real:
             noise = field_from_values(SMALL, rng.normal(size=SMALL.n))
-            fields = [make_packet_ensemble(GRID, 1, seed=2)[0], noise]
+            fields = [make_packet_ensemble(GRID, 1, seed=2)[0], noise,
+                      field_from_values(wide, packet.real)]
         else:
             coeffs = rng.normal(size=SMALL.n) + 1j * rng.normal(size=SMALL.n)
-            # two complex rows a row block: the nine rows span five blocks
-            wide = make_grid(16384, 40.0)
-            packet = np.exp(-wide.x ** 2 + 30j * wide.x)
             fields = [plane_wave(GRID, 5), field_from_coeffs(SMALL, coeffs),
                       field_from_values(wide, packet)]
         for f in fields:
@@ -266,8 +283,8 @@ class TestEstimateRatios:
                 tracemalloc.stop()
 
         linear_ratios._tables.clear()
-        # the cold factors peak at 1.02 MB and hold 0.75 MB; the full table: 8.4 MB
-        assert peak(lambda: _time_table(grid, 0.1, 512)) <= 1.5e6
+        # the cold factors peak at 0.39 MB and hold 0.15 MB; the full table: 8.4 MB
+        assert peak(lambda: _time_table(grid, 0.1, 512)) <= 0.6e6
         st = free_evolution_spacetime(phi, 0.1, n_time=512)  # reads the cached factors
         assert peak(lambda: xst_components(st, 0.45)) < stack / 4
         assert peak(lambda: mixed_norm(st, np.inf, 2.0)) < stack / 4
@@ -324,6 +341,10 @@ class TestEstimateRatios:
                 assert estimate_ratio(f, T=0.1, estimate=name) > 0
 
 
+def kato_ladder(n_trials=2, seed=21, n_time=32, rungs=2):
+    return estimate_ladder("kato", n_trials, GRID, 0.1, seed, n_time, rungs).resolution_ladder
+
+
 class TestEnsembleLadders:
     def test_kato_ladder_drift_small(self):
         stats = estimate_ladder("kato", 6, GRID, T=0.1, seed=21, rungs=3)
@@ -361,55 +382,56 @@ class TestEnsembleLadders:
             linear_ratios._tables.clear()  # another test may hold this family
             for name in ESTIMATES:
                 estimate_ladder(name, trials, GRID, T=0.1, seed=21, n_time=n_time, rungs=rungs)
-            # a base and a shifts factor per rung, each built once in the run
+            # a first and a step factor per rung, each built once in the run
             assert sorted(built) == sorted(2 * [2 ** r * GRID.n for r in range(rungs)])
             top = 2 ** (rungs - 1)
             factors = _time_table(make_grid(top * GRID.n, GRID.length), 0.1, top * n_time)
             assert len(built) == 2 * rungs  # the top rung's factors are held
             for factor in factors:
                 with pytest.raises(ValueError, match="read-only"):
-                    factor[0, 0] = 0.0
+                    factor[..., 0] = 0.0
 
-    @pytest.mark.parametrize("n, n_time, period", [(2048, 512, 24), (512, 300, 32),
-                                                   (2048, 700, 24)],
+    @pytest.mark.parametrize("n, n_time, rows", [(2048, 512, 8), (512, 300, 32),
+                                                 (2048, 700, 8)],
                              ids=["2048-512", "512-300", "2048-700"])
-    def test_factored_rows_match_the_propagator(self, n, n_time, period):
-        # row bP + i = shifts[b] * base[i], with P the multiple of a real
-        # field's block R (8 rows at n = 2048, 32 at n = 512) nearest
-        # sqrt(n_time + 1); no case has n_time + 1 a multiple of P
+    def test_stepped_rows_match_the_propagator(self, n, n_time, rows):
+        # first holds the propagator at t_0 .. t_{R-1}, R a real field's block
+        # (8 rows at n = 2048, 32 at n = 512), and step at t_R: block b is
+        # first * step**b, stepped in place; no case has n_time + 1 a multiple of R
         grid = make_grid(n, 40.0)
-        base, shifts = _time_table(grid, 0.1, n_time)
-        R, P, root = _BLOCK_BYTES // (8 * n), len(base), np.sqrt(n_time + 1)
-        assert P == period and P % R == 0 and (n_time + 1) % P != 0
-        assert all(abs(P - root) <= abs(m * R - root) for m in range(1, n_time // R + 2))
-        assert len(shifts) == -(-(n_time + 1) // P)
-        rows = (shifts[:, None] * base).reshape(-1, n // 2 + 1)[:n_time + 1]
-        assert len(rows) == n_time + 1
+        first, step = _time_table(grid, 0.1, n_time)
+        R = _BLOCK_BYTES // (8 * n)
+        assert len(first) == R == rows and (n_time + 1) % R != 0
+        assert step.shape == (n // 2 + 1,)
         times = np.linspace(0.0, 0.1, n_time + 1)
         assert times[-1] == 0.1
-        for j, t in enumerate(times):
-            np.testing.assert_allclose(rows[j], _propagator(grid, t), rtol=0.0, atol=1e-11)
-        # the free evolution streams the same rows a real block at a time,
-        # and no block straddles a period
         ones = np.ones((1, n // 2 + 1))
-        unit = linear_ratios._FreeEvolution(grid, times, ones, (base, shifts))
+        unit = linear_ratios._FreeEvolution(grid, times, ones, (first, step))
         blocks = [(span, half[0].copy()) for span, half in unit._blocks()]
         assert [span.start for span, _ in blocks] == list(range(0, n_time + 1, R))
-        assert all(span.start // P == (span.stop - 1) // P for span, _ in blocks)
-        np.testing.assert_array_equal(np.concatenate([h for _, h in blocks]), rows)
+        stepped = np.concatenate([h for _, h in blocks])
+        assert len(stepped) == n_time + 1
+        for j, t in enumerate(times):
+            np.testing.assert_allclose(stepped[j], _propagator(grid, t), rtol=0.0, atol=1e-11)
+
+    def test_yielded_blocks_are_read_only(self):
+        # the next block is stepped in place from the one just yielded
+        st = free_evolution_spacetime(make_packet_ensemble(GRID, 1, seed=2)[0], 0.1, 64)
+        for _, half in st._blocks():
+            with pytest.raises(ValueError, match="read-only"):
+                half[0, 0, 0] = 0.0
 
     def test_estimates_run_memory_budget(self):
         # the four ladders of an estimates run at the benchmark's sizes (top
-        # rung n = 2048, n_time = 512) peak at 3.0 MB: full propagator tables,
+        # rung n = 2048, n_time = 512) peak at 1.49 MB: full propagator tables,
         # 10.5 MB for the three rungs, would take the peak past the budget, and
-        # so would 512 kB row blocks with factors of one block's rows and a
-        # rung's packets embedded all at once (5.0 MB)
+        # so would factors held at 1.18 MB instead of stepped rows (2.24 MB)
         linear_ratios._tables.clear()
         tracemalloc.start()
         try:
             for name in ESTIMATES:
                 estimate_ladder(name, 2, GRID, T=0.1, seed=21, rungs=3)
-            assert tracemalloc.get_traced_memory()[1] < 4e6
+            assert tracemalloc.get_traced_memory()[1] < 2e6
         finally:
             tracemalloc.stop()
 
@@ -417,6 +439,24 @@ class TestEnsembleLadders:
     def test_ladder_needs_two_rungs(self, rungs):
         with pytest.raises(ValueError, match="at least two rungs"):
             estimate_ladder("kato", 2, GRID, T=0.1, seed=21, rungs=rungs)
+
+    @pytest.mark.parametrize("kind", ["float", "numpy-int"])
+    @pytest.mark.parametrize("field, value, call", [
+        ("n_trials", 2, lambda v: kato_ladder(n_trials=v)),
+        ("rungs", 2, lambda v: kato_ladder(rungs=v)),
+        ("n_time", 32, lambda v: kato_ladder(n_time=v)),
+        ("seed", 21, lambda v: kato_ladder(seed=v)),
+        ("n_time", 32, lambda v: estimate_ratio(plane_wave(GRID, 5), 0.1, "kato", v)),
+        ("n_time", 32, lambda v: free_evolution_spacetime(plane_wave(GRID, 5), 0.1, v).slices),
+    ], ids=["ladder-n_trials", "ladder-rungs", "ladder-n_time", "ladder-seed", "ratio-n_time",
+            "spacetime-n_time"])
+    def test_integer_inputs_are_integers(self, field, value, call, kind):
+        # a float is rejected by name; a numpy integer gives the int's result
+        if kind == "float":
+            with pytest.raises(ValueError, match=field):
+                call(float(value))
+        else:
+            np.testing.assert_array_equal(call(np.int64(value)), call(value))
 
     def test_kato_ratios_below_the_smoothing_constant(self):
         # int |D^{1/2} V(t)phi(x)|^2 dt over the line is ||phi||^2 / 2 at

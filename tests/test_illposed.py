@@ -508,6 +508,16 @@ class TestTorusOracle:
         with pytest.raises(ValueError):
             torus_duhamel_oracle(p, modes_per_alpha=4)
 
+    @pytest.mark.parametrize("modes", [16.5, np.int64(8)], ids=["float", "numpy-int"])
+    def test_modes_per_alpha_is_an_integer(self, modes):
+        p = IllposedParams(N=16.0, **CHEAP)
+        if isinstance(modes, float):
+            with pytest.raises(ValueError, match="modes_per_alpha must be an integer"):
+                torus_duhamel_oracle(p, modes_per_alpha=modes)
+        else:
+            prof, ref = torus_duhamel_oracle(p, modes), torus_duhamel_oracle(p, 8)
+            assert np.array_equal(prof.xi, ref.xi) and np.array_equal(prof.values, ref.values)
+
     def test_oracle_window_covers_top_band(self):
         p = IllposedParams(N=16.0, **CHEAP)
         prof = torus_duhamel_oracle(p, modes_per_alpha=8)

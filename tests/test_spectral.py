@@ -84,6 +84,16 @@ def test_make_grid_rejects_out_of_range(n, length, match):
         make_grid(n, length)
 
 
+@pytest.mark.parametrize("n", [512.0, np.int64(512)], ids=["float", "numpy-int"])
+def test_make_grid_takes_an_integer_n(n):
+    if isinstance(n, float):
+        with pytest.raises(ValueError, match="power of two >= 8, got 512.0"):
+            make_grid(n, 40.0)
+    else:
+        grid = make_grid(n, 40.0)
+        assert grid == make_grid(512, 40.0) and type(grid.n) is int
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda f: field_from_values(GRID, np.zeros(GRID.n + 1)), r"values must have shape \(256,\)"),
     (lambda f: field_from_coeffs(GRID, np.zeros(GRID.n - 1)), r"coeffs must have shape \(256,\)"),

@@ -11,7 +11,7 @@ import io
 import json
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -20,13 +20,13 @@ import numpy as np
 from . import __version__
 from .experiments.illposed import _fit_rungs, illposed_growth_fit
 from .experiments.linear_ratios import ESTIMATES, _check_ladder, estimate_ladder
-from .experiments.reporting import _DRIFT_LIMIT, ExperimentReport
+from .experiments.reporting import _DRIFT_LIMIT, ExperimentReport, _Check
 from .gauge import _check_gauge, gauge_equation_residual
 from .norms import _delta_range, is_one_admissible, norm_family_audit
 from .solver import SolverConfig, evolve
 from .spectral import Field, SpectralGrid, field_from_values, make_grid, sign_convention_label
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -105,16 +105,15 @@ _SCHEMAS: dict[str, dict] = {
 _POSITIVE_KEYS = frozenset({"amplitude", "width", "strides"})
 
 # Verdict thresholds: constants, not config keys, so no config can turn a FAIL
-# into a PASS.  Each report records them in its params.
+# into a PASS.  Each report states them as the bounds of its named checks.
 _MASS_TOL, _L2_TOL = 1e-10, 1e-6  # simulate: mass and relative L2 drift
 _MIN_RATIO, _MAX_RESIDUAL = 8.0, 1e-4  # gauge-residual: least ratio, finest residual
 
 
 @dataclass
 class RunConfig:
-    """A validated run: subcommand, parameters, and the objects built from them."""
+    """A validated run: its parameters, and the objects built from them."""
 
-    subcommand: str
     params: dict
     objects: object
 
@@ -170,7 +169,7 @@ def parse_config(text: str, subcommand: str, seed: int | None = None) -> RunConf
         objects = _OBJECTS[subcommand](params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(subcommand=subcommand, params=params, objects=objects)
+    return RunConfig(params=params, objects=objects)
 
 
 def _gaussian_field(n: int, length: float, amplitude: float, width: float):
@@ -244,16 +243,12 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
     ]
     mass_drift = float(np.max(np.abs(traj.mass - traj.mass[0])))
     l2_drift = float(np.max(np.abs(traj.l2 - traj.l2[0])) / traj.l2[0])
-    ok = mass_drift <= _MASS_TOL and l2_drift <= _L2_TOL
     return ExperimentReport(
         experiment_id="simulate",
-        inputs=dict(p, mass_tol=_MASS_TOL, l2_tol=_L2_TOL),
+        inputs=p,
         points=points,
-        verdict="PASS" if ok else "FAIL",
-        notes=[
-            f"mass drift {mass_drift:.3e} (tolerance {_MASS_TOL:.1e})",
-            f"relative L2 drift {l2_drift:.3e} (tolerance {_L2_TOL:.1e})",
-        ],
+        checks=[_Check("mass drift", mass_drift, "<=", _MASS_TOL),
+                _Check("relative L2 drift", l2_drift, "<=", _L2_TOL)],
     )
 
 
@@ -264,48 +259,38 @@ def _run_gauge_residual(cfg: RunConfig) -> ExperimentReport:
     residuals = gauge_equation_residual(traj, [s // strides[-1] for s in strides])
     points = [{"stride": s, "dt_slice": s * p["dt"], "residual": res}
               for s, res in zip(strides, residuals)]
-    ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
-    ok = all(r >= _MIN_RATIO for r in ratios) and residuals[-1] <= _MAX_RESIDUAL
+    ratios = [_Check(f"refinement ratio {a}/{b}", ra / rb, ">=", _MIN_RATIO)
+              for a, b, ra, rb in zip(strides, strides[1:], residuals, residuals[1:])]
     return ExperimentReport(
         experiment_id="gauge_residual",
-        inputs=dict(p, min_ratio=_MIN_RATIO, max_residual=_MAX_RESIDUAL),
+        inputs=p,
         points=points,
-        verdict="PASS" if ok else "FAIL",
-        notes=[
-            "refinement ratios " + ", ".join(f"{r:.2f}" for r in ratios),
-            f"finest residual {residuals[-1]:.3e} "
-            f"(tolerance {_MAX_RESIDUAL:.1e})",
-        ],
+        checks=[*ratios, _Check("finest residual", residuals[-1], "<=", _MAX_RESIDUAL)],
     )
 
 
 def _run_estimates(cfg: RunConfig) -> ExperimentReport:
     p = cfg.params
     names, grid = cfg.objects
-    points = []
-    all_ok = True
+    points, checks = [], []
     for name in names:
         stats = estimate_ladder(name, p["n_trials"], grid, p["T"], p["seed"],
                                 n_time=p["n_time"], rungs=p["rungs"], s=p["s"])
-        ok = stats.passes()
-        all_ok = all_ok and ok
+        checks.append(_Check(f"{name} ladder drift", stats.ladder_drift, "<", _DRIFT_LIMIT))
         for n_points, sup in stats.resolution_ladder:
             points.append({"estimate": name, "n_points": n_points,
                            "sup_ratio": float(sup)})
         points.append({"estimate": name, "drift": stats.ladder_drift,
-                       "passes": ok})
-    return ExperimentReport(
-        experiment_id="estimates",
-        inputs=dict(p, drift_limit=_DRIFT_LIMIT),
-        points=points,
-        verdict="PASS" if all_ok else "FAIL",
-        seed=p["seed"],
-    )
+                       "passes": checks[-1].passes})
+    return ExperimentReport(experiment_id="estimates", inputs=p, points=points,
+                            checks=checks)
 
 
 def _run_admissible(cfg: RunConfig) -> ExperimentReport:
+    # the exponents as their exact reciprocals 1/p, 1/q, which are always finite
     points = [{"id": entry.id, "derivative_order": float(entry.derivative_order),
-               "p": entry.p, "q": entry.q, "passes": ok} for entry, ok in cfg.objects]
+               "inv_p": float(entry.a), "inv_q": float(entry.b), "passes": ok}
+              for entry, ok in cfg.objects]
     failing = [point["id"] for point in points if not point["passes"]]
     # with no delta, one note names the bounds that cross, not N2..N8's rules at none
     rows, (low, by), (cap, capped) = _delta_range(cfg.params["s"], cfg.params["k"])
@@ -317,9 +302,9 @@ def _run_admissible(cfg: RunConfig) -> ExperimentReport:
         for t in e.triplets if not is_one_admissible(t)]]
     return ExperimentReport(
         experiment_id="admissible",
-        inputs=dict(cfg.params),
+        inputs=cfg.params,
         points=points,
-        verdict="FAIL" if failing else "PASS",
+        checks=[_Check(f"{entry.id} admissible", ok, "==", True) for entry, ok in cfg.objects],
         notes=[f"failing entries: {', '.join(failing)}" if failing
                else "all twelve entries admissible", *dict.fromkeys(reasons)],
     )
@@ -350,19 +335,22 @@ def _write_record(out_dir: Path, record: dict, summary) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     record.update(schema_version=SCHEMA_VERSION, timestamp=_timestamp())
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
+        json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False,
+                  default=lambda v: v.tolist())
         fh.write("\n")
     with open(out_dir / "summary.txt", "w") as fh:
         fh.write(summary(record))
 
 
 def _write_success(report: ExperimentReport, out_dir: Path) -> None:
-    """The report's record, with the code version and the propagator's sign
-    convention, and series.csv: one row per point, a column per point key."""
+    """The report's record, its checks with their outcomes, the code version and
+    the propagator's sign convention, and series.csv: one row per point, a
+    column per point key."""
+    checks = [{**asdict(check), "passes": check.passes} for check in report.checks]
     _write_record(out_dir, {
         "id": report.experiment_id, "params": report.inputs, "points": report.points,
-        "slope": report.slope, "ci": report.ci, "verdict": report.verdict,
-        "notes": list(report.notes), "seed": report.seed,
+        "slope": report.slope, "ci": report.ci, "verdict": report.verdict, "checks": checks,
+        "notes": list(report.notes),
         "sign_convention": sign_convention_label(), "code_version": __version__,
     }, _summary_text)
     keys = sorted({key for point in report.points for key in point})
@@ -377,13 +365,15 @@ def _summary_text(data: dict) -> str:
     buf.write(f"{data['id']}: {data['verdict']}\n")
     buf.write(f"code version: {data['code_version']}\n")
     buf.write(f"sign convention: {data['sign_convention']}\n")
-    buf.write(f"seed: {data['seed']}\n")
     buf.write(f"timestamp: {data['timestamp']}\n")
     if data.get("slope") is not None:
         buf.write(f"slope: {repr(data['slope'])} +- {repr(data['ci'])}\n")
     buf.write("params:\n")
     for key in sorted(data["params"]):
         buf.write(f"  {key} = {data['params'][key]}\n")
+    for check in data["checks"]:
+        buf.write("check: {name} = {value} {relation} {bound}: ".format(**check)
+                  + ("pass\n" if check["passes"] else "fail\n"))
     for note in data.get("notes") or []:
         buf.write(f"note: {note}\n")
     buf.write(f"points: {len(data['points'])} rows (see series.csv)\n")

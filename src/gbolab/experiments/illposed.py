@@ -28,7 +28,7 @@ import numpy as np
 
 from ..norms import _row_blocks
 from ..spectral import _SIGMA, _phases
-from .reporting import ExperimentReport
+from .reporting import ExperimentReport, _Check
 
 TWO_PI = 2.0 * np.pi
 
@@ -222,7 +222,7 @@ def _band_4n(
 # Largest relative change of the band norm that the refinement check lets
 # pass; the README and test ladders move it by 1e-5 (M = 32) to 4e-5 (M = 16).
 _REFINEMENT_TOL = 0.05
-# Largest |slope - (1 - 3s - 3 theta/2)| that the growth fit's verdict passes.
+# Largest |slope - (1 - 3s - 3 theta/2)| that the growth fit's check passes.
 _EXPONENT_TOL = 0.1
 
 
@@ -411,10 +411,11 @@ def illposed_growth_fit(
     ExperimentReport whose points carry, per rung, the band norm, its
     refinement disagreement and the H^s norm of the data.
 
-    The verdict passes a slope within _EXPONENT_TOL of the paper's exponent
-    1 - 3s - 3 theta/2, which assumes a time kernel of size T.  On the 4N
-    band the exact kernel is of order N^-2 (see kernel_bracket_4n), so this
-    band cannot show that exponent and the verdict stays FAIL.
+    The report's one check passes a slope within _EXPONENT_TOL of the
+    paper's exponent 1 - 3s - 3 theta/2, which assumes a time kernel of size
+    T.  On the 4N band the exact kernel is of order N^-2 (see
+    kernel_bracket_4n), so this band cannot show that exponent and the
+    verdict stays FAIL.
     """
     rungs = _fit_rungs(s, theta, T, N_list, freq_resolution)
     points = []
@@ -436,7 +437,6 @@ def illposed_growth_fit(
     slope = float(coef[0])
     ci = float(1.96 * np.sqrt(cov[0, 0]))
     predicted = 1.0 - 3.0 * s - 1.5 * theta
-    verdict = "PASS" if abs(slope - predicted) <= _EXPONENT_TOL else "FAIL"
     return ExperimentReport(
         experiment_id="illposed_growth",
         inputs={
@@ -445,13 +445,13 @@ def illposed_growth_fit(
             "T": T,
             "N_list": [p.N for p in rungs],
             "freq_resolution": freq_resolution,
-            "tolerance": _EXPONENT_TOL,
             "predicted_exponent": predicted,
         },
         points=points,
         slope=slope,
         ci=ci,
-        verdict=verdict,
+        checks=[_Check("|slope - predicted exponent|", abs(slope - predicted), "<=",
+                       _EXPONENT_TOL)],
         notes=[
             "band norm is the 4N-band contribution to ||v||_{H^s}",
             "time kernel evaluated exactly; on the 4N band |P| is of order "

@@ -110,21 +110,15 @@ class AdmissibleTriplet:
     b: Fraction
 
 
-def _exponent(r: Fraction) -> float:
-    """The exponent 1/r as a float, inf for r = 0."""
-    return float(1 / r) if r else float("inf")
-
-
 @dataclass(frozen=True)
 class NormFamilyEntry:
     """One row of the norm-family audit: a space-time norm of the family
     N1..N12 together with the admissibility reduction(s) backing it.
 
-    (a, b) = (1/p, 1/q) are the norm's own exponents, (p, q) their floats for
-    reports; ``triplets`` hold the reductions actually fed to the predicate,
-    which may carry delta/eps adjustments.  ``side_conditions`` are
-    (description, bool) pairs required in addition to admissibility: the
-    rules the predicate does not decide.
+    (a, b) = (1/p, 1/q) are the norm's own exponents; ``triplets`` hold the
+    reductions actually fed to the predicate, which may carry delta/eps
+    adjustments.  ``side_conditions`` are (description, bool) pairs required
+    in addition to admissibility: the rules the predicate does not decide.
     """
 
     id: str
@@ -133,14 +127,6 @@ class NormFamilyEntry:
     b: Fraction
     triplets: tuple[AdmissibleTriplet, ...]
     side_conditions: tuple[tuple[str, bool], ...]
-
-    @property
-    def p(self) -> float:
-        return _exponent(self.a)
-
-    @property
-    def q(self) -> float:
-        return _exponent(self.b)
 
 
 # ---------------------------------------------------------------------------

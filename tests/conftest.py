@@ -7,7 +7,8 @@ tests that read a trajectory at several slice spacings share ``subsample``;
 the scaling checks share the scaling map ``rescale``/``rescale_traj``, the
 homogeneous norm it acts on, and ``commutation_defect``; the quartic
 self-convolution checks share ``fiber_measure``, and the checks on mean-zero
-data ``field_mean``.
+data ``field_mean``.  The CLI tests share ``run_cli``, and ``cli_run`` makes
+each unpatched run once a session.
 """
 
 from dataclasses import replace
@@ -15,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gbolab.cli import main
 from gbolab.experiments.illposed import FrequencyProfile, _fiber_moments
 from gbolab.solver import SolverConfig, Trajectory, evolve
 from gbolab.spectral import Field, field_from_values, make_grid
@@ -30,6 +32,32 @@ def acceptance_log():
         _ACCEPTANCE_LINES.append(line)
 
     return record
+
+
+def run_cli(tmp_path, config_text, subcommand, extra=()):
+    """(exit code, artifact directory) of one CLI run of the config text."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(config_text)
+    out = tmp_path / "out"
+    code = main([subcommand, "--config", str(cfg_file), "--out", str(out),
+                 *extra])
+    return code, out
+
+
+@pytest.fixture(scope="session")
+def cli_run(tmp_path_factory):
+    """run_cli(config_text, subcommand) made once a session; only for runs
+    that patch nothing, since a patched run would be read by the next test."""
+    runs = {}
+
+    def run(config_text: str, subcommand: str):
+        if (config_text, subcommand) not in runs:
+            runs[config_text, subcommand] = run_cli(
+                tmp_path_factory.mktemp(subcommand), config_text, subcommand)
+        return runs[config_text, subcommand]
+
+    return run
 
 
 def subsample(traj: Trajectory, every: int) -> Trajectory:

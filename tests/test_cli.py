@@ -3,6 +3,7 @@
 import configparser
 import io
 import json
+import operator
 import os
 import re
 import subprocess
@@ -15,10 +16,11 @@ import pytest
 from gbolab import cli, solver
 from gbolab.cli import ConfigError, main, parse_config
 from gbolab.experiments import linear_ratios
-from gbolab.experiments.illposed import QuadratureError
+from gbolab.experiments.illposed import _EXPONENT_TOL, QuadratureError
+from gbolab.experiments.reporting import _DRIFT_LIMIT, ExperimentReport, _Check
 from gbolab.solver import SolverConfig, evolve
 
-from conftest import subsample
+from conftest import run_cli, subsample
 
 ADMISSIBLE_OK = """
 [admissible]
@@ -69,20 +71,9 @@ strides = 100, 50, 25
 """
 
 
-def run_cli(tmp_path, config_text, subcommand, extra=()):
-    tmp_path.mkdir(parents=True, exist_ok=True)
-    cfg_file = tmp_path / "run.ini"
-    cfg_file.write_text(config_text)
-    out = tmp_path / "out"
-    code = main([subcommand, "--config", str(cfg_file), "--out", str(out),
-                 *extra])
-    return code, out
-
-
 class TestParseConfig:
     def test_minimal_illposed_block(self):
         cfg = parse_config(ILLPOSED_MIN, "illposed")
-        assert cfg.subcommand == "illposed"
         assert cfg.params["N_list"] == [8.0, 16.0, 32.0, 64.0, 128.0]
         default = parse_config(ILLPOSED_MIN.replace("freq_resolution = 16\n", ""), "illposed")
         assert default.params["freq_resolution"] == 32  # default filled in
@@ -150,10 +141,10 @@ class TestAdmissibleRuns:
         data = json.loads((out / "report.json").read_text())
         assert data["verdict"] == "PASS"
         assert len(data["points"]) == 12
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
         assert data["sign_convention"] == "exp(-1i*t*xi*|xi|)"
         # no random data, so no seed
-        assert data["seed"] is None
+        assert "seed" not in data
         assert "seed" not in data["params"]
 
     def test_below_threshold_fails_with_n9_flagged(self, tmp_path):
@@ -398,8 +389,8 @@ rungs = 2
                             "estimates", extra=("--seed", "17"))
         assert code == 0
         data = json.loads((out / "report.json").read_text())
-        assert data["seed"] == 17
         assert data["params"]["seed"] == 17
+        assert "seed" not in data  # the seed is a param, stated once
 
     def test_negative_seed_flag_fails_before_the_draw(self, tmp_path, monkeypatch):
         def no_draw(*args, **kwargs):
@@ -454,8 +445,8 @@ rungs = 2
         assert data["error"]["type"] == "ConfigError"
         assert data["error"]["message"].startswith(f"{key} must")
 
-    def test_gauge_residual_pass(self, tmp_path):
-        code, out = run_cli(tmp_path, GAUGE_OK, "gauge-residual")
+    def test_gauge_residual_pass(self, cli_run):
+        code, out = cli_run(GAUGE_OK, "gauge-residual")
         assert code == 0
         data = json.loads((out / "report.json").read_text())
         finest = data["points"][-1]
@@ -664,3 +655,89 @@ def test_subsample_thins_the_ledger_bit_for_bit():
     assert sub.n_times == 6
     for name in ("mass", "l2", "linf"):
         assert getattr(sub, name).tobytes() == getattr(traj, name)[::2].tobytes()
+
+
+# Every config above that runs to a verdict, with its exit code.
+VERDICT_RUNS = {
+    "admissible-0.45-12": ("admissible", ADMISSIBLE_OK, 0),
+    "admissible-0.48-30": ("admissible", "[admissible]\ns = 0.48\nk = 30\n", 0),
+    "admissible-0.40-12": ("admissible", "[admissible]\ns = 0.40\nk = 12\n", 1),
+    "admissible-0.45-3": ("admissible", "[admissible]\ns = 0.45\nk = 3\n", 1),
+    "estimates": ("estimates", ESTIMATES_KATO, 0),
+    "illposed": ("illposed", ILLPOSED_MIN, 1),
+    "simulate": ("simulate", SIMULATE_OK, 0),
+    "gauge-residual": ("gauge-residual", GAUGE_OK, 0),
+}
+RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "==": operator.eq}
+# Each run's (name, relation, bound) per check, against the constants that
+# set them; the README's verdict table states the same.
+STATED = {
+    "simulate": [("mass drift", "<=", cli._MASS_TOL),
+                 ("relative L2 drift", "<=", cli._L2_TOL)],
+    "gauge_residual": [("refinement ratio 100/50", ">=", cli._MIN_RATIO),
+                       ("refinement ratio 50/25", ">=", cli._MIN_RATIO),
+                       ("finest residual", "<=", cli._MAX_RESIDUAL)],
+    "illposed_growth": [("|slope - predicted exponent|", "<=", _EXPONENT_TOL)],
+    "estimates": [("kato ladder drift", "<", _DRIFT_LIMIT)],
+    "admissible": [(f"N{i} admissible", "==", True) for i in range(1, 13)],
+}
+THRESHOLD_PARAMS = {"mass_tol", "l2_tol", "min_ratio", "max_residual", "drift_limit",
+                    "tolerance"}
+
+
+@pytest.fixture(params=VERDICT_RUNS)
+def verdict_run(request, cli_run):
+    """(exit code, artifact directory) of one run."""
+    subcommand, text, expected = VERDICT_RUNS[request.param]
+    code, out = cli_run(text, subcommand)
+    assert code == expected
+    return code, out
+
+
+def not_json(token):
+    raise ValueError(f"{token} is not a JSON value (RFC 8259)")
+
+
+def test_report_json_is_strict_json(verdict_run):
+    # NaN, Infinity and -Infinity are Python's extensions, which jq and
+    # JSON.parse reject; the admissible run at 0.45/12 once wrote "q": Infinity
+    _, out = verdict_run
+    json.loads((out / "report.json").read_text(), parse_constant=not_json)
+
+
+def test_verdict_is_the_conjunction_of_the_written_checks(verdict_run):
+    code, out = verdict_run
+    data = json.loads((out / "report.json").read_text())
+    summary = (out / "summary.txt").read_text().splitlines()
+    checks = data["checks"]
+    assert checks and len({check["name"] for check in checks}) == len(checks)
+    for check in checks:
+        assert set(check) == {"name", "value", "relation", "bound", "passes"}
+        assert check["passes"] is RELATIONS[check["relation"]](check["value"], check["bound"])
+        assert ("check: {name} = {value} {relation} {bound}: ".format(**check)
+                + ("pass" if check["passes"] else "fail")) in summary
+    assert data["verdict"] == ("PASS" if all(c["passes"] for c in checks) else "FAIL")
+    assert code == (0 if data["verdict"] == "PASS" else 1)
+
+
+def test_each_run_states_its_checks_against_its_constants(verdict_run):
+    # each threshold is a check's bound, not a copy in params
+    _, out = verdict_run
+    data = json.loads((out / "report.json").read_text())
+    assert [(c["name"], c["relation"], c["bound"]) for c in data["checks"]] == STATED[data["id"]]
+    assert not THRESHOLD_PARAMS & set(data["params"])
+
+
+def test_non_finite_check_value_is_an_error_record(tmp_path, monkeypatch):
+    # a value JSON cannot hold gives an ERROR record, not a malformed report.json
+    def nan_report(cfg):
+        return ExperimentReport("admissible", cfg.params, [],
+                                [_Check("drift", float("nan"), "<=", 1.0)])
+
+    monkeypatch.setitem(cli._RUNNERS, "admissible", nan_report)
+    code, out = run_cli(tmp_path, ADMISSIBLE_OK, "admissible")
+    assert code == 2
+    data = json.loads((out / "report.json").read_text(), parse_constant=not_json)
+    assert data["verdict"] == "ERROR"
+    assert data["error"]["type"] == "ValueError"
+    assert not (out / "series.csv").exists()

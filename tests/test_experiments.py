@@ -21,6 +21,7 @@ from gbolab.experiments import (
 )
 from gbolab.experiments import linear_ratios, packets
 from gbolab.experiments.linear_ratios import ESTIMATES, _check_ladder, _time_table
+from gbolab.experiments.reporting import _DRIFT_LIMIT, _Check
 from gbolab.norms import _BLOCK_BYTES, mixed_norm, sobolev_norm, xst_components
 from gbolab.spectral import (_propagator, field_from_coeffs, field_from_values, free_evolve,
                              make_grid)
@@ -349,12 +350,12 @@ class TestEnsembleLadders:
     def test_kato_ladder_drift_small(self):
         stats = estimate_ladder("kato", 6, GRID, T=0.1, seed=21, rungs=3)
         assert len(stats.ratios) == 6
-        assert stats.passes()
+        assert stats.ladder_drift < _DRIFT_LIMIT
         assert stats.ladder_drift < 1.1
 
     def test_maximal_ladder_drift_small(self):
         stats = estimate_ladder("maximal", 6, GRID, T=0.1, seed=22, rungs=3)
-        assert stats.passes()
+        assert stats.ladder_drift < _DRIFT_LIMIT
 
     def test_lowfreq_needs_fine_frequency_grid(self):
         coarse = make_grid(128, 8.0)  # dxi = 2 pi / 8 > 1/4
@@ -364,7 +365,7 @@ class TestEnsembleLadders:
     def test_lowfreq_ladder(self):
         grid = make_grid(512, 32.0)
         stats = estimate_ladder("lowfreq", 4, grid, T=0.5, seed=23, rungs=3)
-        assert stats.passes()
+        assert stats.ladder_drift < _DRIFT_LIMIT
 
     def test_lowfreq_requires_unit_time_window(self):
         grid = make_grid(512, 32.0)
@@ -472,7 +473,7 @@ class TestEnsembleLadders:
         for s in (0.3, 0.45):
             stats = estimate_ladder("xst", 4, GRID, T=0.1, seed=25, rungs=3, s=s)
             assert len(stats.ratios) == 4
-            assert stats.passes(), s
+            assert stats.ladder_drift < _DRIFT_LIMIT, s
 
     def test_sup_ratio_stable_under_more_trials(self):
         small = estimate_ladder("kato", 4, GRID, T=0.1, seed=30, rungs=2)
@@ -515,13 +516,13 @@ class TestReporting:
         stats = RatioStatistics(ratios=[1.0],
                                 resolution_ladder=[(64, 1.0), (128, 1.4), (256, 1.5)])
         assert stats.ladder_drift == pytest.approx(1.5)
-        assert stats.passes()
+        assert stats.ladder_drift < _DRIFT_LIMIT
         # the drift limit 2 is a constant and the bound is strict
         for top in (2.0, 3.0):
             drifted = RatioStatistics(ratios=[1.0],
                                       resolution_ladder=[(64, 1.0), (128, 1.4), (256, top)])
             assert drifted.ladder_drift == top
-            assert not drifted.passes()
+            assert not drifted.ladder_drift < _DRIFT_LIMIT
 
     def test_report_roundtrip_json(self, tmp_path):
         # the CLI's record: the report's fields, the code version, the sign convention
@@ -529,15 +530,14 @@ class TestReporting:
             experiment_id="demo",
             inputs={"n": 4},
             points=[{"value": np.float64(1.5)}],
-            verdict="PASS",
+            checks=[_Check("demo drift", np.float64(0.5), "<=", 1.0)],
             slope=0.5,
             ci=0.01,
-            seed=7,
         )
         _write_success(rep, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
-        assert set(data) == {"id", "params", "points", "slope", "ci", "verdict", "notes",
-                             "seed", "sign_convention", "code_version", "schema_version",
+        assert set(data) == {"id", "params", "points", "slope", "ci", "verdict", "checks",
+                             "notes", "sign_convention", "code_version", "schema_version",
                              "timestamp"}
         assert data["id"] == "demo"
         assert data["params"] == {"n": 4}
@@ -545,15 +545,35 @@ class TestReporting:
         assert data["slope"] == 0.5
         assert data["ci"] == 0.01
         assert data["verdict"] == "PASS"
+        assert data["checks"] == [{"name": "demo drift", "value": 0.5, "relation": "<=",
+                                   "bound": 1.0, "passes": True}]
         assert data["notes"] == []
         assert data["sign_convention"] == "exp(-1i*t*xi*|xi|)"
-        assert data["seed"] == 7
         assert data["code_version"] == __version__
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "check: demo drift = 0.5 <= 1.0: pass\n" in summary
 
     def test_report_requires_a_verdict(self):
-        # a producer that forgets its verdict fails instead of passing silently
-        with pytest.raises(TypeError, match="verdict"):
+        # a producer that states no check fails instead of passing silently
+        with pytest.raises(TypeError, match="checks"):
             ExperimentReport(experiment_id="demo", inputs={}, points=[])
+        with pytest.raises(ValueError, match="at least one check"):
+            ExperimentReport(experiment_id="demo", inputs={}, points=[], checks=[])
+
+    @pytest.mark.parametrize("value, relation, bound, passes", [
+        (1.0, "<", 2.0, True), (2.0, "<", 2.0, False), (2.0, "<=", 2.0, True),
+        (3.0, "<=", 2.0, False), (8.0, ">=", 8.0, True), (7.9, ">=", 8.0, False),
+        (True, "==", True, True), (False, "==", True, False),
+        (float("nan"), "<=", 2.0, False), (float("nan"), ">=", 8.0, False)])
+    def test_check_applies_its_relation(self, value, relation, bound, passes):
+        # a NaN value passes no relation, so a broken run cannot PASS
+        assert _Check("demo", value, relation, bound).passes is passes
+
+    def test_verdict_is_every_check(self):
+        ok, bad = _Check("ok", 1.0, "<=", 2.0), _Check("bad", 3.0, "<=", 2.0)
+        for checks, verdict in [([ok], "PASS"), ([ok, ok], "PASS"), ([ok, bad], "FAIL"),
+                                ([bad, ok], "FAIL")]:
+            assert ExperimentReport("demo", {}, [], checks).verdict == verdict
 
     @pytest.mark.parametrize("points, csv", [
         ([{"N": np.float64(8.0), "m": np.int64(3), "ok": np.bool_(True),
@@ -565,7 +585,7 @@ class TestReporting:
         inputs = {"N_list": np.array([8.0, 16.0]), "x": np.float64(0.1), "n": np.int64(4),
                   "flag": np.bool_(False)}
         rep = ExperimentReport(experiment_id="demo", inputs=inputs, points=points,
-                               verdict="PASS")
+                               checks=[_Check("demo", 1.0, "<=", 2.0)])
         _write_success(rep, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["params"] == {"N_list": [8.0, 16.0], "x": 0.1, "n": 4, "flag": False}
@@ -578,7 +598,7 @@ class TestReporting:
             experiment_id="demo",
             inputs={},
             points=[{"b": 1.0, "a": 2.0}, {"a": 3.0}, {"b": None}],
-            verdict="PASS",
+            checks=[_Check("demo", 1.0, "<=", 2.0)],
         )
         _write_success(rep, tmp_path)
         assert (tmp_path / "series.csv").read_text() == "a,b\n2.0,1.0\n3.0,\n,\n"

@@ -12,7 +12,9 @@ perfbench/: code that only tests read belongs in tests/.  Outside
 spectral.py no exp call under src/ reads _SIGMA: the propagator phase is
 spectral._phases; nor does any module under src/ read the shifted transforms
 _forward, _inverse or the grid's .signs: the (-1)^m convention lives in
-spectral.py.  Only cli.py writes files: the run artifacts have one owner."""
+spectral.py.  Only cli.py writes files: the run artifacts have one owner.
+Only reporting.py builds the verdict strings "PASS" and "FAIL": a verdict is
+ExperimentReport.verdict, the conjunction of a run's named checks."""
 
 import ast
 import configparser
@@ -388,6 +390,16 @@ def _file_writes(tree: ast.Module) -> list[int]:
     return sorted(lines)
 
 
+def _verdict_words(tree: ast.Module) -> list[int]:
+    """Lines of the string constants "PASS" and "FAIL" that are not an operand
+    of a comparison: a verdict built in place of reading one."""
+    compared = {id(operand) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                for operand in [node.left, *node.comparators]}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value in ("PASS", "FAIL")
+                  and id(node) not in compared)
+
+
 def test_sources_found():
     assert any(path.name == "cli.py" for path in MODULES)
     assert any(path.name == "test_hygiene.py" for path in TESTS)
@@ -428,6 +440,9 @@ def test_checks_catch_what_they_name():
                        "p.open('x')\np.write_text(s)\np.write_bytes(b)\njson.dump(r, fh)\n"
                        "json.dumps(r)\nopen(p, 'rb')\np.open()\nopen(p, m)\n")
     assert _file_writes(writes) == [2, 3, 5, 6, 7, 8, 12]
+    verdicts = ast.parse("v = 'PASS' if ok else 'FAIL'\nexit = 0 if v == 'PASS' else 1\n"
+                         "s = f\"{'FAIL'}\"\nt = 'PASSED'\nu = ('FAIL' != w)\n")
+    assert _verdict_words(verdicts) == [1, 1, 3]
 
 
 def test_option_guard_catches_what_it_names():
@@ -493,6 +508,13 @@ def test_artifacts_written_only_by_cli():
                if (lines := _file_writes(ast.parse(path.read_text(), filename=str(path))))}
     assert not writers, (f"modules under src/ that write files (module: lines): {writers}; "
                          "the run artifacts are cli.py's to write")
+
+
+def test_verdicts_built_only_by_reporting():
+    builders = {_id(path): lines for path in MODULES if path.name != "reporting.py"
+                if (lines := _verdict_words(ast.parse(path.read_text(), filename=str(path))))}
+    assert not builders, (f"modules under src/ that build a PASS or FAIL verdict (module: "
+                          f"lines): {builders}; state named checks in an ExperimentReport")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=_id)

@@ -3,11 +3,11 @@
 Each experiment evolves seeded wave packets under the free group, computes
 the LHS/RHS ratio of one estimate, and reports how the supremum over the
 ensemble behaves along a resolution ladder (space and time refined
-together).  The evolution runs on rfft half spectra, one pair of propagator
-factors per rung for all the ladders of a run.  The estimates hold on the line
-with unknown constants, so the lab checks the ratios' stability, not their
-size; a pure plane wave violates the localization the torus surrogate
-needs and is the negative control.
+together).  The evolution runs on rfft half spectra, each free evolution
+stepping its own propagator rows.  The estimates hold on the line with
+unknown constants, so the lab checks the ratios' stability, not their size;
+a pure plane wave violates the localization the torus surrogate needs and is
+the negative control.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ _SPECS = dict(zip(("kato", "maximal", "lowfreq"), _PIECES))
 
 
 class _FreeEvolution(SpaceTimeField):
-    """V(t)phi kept as the half spectra of Re phi and Im phi and the rung's
-    propagator factors (first, step): kernels read it a real field's row
-    block at a time, and .slices is the irfft of the same blocks."""
+    """V(t)phi kept as the half spectra of Re phi and Im phi: kernels read it
+    a real field's row block at a time, and .slices is the irfft of the same
+    blocks."""
 
-    def __init__(self, grid, times, halves, factors):
-        self.grid, self.times, self._halves, self._factors = grid, times, halves, factors
+    def __init__(self, grid, times, halves):
+        self.grid, self.times, self._halves = grid, times, halves
 
     @functools.cached_property
     def slices(self) -> np.ndarray:
@@ -44,39 +44,23 @@ class _FreeEvolution(SpaceTimeField):
         return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
 
     def _blocks(self):
-        """Block b as (halves * first) * step**b, stepped in place in one
-        buffer per call: a yielded block is read-only and valid only until
-        the next one is drawn."""
-        (first, step), n_rows = self._factors, self.n_times
-        half = self._halves[:, None] * first
-        for start in range(0, n_rows, len(first)):
-            block = half[:, :min(len(first), n_rows - start)]
+        """Block b as halves * V(t_0 .. t_{R-1}) * V(t_R)**b, R the rows of a
+        real field's block, as V(t + tau) = V(t) V(tau): row j of the first
+        block is row j - 1 times V(t_1), and each next block is the one before
+        times V(t_R), stepped in place in one buffer per call.  A yielded
+        block is read-only and valid only until the next one is drawn."""
+        n_rows, T = self.n_times, self.times[-1]
+        R = _row_blocks(n_rows, self.grid.n * 8)[0].stop
+        tick, step = (_propagator(self.grid, r * T / (n_rows - 1)) for r in (1, R))
+        half = np.empty((len(self._halves), R, self._halves.shape[-1]), complex)
+        half[:, 0] = self._halves
+        for j in range(1, R):
+            np.multiply(half[:, j - 1], tick, out=half[:, j])
+        for start in range(0, n_rows, R):
+            block = half[:, :min(R, n_rows - start)]
             block.flags.writeable = False
             yield slice(start, start + block.shape[1]), block
             half *= step
-
-
-# The rungs of a ladder share the length, T and the time steps per grid point.
-# The factors of one such family are held until another family's are asked
-# for, so every ladder of a run reuses one pair per rung, for any number of rungs.
-_tables: dict = {}
-
-
-def _time_table(grid: SpectralGrid, T: float, n_time: int) -> tuple[np.ndarray, np.ndarray]:
-    """_propagator at the sample times t_j as two read-only factors, first at
-    t_0 .. t_{R-1}, with R the rows of a real field's block, and step at
-    t_R: the rows of block b + 1 are those of block b times step, as
-    V(t + tau) = V(t) V(tau)."""
-    family = (grid.length, T, n_time / grid.n)
-    if any(family != (g.length, t, m / g.n) for g, t, m in _tables):
-        _tables.clear()
-    if (grid, T, n_time) not in _tables:
-        R = _row_blocks(n_time + 1, grid.n * 8)[0].stop
-        _tables[grid, T, n_time] = factors = (
-            _propagator(grid, np.linspace(0.0, T, n_time + 1)[:R, None]),
-            _propagator(grid, R * T / n_time))
-        factors[0].flags.writeable = factors[1].flags.writeable = False
-    return _tables[grid, T, n_time]
 
 
 def free_evolution_spacetime(phi: Field, T: float, n_time: int) -> SpaceTimeField:
@@ -86,7 +70,7 @@ def free_evolution_spacetime(phi: Field, T: float, n_time: int) -> SpaceTimeFiel
     _check_time(T, n_time)
     parts = [phi.values.real] if phi.real else [phi.values.real, phi.values.imag]
     return _FreeEvolution(phi.grid, np.linspace(0.0, T, n_time + 1),
-                          np.fft.rfft(np.stack(parts)), _time_table(phi.grid, T, n_time))
+                          np.fft.rfft(np.stack(parts)))
 
 
 def _check_time(T: float, n_time: int) -> None:

@@ -152,7 +152,7 @@ class TestAdmissibleRuns:
         code, out = run_cli(tmp_path, text, "admissible")
         assert code == 1
         data = json.loads((out / "report.json").read_text())
-        n9 = [pt for pt in data["points"] if pt["id"] == "N9"]
+        n9 = [check for check in data["checks"] if check["name"] == "N9 admissible"]
         assert n9 and not n9[0]["passes"]
         assert "N9" in (out / "summary.txt").read_text()
 

@@ -20,7 +20,7 @@ from gbolab.experiments import (
     plane_wave_growth_exponent,
 )
 from gbolab.experiments import linear_ratios, packets
-from gbolab.experiments.linear_ratios import ESTIMATES, _check_ladder, _time_table
+from gbolab.experiments.linear_ratios import ESTIMATES, _check_ladder
 from gbolab.experiments.reporting import _DRIFT_LIMIT, _Check
 from gbolab.norms import _BLOCK_BYTES, mixed_norm, sobolev_norm, xst_components
 from gbolab.spectral import (_propagator, field_from_coeffs, field_from_values, free_evolve,
@@ -283,10 +283,7 @@ class TestEstimateRatios:
             finally:
                 tracemalloc.stop()
 
-        linear_ratios._tables.clear()
-        # the cold factors peak at 0.39 MB and hold 0.15 MB; the full table: 8.4 MB
-        assert peak(lambda: _time_table(grid, 0.1, 512)) <= 0.6e6
-        st = free_evolution_spacetime(phi, 0.1, n_time=512)  # reads the cached factors
+        st = free_evolution_spacetime(phi, 0.1, n_time=512)
         assert peak(lambda: xst_components(st, 0.45)) < stack / 4
         assert peak(lambda: mixed_norm(st, np.inf, 2.0)) < stack / 4
         assert peak(lambda: mixed_norm(st, 4.0, np.inf)) < stack / 4
@@ -372,44 +369,24 @@ class TestEnsembleLadders:
         with pytest.raises(ValueError):
             estimate_ladder("lowfreq", 2, grid, T=1.5, seed=1)
 
-    def test_one_propagator_table_per_rung(self, monkeypatch):
-        # the four ladders of one estimates run: one grid, one T, one seed;
-        # four rungs hold more factors than the default three-rung ladder
-        built = []
-        monkeypatch.setattr(linear_ratios, "_propagator",
-                            lambda grid, t: built.append(grid.n) or _propagator(grid, t))
-        for trials, n_time, rungs in [(4, 128, 3), (2, 32, 4)]:
-            built.clear()
-            linear_ratios._tables.clear()  # another test may hold this family
-            for name in ESTIMATES:
-                estimate_ladder(name, trials, GRID, T=0.1, seed=21, n_time=n_time, rungs=rungs)
-            # a first and a step factor per rung, each built once in the run
-            assert sorted(built) == sorted(2 * [2 ** r * GRID.n for r in range(rungs)])
-            top = 2 ** (rungs - 1)
-            factors = _time_table(make_grid(top * GRID.n, GRID.length), 0.1, top * n_time)
-            assert len(built) == 2 * rungs  # the top rung's factors are held
-            for factor in factors:
-                with pytest.raises(ValueError, match="read-only"):
-                    factor[..., 0] = 0.0
-
     @pytest.mark.parametrize("n, n_time, rows", [(2048, 512, 8), (512, 300, 32),
                                                  (2048, 700, 8)],
                              ids=["2048-512", "512-300", "2048-700"])
     def test_stepped_rows_match_the_propagator(self, n, n_time, rows):
-        # first holds the propagator at t_0 .. t_{R-1}, R a real field's block
-        # (8 rows at n = 2048, 32 at n = 512), and step at t_R: block b is
-        # first * step**b, stepped in place; no case has n_time + 1 a multiple of R
+        # a block holds R rows, R a real field's block (8 rows at n = 2048, 32
+        # at n = 512): row j of the first is row j - 1 times V(t_1), and block
+        # b + 1 is block b times V(t_R), stepped in place; no case has n_time + 1
+        # a multiple of R
         grid = make_grid(n, 40.0)
-        first, step = _time_table(grid, 0.1, n_time)
         R = _BLOCK_BYTES // (8 * n)
-        assert len(first) == R == rows and (n_time + 1) % R != 0
-        assert step.shape == (n // 2 + 1,)
+        assert R == rows and (n_time + 1) % R != 0
         times = np.linspace(0.0, 0.1, n_time + 1)
         assert times[-1] == 0.1
-        ones = np.ones((1, n // 2 + 1))
-        unit = linear_ratios._FreeEvolution(grid, times, ones, (first, step))
+        ones = np.ones((1, n // 2 + 1), complex)
+        unit = linear_ratios._FreeEvolution(grid, times, ones)
         blocks = [(span, half[0].copy()) for span, half in unit._blocks()]
         assert [span.start for span, _ in blocks] == list(range(0, n_time + 1, R))
+        assert all(len(half) == R for _, half in blocks[:-1])
         stepped = np.concatenate([h for _, h in blocks])
         assert len(stepped) == n_time + 1
         for j, t in enumerate(times):
@@ -424,15 +401,15 @@ class TestEnsembleLadders:
 
     def test_estimates_run_memory_budget(self):
         # the four ladders of an estimates run at the benchmark's sizes (top
-        # rung n = 2048, n_time = 512) peak at 1.49 MB: full propagator tables,
-        # 10.5 MB for the three rungs, would take the peak past the budget, and
-        # so would factors held at 1.18 MB instead of stepped rows (2.24 MB)
-        linear_ratios._tables.clear()
+        # rung n = 2048, n_time = 512) peak at 0.86 MB, 1.00 MB in a fresh
+        # process: full propagator tables, 10.5 MB for the three rungs, would
+        # take the peak past the budget, and so would a factor set held
+        # between calls (0.42 MB, a 1.35 MB peak, 1.49 MB fresh)
         tracemalloc.start()
         try:
             for name in ESTIMATES:
                 estimate_ladder(name, 2, GRID, T=0.1, seed=21, rungs=3)
-            assert tracemalloc.get_traced_memory()[1] < 2e6
+            assert tracemalloc.get_traced_memory()[1] < 1.2e6
         finally:
             tracemalloc.stop()
 

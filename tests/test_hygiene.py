@@ -14,7 +14,9 @@ spectral._phases; nor does any module under src/ read the shifted transforms
 _forward, _inverse or the grid's .signs: the (-1)^m convention lives in
 spectral.py.  Only cli.py writes files: the run artifacts have one owner.
 Only reporting.py builds the verdict strings "PASS" and "FAIL": a verdict is
-ExperimentReport.verdict, the conjunction of a run's named checks."""
+ExperimentReport.verdict, the conjunction of a run's named checks.  No
+function under src/ declares global or mutates a module-level name: src/
+keeps no state between calls."""
 
 import ast
 import configparser
@@ -52,7 +54,7 @@ LAB_CHECKS = (
 # because a check needs values other than the default.
 OPTION_CHECKS = (
     "torus_duhamel_oracle.modes_per_alpha",  # three comb geometries against the full-line reference
-    "estimate_ladder.n_time",  # test_one_propagator_table_per_rung: a second family at n_time 32
+    "estimate_ladder.n_time",  # test_integer_inputs_are_integers: kato_ladder at n_time 32
     "estimate_ladder.s",  # test_xst_group_ladder at s = 0.3 and 0.45
 )
 
@@ -390,6 +392,63 @@ def _file_writes(tree: ast.Module) -> list[int]:
     return sorted(lines)
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_MUTATORS = frozenset({"clear", "update", "append", "extend", "pop", "popitem",
+                       "setdefault", "add", "discard", "remove", "insert"})
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of a scope, nested functions and lambdas themselves but none
+    of their nodes."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _root(node: ast.expr) -> ast.expr:
+    """The object an attribute or subscript chain starts from."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node
+
+
+def _state_writes(tree: ast.Module) -> list[int]:
+    """Lines where a function or lambda declares global, or mutates a name the
+    module binds at top level, other than by an import, and no enclosing
+    function binds: a subscript or augmented assignment into it, or a call of
+    one of its _MUTATORS (np.append, an imported module's, is none)."""
+    module, lines = _module_bindings(tree) - set(_imported_names(tree)), []
+
+    def visit(scope: ast.AST, local: frozenset) -> None:
+        nodes = list(_own_nodes(scope))
+        local |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        local |= {a.arg for a in ast.walk(scope.args) if isinstance(a, ast.arg)}
+        for node in nodes:
+            if isinstance(node, _SCOPES):
+                visit(node, local)
+                continue
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                written = node.value
+            elif isinstance(node, ast.AugAssign):
+                written = node.target
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS):
+                written = node.func.value
+            else:
+                written = None
+            name = getattr(_root(written), "id", None)
+            if isinstance(node, ast.Global) or name in module - local:
+                lines.append(node.lineno)
+
+    for node in _own_nodes(tree):
+        if isinstance(node, _SCOPES):
+            visit(node, frozenset())
+    return sorted(set(lines))
+
+
 def _verdict_words(tree: ast.Module) -> list[int]:
     """Lines of the string constants "PASS" and "FAIL" that are not an operand
     of a comparison: a verdict built in place of reading one."""
@@ -443,6 +502,15 @@ def test_checks_catch_what_they_name():
     verdicts = ast.parse("v = 'PASS' if ok else 'FAIL'\nexit = 0 if v == 'PASS' else 1\n"
                          "s = f\"{'FAIL'}\"\nt = 'PASSED'\nu = ('FAIL' != w)\n")
     assert _verdict_words(verdicts) == [1, 1, 3]
+    state = ast.parse("import np\n_CACHE = {}\n_N = [0]\n"
+                      "def f(k):\n    _CACHE[k] = 1\n    _CACHE.clear()\n"
+                      "def g():\n    global _N\n    _N[0] += 1\n"
+                      "h = lambda: _N.append(1)\n"
+                      "def ok(_CACHE, k):\n    _CACHE[k] = np.append(_N, 1)\n"
+                      "    def inner():\n        _CACHE.update(a=1)\n"
+                      "    out = {}\n    out[k] = _N[0]\n    return _N.index(0)\n"
+                      "_CACHE['a'] = 2\n")
+    assert _state_writes(state) == [5, 6, 8, 9, 10]
 
 
 def test_option_guard_catches_what_it_names():
@@ -508,6 +576,13 @@ def test_artifacts_written_only_by_cli():
                if (lines := _file_writes(ast.parse(path.read_text(), filename=str(path))))}
     assert not writers, (f"modules under src/ that write files (module: lines): {writers}; "
                          "the run artifacts are cli.py's to write")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_id)
+def test_no_state_between_calls(path):
+    lines = _state_writes(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, (f"{_id(path)} declares global or mutates module-level state in a "
+                       f"function at lines {lines}; pass state as arguments instead")
 
 
 def test_verdicts_built_only_by_reporting():

@@ -64,14 +64,12 @@ _SCHEMAS: dict[str, dict] = {
         "t_end": (float, _REQUIRED),
         "slice_stride": (int, 1),
         "amplitude": (float, _REQUIRED),
-        "width": (float, 1.0),
     },
     "gauge-residual": {
         "n": (int, _REQUIRED),
         "length": (float, _REQUIRED),
         "k": (int, _REQUIRED),
         "amplitude": (float, _REQUIRED),
-        "width": (float, 1.0),
         "dt": (float, _REQUIRED),
         "t_end": (float, _REQUIRED),
         "strides": (_ints, _REQUIRED),
@@ -102,7 +100,7 @@ _SCHEMAS: dict[str, dict] = {
 }
 
 # The CLI's own data keys; the library states every other range.
-_POSITIVE_KEYS = frozenset({"amplitude", "width", "strides"})
+_POSITIVE_KEYS = frozenset({"amplitude", "strides"})
 
 # Verdict thresholds: constants, not config keys, so no config can turn a FAIL
 # into a PASS.  Each report states them as the bounds of its named checks.
@@ -121,14 +119,15 @@ class RunConfig:
 def parse_config(text: str, subcommand: str, seed: int | None = None) -> RunConfig:
     """Parse and validate one subcommand's section of a config document.
 
-    The document is INI-style with one section per subcommand.  Unknown
-    sections and unknown keys are errors, as are missing required keys and
-    unparsable, non-finite or out-of-range values (the ranges: _OBJECTS).
+    The document is INI-style with one section per subcommand, its values read
+    literally.  Unknown sections, [DEFAULT] among them, and unknown keys are
+    errors, as are missing required keys and unparsable, non-finite or
+    out-of-range values (the ranges: _OBJECTS).
     A ``seed`` (the --seed flag) joins the section as its seed key.
     """
     if subcommand not in _SCHEMAS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str  # keys like N_list and T are case-sensitive
     try:
         cp.read_string(text)
@@ -172,9 +171,9 @@ def parse_config(text: str, subcommand: str, seed: int | None = None) -> RunConf
     return RunConfig(params=params, objects=objects)
 
 
-def _gaussian_field(n: int, length: float, amplitude: float, width: float):
+def _gaussian_field(n: int, length: float, amplitude: float):
     grid = make_grid(n, length)
-    values = amplitude * np.exp(-(grid.x ** 2) / (2.0 * width ** 2))
+    values = amplitude * np.exp(-(grid.x ** 2) / 2.0)
     return field_from_values(grid, values)
 
 
@@ -185,7 +184,7 @@ def _gaussian_field(n: int, length: float, amplitude: float, width: float):
 
 def _flow(cfg: SolverConfig, p: dict) -> tuple[Field, SolverConfig]:
     """The section's Gaussian data, and cfg checked against its grid."""
-    u0 = _gaussian_field(p["n"], p["length"], p["amplitude"], p["width"])
+    u0 = _gaussian_field(p["n"], p["length"], p["amplitude"])
     cfg.validate_for_grid(u0.grid)
     cfg.n_steps()
     return u0, cfg
@@ -244,7 +243,6 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
     mass_drift = float(np.max(np.abs(traj.mass - traj.mass[0])))
     l2_drift = float(np.max(np.abs(traj.l2 - traj.l2[0])) / traj.l2[0])
     return ExperimentReport(
-        experiment_id="simulate",
         inputs=p,
         points=points,
         checks=[_Check("mass drift", mass_drift, "<=", _MASS_TOL),
@@ -262,7 +260,6 @@ def _run_gauge_residual(cfg: RunConfig) -> ExperimentReport:
     ratios = [_Check(f"refinement ratio {a}/{b}", ra / rb, ">=", _MIN_RATIO)
               for a, b, ra, rb in zip(strides, strides[1:], residuals, residuals[1:])]
     return ExperimentReport(
-        experiment_id="gauge_residual",
         inputs=p,
         points=points,
         checks=[*ratios, _Check("finest residual", residuals[-1], "<=", _MAX_RESIDUAL)],
@@ -281,8 +278,7 @@ def _run_estimates(cfg: RunConfig) -> ExperimentReport:
             points.append({"estimate": name, "n_points": n_points,
                            "sup_ratio": float(sup)})
         points.append({"estimate": name, "drift": stats.ladder_drift})
-    return ExperimentReport(experiment_id="estimates", inputs=p, points=points,
-                            checks=checks)
+    return ExperimentReport(inputs=p, points=points, checks=checks)
 
 
 def _run_admissible(cfg: RunConfig) -> ExperimentReport:
@@ -290,7 +286,6 @@ def _run_admissible(cfg: RunConfig) -> ExperimentReport:
     points = [{"id": entry.id, "derivative_order": float(entry.derivative_order),
                "inv_p": float(entry.a), "inv_q": float(entry.b)}
               for entry, _ in cfg.objects]
-    failing = [entry.id for entry, ok in cfg.objects if not ok]
     # with no delta, one note names the bounds that cross, not N2..N8's rules at none
     rows, (low, by), (cap, capped) = _delta_range(cfg.params["s"], cfg.params["k"])
     note = "no delta satisfies N2..N8's rules: %s needs delta >= %.6g, %s needs delta <= %.6g"
@@ -300,12 +295,10 @@ def _run_admissible(cfg: RunConfig) -> ExperimentReport:
         "inadmissible triplet (alpha, 1/p, 1/q) = (%.6g, %.6g, %.6g)" % (t.alpha, t.a, t.b)
         for t in e.triplets if not is_one_admissible(t)]]
     return ExperimentReport(
-        experiment_id="admissible",
         inputs=cfg.params,
         points=points,
         checks=[_Check(f"{entry.id} admissible", ok, "==", True) for entry, ok in cfg.objects],
-        notes=[f"failing entries: {', '.join(failing)}" if failing
-               else "all twelve entries admissible", *dict.fromkeys(reasons)],
+        notes=list(dict.fromkeys(reasons)),
     )
 
 
@@ -341,13 +334,13 @@ def _write_record(out_dir: Path, record: dict, summary) -> None:
         fh.write(summary(record))
 
 
-def _write_success(report: ExperimentReport, out_dir: Path) -> None:
-    """The report's record, its checks with their outcomes, the code version and
-    the propagator's sign convention, and series.csv: one row per point, a
-    column per point key."""
+def _write_success(subcommand: str, report: ExperimentReport, out_dir: Path) -> None:
+    """The report's record under the subcommand's id, its checks with their
+    outcomes, the code version and the propagator's sign convention, and
+    series.csv: one row per point, a column per point key."""
     checks = [{**asdict(check), "passes": check.passes} for check in report.checks]
     _write_record(out_dir, {
-        "id": report.experiment_id, "params": report.inputs, "points": report.points,
+        "id": subcommand, "params": report.inputs, "points": report.points,
         "slope": report.slope, "ci": report.ci, "verdict": report.verdict, "checks": checks,
         "notes": list(report.notes),
         "sign_convention": sign_convention_label(), "code_version": __version__,
@@ -409,7 +402,7 @@ def main(argv=None) -> int:
         cfg = parse_config(Path(args.config).read_text(), args.subcommand,
                            seed=vars(args).get("seed"))
         report = _RUNNERS[args.subcommand](cfg)
-        _write_success(report, out_dir)
+        _write_success(args.subcommand, report, out_dir)
     except Exception as exc:  # any failure is an ERROR: exit 1 stays the FAIL verdict's
         # a bad config or file reads as one line; any other failure keeps its traceback
         quiet = isinstance(exc, (ConfigError, OSError))
@@ -418,8 +411,7 @@ def main(argv=None) -> int:
             _write_failure(args.subcommand, exc, out_dir)
         return EXIT_ERROR
 
-    print(f"{report.experiment_id}: {report.verdict} "
-          f"(artifacts in {out_dir})")
+    print(f"{args.subcommand}: {report.verdict} (artifacts in {out_dir})")
     return EXIT_PASS if report.verdict == "PASS" else EXIT_FAIL
 
 

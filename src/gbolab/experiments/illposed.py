@@ -438,7 +438,6 @@ def illposed_growth_fit(
     ci = float(1.96 * np.sqrt(cov[0, 0]))
     predicted = 1.0 - 3.0 * s - 1.5 * theta
     return ExperimentReport(
-        experiment_id="illposed_growth",
         inputs={
             "s": s,
             "theta": theta,

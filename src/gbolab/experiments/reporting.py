@@ -64,7 +64,6 @@ class ExperimentReport:
     passes.  slope/ci are None for experiments that do not fit anything.
     """
 
-    experiment_id: str
     inputs: dict
     points: list
     checks: list

@@ -8,10 +8,14 @@ the scaling checks share the scaling map ``rescale``/``rescale_traj``, the
 homogeneous norm it acts on, and ``commutation_defect``; the quartic
 self-convolution checks share ``fiber_measure``, and the checks on mean-zero
 data ``field_mean``.  The CLI tests share ``run_cli``, and ``cli_run`` makes
-each unpatched run once a session.
+each unpatched run once a session; ``shipped_configs`` lists the configs that
+README.md and the benchmark hand to the CLI.
 """
 
+import importlib.util
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,27 @@ def run_cli(tmp_path, config_text, subcommand, extra=()):
     code = main([subcommand, "--config", str(cfg_file), "--out", str(out),
                  *extra])
     return code, out
+
+
+def shipped_configs() -> list[tuple[str, str, str, int | None]]:
+    """(label, subcommand, config text, --seed value) of every config the
+    project ships: each INI block of README.md, and each size and choice of
+    the benchmark's CLI workloads, as perfbench/workloads.py writes them."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    configs = [(f"README-{section}", section, re.sub(r"(?m)^    ", "", block), None)
+               for block, section in re.findall(r"^(    \[([\w-]+)\]\n(?:    \S.*\n)+)",
+                                                readme, re.MULTILINE)]
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload, subcommand in workloads.SUBCOMMANDS.items():
+        for size in workloads.SIZES:
+            for seed in range(len(workloads.CHOICES[workload])):
+                params = workloads.inputs(workload, seed, size)["params"]
+                configs.append((f"perfbench-{workload}-{size}-{seed}", subcommand,
+                                workloads.config_text(workload, params), params.get("seed")))
+    return configs
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from gbolab.experiments.illposed import _EXPONENT_TOL, QuadratureError
 from gbolab.experiments.reporting import _DRIFT_LIMIT, ExperimentReport, _Check
 from gbolab.solver import SolverConfig, evolve
 
-from conftest import run_cli, subsample
+from conftest import run_cli, shipped_configs, subsample
 
 ADMISSIBLE_OK = """
 [admissible]
@@ -163,8 +163,7 @@ class TestAdmissibleRuns:
         assert code == 1
         notes = json.loads((out / "report.json").read_text())["notes"]
         gain = "side condition fails: derivative gain positive: s > s_k + 2*delta"
-        assert notes == ["failing entries: N2, N3, N4, N5, N6, N7, N8, N9",
-                         *(f"N{i}: {gain}" for i in range(2, 8)), f"N8: {gain}/k",
+        assert notes == [*(f"N{i}: {gain}" for i in range(2, 8)), f"N8: {gain}/k",
                          "N9: inadmissible triplet (alpha, 1/p, 1/q) = (-0.194, 0.3, 0.003)"]
         assert "note: N9: inadmissible triplet" in (out / "summary.txt").read_text()
 
@@ -175,8 +174,7 @@ class TestAdmissibleRuns:
         code, out = run_cli(tmp_path, "[admissible]\ns = 0.45\nk = 3\n", "admissible")
         assert code == 1
         notes = json.loads((out / "report.json").read_text())["notes"]
-        assert notes == ["failing entries: N2, N3, N4, N5, N6, N7, N8",
-                         "no delta satisfies N2..N8's rules: N8's 2/p + 1/q <= 1/2 needs "
+        assert notes == ["no delta satisfies N2..N8's rules: N8's 2/p + 1/q <= 1/2 needs "
                          "delta >= 0.5, N6's 1/q - delta >= 0 needs delta <= 0.025"]
 
     def test_pass_just_above_the_critical_index_at_high_power(self, tmp_path):
@@ -243,8 +241,8 @@ class TestErrorPaths:
         ("illposed", ILLPOSED_MIN.replace("theta = 0.2", "theta = nan"), "theta"),
         ("illposed", ILLPOSED_MIN.replace("T = 1.0", "T = inf"), "T"),
         ("illposed", ILLPOSED_MIN.replace("8, 16, 32", "8, nan, 32"), "N_list"),
-        ("simulate", SIMULATE_OK + "width = nan\n", "width"),
-    ], ids=["illposed-theta", "illposed-T", "illposed-N_list", "simulate-width"])
+        ("simulate", SIMULATE_OK.replace("amplitude = 0.3", "amplitude = nan"), "amplitude"),
+    ], ids=["illposed-theta", "illposed-T", "illposed-N_list", "simulate-amplitude"])
     def test_non_finite_value_exit_two(self, tmp_path, subcommand, config, key):
         code, out = run_cli(tmp_path, config, subcommand)
         assert code == 2
@@ -315,7 +313,7 @@ class TestOtherSubcommands:
             assert lines[0] == "l2,linf,mass,t"
             assert len(lines) == 2 + 5  # header + t=0 + five strided slices
             # every row is the solver's ledger to the last bit
-            traj = evolve(cli._gaussian_field(256, 40.0, 0.3, 1.0),
+            traj = evolve(cli._gaussian_field(256, 40.0, 0.3),
                           SolverConfig(k=12, flow=flow, dt=4e-4, t_end=0.02,
                                        slice_stride=10))
             rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
@@ -492,12 +490,10 @@ OUT_OF_RANGE = {
     ("simulate", "t_end"): ["0", "0.0201"],  # 0.0201 is no multiple of dt
     ("simulate", "slice_stride"): ["0", "3"],  # 3 does not divide the 50 steps
     ("simulate", "amplitude"): ["0"],
-    ("simulate", "width"): ["0"],
     ("gauge-residual", "n"): ["100"],
     ("gauge-residual", "length"): ["-60"],
     ("gauge-residual", "k"): ["1"],
     ("gauge-residual", "amplitude"): ["0"],
-    ("gauge-residual", "width"): ["0"],
     # 1e-3 exceeds the stability bound 7.0e-4 of n = 512, L = 60
     ("gauge-residual", "dt"): ["0", "1e-3"],
     ("gauge-residual", "t_end"): ["0"],
@@ -555,9 +551,9 @@ def test_range_tables_name_only_schema_keys():
     assert not stale, stale
 
 
-# The verdict thresholds are constants, not keys, and one flow key replaced sign
-# and rescaled: each former key, set to an old value, is an unknown key before
-# any work.
+# The verdict thresholds are constants, not keys, one flow key replaced sign
+# and rescaled, and the data are unit-width Gaussians: each former key, set to
+# an old value, is an unknown key before any work.
 REMOVED_KEYS = {
     ("simulate", "mass_tol"): "1e-10",
     ("simulate", "l2_tol"): "1e-6",
@@ -567,23 +563,84 @@ REMOVED_KEYS = {
     ("estimates", "drift_limit"): "2.0",
     ("simulate", "sign"): "plus",
     ("simulate", "rescaled"): "yes",
+    ("simulate", "width"): "1.0",
+    ("gauge-residual", "width"): "1.0",
 }
 
 
-@pytest.mark.parametrize("subcommand, key", REMOVED_KEYS,
-                         ids=[f"{sub}-{key}" for sub, key in REMOVED_KEYS])
-def test_threshold_keys_are_unknown(tmp_path, monkeypatch, subcommand, key):
-    def no_work(*args):
-        raise AssertionError("work started before the keys were checked")
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every section's objects and runner fail if built or run."""
+    def fail(*args):
+        raise AssertionError("work started before the config was checked")
 
-    monkeypatch.setattr(cli, "_OBJECTS", {name: no_work for name in cli._OBJECTS})
-    monkeypatch.setattr(cli, "_RUNNERS", {name: no_work for name in cli._RUNNERS})
-    text = RANGE_BASE[subcommand] + f"{key} = {REMOVED_KEYS[subcommand, key]}\n"
+    monkeypatch.setattr(cli, "_OBJECTS", {name: fail for name in cli._OBJECTS})
+    monkeypatch.setattr(cli, "_RUNNERS", {name: fail for name in cli._RUNNERS})
+
+
+def config_error(tmp_path, text, subcommand):
+    """The ConfigError message of a run that must exit 2."""
     code, out = run_cli(tmp_path, text, subcommand)
     assert code == 2
     error = json.loads((out / "report.json").read_text())["error"]
     assert error["type"] == "ConfigError"
-    assert error["message"] == f"unknown key {key!r} in section [{subcommand}]"
+    return error["message"]
+
+
+@pytest.mark.parametrize("subcommand, key", REMOVED_KEYS,
+                         ids=[f"{sub}-{key}" for sub, key in REMOVED_KEYS])
+def test_threshold_keys_are_unknown(tmp_path, no_work, subcommand, key):
+    text = RANGE_BASE[subcommand] + f"{key} = {REMOVED_KEYS[subcommand, key]}\n"
+    assert (config_error(tmp_path, text, subcommand)
+            == f"unknown key {key!r} in section [{subcommand}]")
+
+
+# Values are read literally: a '%' is no interpolation syntax, so each of these
+# is a bad value.  [DEFAULT] is a section like any other, so no key reaches the
+# run's section from it, wherever it stands.
+LITERAL_CASES = {
+    "percent": ("admissible", ADMISSIBLE_OK.replace("s = 0.45", "s = 0.45%"),
+                "bad value for 's'"),
+    "interpolation": ("admissible", ADMISSIBLE_OK + "eps = %(s)s\n", "bad value for 'eps'"),
+    "default-before": ("gauge-residual", "[DEFAULT]\nwidth = 3.0\n" + GAUGE_OK,
+                       "unknown section [DEFAULT]"),
+    "default-after": ("gauge-residual", GAUGE_OK + "\n[DEFAULT]\nwidth = 3.0\n",
+                      "unknown section [DEFAULT]"),
+}
+
+
+@pytest.mark.parametrize("subcommand, text, message", LITERAL_CASES.values(),
+                         ids=LITERAL_CASES)
+def test_values_are_read_literally(tmp_path, no_work, subcommand, text, message):
+    assert config_error(tmp_path, text, subcommand).startswith(message)
+
+
+@pytest.mark.parametrize("verdict, code", [("PASS", 0), ("FAIL", 1), ("ERROR", 2)])
+@pytest.mark.parametrize("subcommand", cli._RUNNERS)
+def test_a_run_has_one_name(tmp_path, monkeypatch, capsys, subcommand, verdict, code):
+    # report.json's id, summary.txt's first line and the printed verdict line all
+    # name the subcommand; an ERROR prints only the error, to stderr
+    def runner(cfg):
+        return ExperimentReport(cfg.params, [], [_Check("demo", verdict == "PASS", "==", True)])
+
+    monkeypatch.setitem(cli._RUNNERS, subcommand, runner)
+    text = RANGE_BASE[subcommand] + ("typo = 3\n" if verdict == "ERROR" else "")
+    assert run_cli(tmp_path, text, subcommand) == (code, tmp_path / "out")
+    data = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert (data["id"], data["verdict"]) == (subcommand, verdict)
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert summary.startswith(f"{subcommand}: {verdict}\n")
+    printed = "" if verdict == "ERROR" else (
+        f"{subcommand}: {verdict} (artifacts in {tmp_path / 'out'})\n")
+    assert capsys.readouterr().out == printed
+
+
+@pytest.mark.parametrize("subcommand, text, seed",
+                         [pytest.param(*config, id=label) for label, *config in shipped_configs()])
+def test_every_shipped_config_parses(subcommand, text, seed):
+    # README's INI blocks and the benchmark's CLI configs at every size and
+    # choice: a removed key fails here, not silently in the docs or the benchmark
+    assert parse_config(text, subcommand, seed=seed).params.get("seed") == seed
 
 
 def test_no_config_turns_the_growth_fail_into_a_pass(tmp_path):
@@ -648,7 +705,7 @@ def test_illposed_divergent_rung_fails_in_parse_config(tmp_path, monkeypatch):
 def test_subsample_thins_the_ledger_bit_for_bit():
     # the ledger is read off the slices, so thinning the slices must give
     # exactly the thinned ledger of the full trajectory
-    u0 = cli._gaussian_field(256, 40.0, 0.3, 1.0)
+    u0 = cli._gaussian_field(256, 40.0, 0.3)
     traj = evolve(u0, SolverConfig(k=12, flow="rescaled", dt=4e-4, t_end=4e-3))
     sub = subsample(traj, 2)
     assert sub.config.slice_stride == 2
@@ -674,10 +731,10 @@ RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "==": opera
 STATED = {
     "simulate": [("mass drift", "<=", cli._MASS_TOL),
                  ("relative L2 drift", "<=", cli._L2_TOL)],
-    "gauge_residual": [("refinement ratio 100/50", ">=", cli._MIN_RATIO),
+    "gauge-residual": [("refinement ratio 100/50", ">=", cli._MIN_RATIO),
                        ("refinement ratio 50/25", ">=", cli._MIN_RATIO),
                        ("finest residual", "<=", cli._MAX_RESIDUAL)],
-    "illposed_growth": [("|slope - predicted exponent|", "<=", _EXPONENT_TOL)],
+    "illposed": [("|slope - predicted exponent|", "<=", _EXPONENT_TOL)],
     "estimates": [("kato ladder drift", "<", _DRIFT_LIMIT)],
     "admissible": [(f"N{i} admissible", "==", True) for i in range(1, 13)],
 }
@@ -731,8 +788,7 @@ def test_each_run_states_its_checks_against_its_constants(verdict_run):
 def test_non_finite_check_value_is_an_error_record(tmp_path, monkeypatch):
     # a value JSON cannot hold gives an ERROR record, not a malformed report.json
     def nan_report(cfg):
-        return ExperimentReport("admissible", cfg.params, [],
-                                [_Check("drift", float("nan"), "<=", 1.0)])
+        return ExperimentReport(cfg.params, [], [_Check("drift", float("nan"), "<=", 1.0)])
 
     monkeypatch.setitem(cli._RUNNERS, "admissible", nan_report)
     code, out = run_cli(tmp_path, ADMISSIBLE_OK, "admissible")
@@ -740,4 +796,5 @@ def test_non_finite_check_value_is_an_error_record(tmp_path, monkeypatch):
     data = json.loads((out / "report.json").read_text(), parse_constant=not_json)
     assert data["verdict"] == "ERROR"
     assert data["error"]["type"] == "ValueError"
+    assert "not JSON compliant" in data["error"]["message"]
     assert not (out / "series.csv").exists()

@@ -401,10 +401,12 @@ class TestEnsembleLadders:
 
     def test_estimates_run_memory_budget(self):
         # the four ladders of an estimates run at the benchmark's sizes (top
-        # rung n = 2048, n_time = 512) peak at 0.86 MB, 1.00 MB in a fresh
-        # process: full propagator tables, 10.5 MB for the three rungs, would
-        # take the peak past the budget, and so would a factor set held
-        # between calls (0.42 MB, a 1.35 MB peak, 1.49 MB fresh)
+        # rung n = 2048, n_time = 512), run once first so that the peak counts
+        # only the run's own buffers, whichever tests ran before: 0.85 MB, and
+        # full propagator tables, 10.5 MB for the three rungs, would take it
+        # past the budget (state held between calls is test_hygiene's rule)
+        for name in ESTIMATES:
+            estimate_ladder(name, 2, GRID, T=0.1, seed=21, rungs=3)
         tracemalloc.start()
         try:
             for name in ESTIMATES:
@@ -504,14 +506,13 @@ class TestReporting:
     def test_report_roundtrip_json(self, tmp_path):
         # the CLI's record: the report's fields, the code version, the sign convention
         rep = ExperimentReport(
-            experiment_id="demo",
             inputs={"n": 4},
             points=[{"value": np.float64(1.5)}],
             checks=[_Check("demo drift", np.float64(0.5), "<=", 1.0)],
             slope=0.5,
             ci=0.01,
         )
-        _write_success(rep, tmp_path)
+        _write_success("demo", rep, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
         assert set(data) == {"id", "params", "points", "slope", "ci", "verdict", "checks",
                              "notes", "sign_convention", "code_version", "schema_version",
@@ -533,9 +534,9 @@ class TestReporting:
     def test_report_requires_a_verdict(self):
         # a producer that states no check fails instead of passing silently
         with pytest.raises(TypeError, match="checks"):
-            ExperimentReport(experiment_id="demo", inputs={}, points=[])
+            ExperimentReport(inputs={}, points=[])
         with pytest.raises(ValueError, match="at least one check"):
-            ExperimentReport(experiment_id="demo", inputs={}, points=[], checks=[])
+            ExperimentReport(inputs={}, points=[], checks=[])
 
     @pytest.mark.parametrize("value, relation, bound, passes", [
         (1.0, "<", 2.0, True), (2.0, "<", 2.0, False), (2.0, "<=", 2.0, True),
@@ -550,7 +551,7 @@ class TestReporting:
         ok, bad = _Check("ok", 1.0, "<=", 2.0), _Check("bad", 3.0, "<=", 2.0)
         for checks, verdict in [([ok], "PASS"), ([ok, ok], "PASS"), ([ok, bad], "FAIL"),
                                 ([bad, ok], "FAIL")]:
-            assert ExperimentReport("demo", {}, [], checks).verdict == verdict
+            assert ExperimentReport({}, [], checks).verdict == verdict
 
     @pytest.mark.parametrize("points, csv", [
         ([{"N": np.float64(8.0), "m": np.int64(3), "ok": np.bool_(True),
@@ -561,9 +562,9 @@ class TestReporting:
         # and CSV cells, an array one cell; no points, an empty CSV
         inputs = {"N_list": np.array([8.0, 16.0]), "x": np.float64(0.1), "n": np.int64(4),
                   "flag": np.bool_(False)}
-        rep = ExperimentReport(experiment_id="demo", inputs=inputs, points=points,
+        rep = ExperimentReport(inputs=inputs, points=points,
                                checks=[_Check("demo", 1.0, "<=", 2.0)])
-        _write_success(rep, tmp_path)
+        _write_success("demo", rep, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["params"] == {"N_list": [8.0, 16.0], "x": 0.1, "n": 4, "flag": False}
         assert data["points"] == [{"N": 8.0, "m": 3, "ok": True, "v": [1.0, 2.5]}][:len(points)]
@@ -572,11 +573,10 @@ class TestReporting:
     def test_report_csv_columns_sorted(self, tmp_path):
         # columns are the sorted union of the point keys; a missing cell is empty
         rep = ExperimentReport(
-            experiment_id="demo",
             inputs={},
             points=[{"b": 1.0, "a": 2.0}, {"a": 3.0}, {"b": None}],
             checks=[_Check("demo", 1.0, "<=", 2.0)],
         )
-        _write_success(rep, tmp_path)
+        _write_success("demo", rep, tmp_path)
         assert (tmp_path / "series.csv").read_text() == "a,b\n2.0,1.0\n3.0,\n,\n"
 

@@ -20,11 +20,11 @@ keeps no state between calls."""
 
 import ast
 import configparser
-import importlib.util
-import re
 from pathlib import Path
 
 import pytest
+
+from conftest import shipped_configs
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -306,28 +306,16 @@ def _unset_options(modules: list[ast.Module], readers: list[ast.Module],
 
 
 def _configs() -> dict[str, dict[str, list]]:
-    """Section -> key -> the values given it by README.md's INI configs and
-    by every size and choice of the benchmark's CLI workloads."""
+    """Section -> key -> the values given it by the shipped configs, README.md's
+    INI blocks and every size and choice of the benchmark's CLI workloads."""
     configs: dict[str, dict[str, list]] = {}
-
-    def add(section: str, items) -> None:
+    for _, section, text, seed in shipped_configs():
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.optionxform = str
+        cp.read_string(text)
+        items = [*cp[section].items(), *([("seed", seed)] if seed is not None else [])]
         for key, value in items:
             configs.setdefault(section, {}).setdefault(key, []).append(value)
-
-    readme = (ROOT / "README.md").read_text()
-    for block in re.findall(r"^    \[[\w-]+\]\n(?:    \S.*\n)+", readme, re.MULTILINE):
-        cp = configparser.ConfigParser()
-        cp.optionxform = str
-        cp.read_string(re.sub(r"(?m)^    ", "", block))
-        for section in cp.sections():
-            add(section, cp[section].items())
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    for workload, section in workloads.SUBCOMMANDS.items():
-        for sizes in workloads.SIZES.values():
-            for choice in workloads.CHOICES[workload]:
-                add(section, {**sizes[workload], **choice}.items())
     return configs
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .experiments.illposed import _fit_rungs, illposed_growth_fit
-from .experiments.linear_ratios import ESTIMATES, _check_ladder, estimate_ladder
+from .experiments.linear_ratios import ESTIMATES, _check_ladder, estimate_ladder, ladder_drift
 from .experiments.reporting import _DRIFT_LIMIT, ExperimentReport, _Check
 from .gauge import _check_gauge, gauge_equation_residual
 from .norms import _delta_range, is_one_admissible, norm_family_audit
@@ -102,8 +102,8 @@ _SCHEMAS: dict[str, dict] = {
 # The CLI's own data keys; the library states every other range.
 _POSITIVE_KEYS = frozenset({"amplitude", "strides"})
 
-# Verdict thresholds: constants, not config keys, so no config can turn a FAIL
-# into a PASS.  Each report states them as the bounds of its named checks.
+# Verdict thresholds: constants, not config keys, so no config can move one to
+# turn a FAIL into a PASS.  Each report states them as the bounds of its named checks.
 _MASS_TOL, _L2_TOL = 1e-10, 1e-6  # simulate: mass and relative L2 drift
 _MIN_RATIO, _MAX_RESIDUAL = 8.0, 1e-4  # gauge-residual: least ratio, finest residual
 
@@ -208,10 +208,11 @@ def _residual_ladder(p: dict) -> tuple[list[int], Field, SolverConfig]:
 def _estimate_ladders(p: dict) -> tuple[list[str], SpectralGrid]:
     names = [name.strip() for name in p["which"].split(",")]
     names = list(ESTIMATES) if names == ["all"] else names
+    if len(set(names)) < len(names) or not set(names) <= set(ESTIMATES):
+        raise ConfigError(f"which must be all or list distinct names among "
+                          f"{', '.join(ESTIMATES)}, got {names}")
     grid = make_grid(p["n"], p["length"])
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ConfigError(f"estimate {name!r} listed twice")
+    for name in names:
         _check_ladder(name, p["n_trials"], grid, p["T"], p["seed"], p["n_time"],
                       p["rungs"], p["s"])
     return names, grid
@@ -271,13 +272,13 @@ def _run_estimates(cfg: RunConfig) -> ExperimentReport:
     names, grid = cfg.objects
     points, checks = [], []
     for name in names:
-        stats = estimate_ladder(name, p["n_trials"], grid, p["T"], p["seed"],
-                                n_time=p["n_time"], rungs=p["rungs"], s=p["s"])
-        checks.append(_Check(f"{name} ladder drift", stats.ladder_drift, "<", _DRIFT_LIMIT))
-        for n_points, sup in stats.resolution_ladder:
-            points.append({"estimate": name, "n_points": n_points,
-                           "sup_ratio": float(sup)})
-        points.append({"estimate": name, "drift": stats.ladder_drift})
+        ladder = estimate_ladder(name, p["n_trials"], grid, p["T"], p["seed"],
+                                 n_time=p["n_time"], rungs=p["rungs"], s=p["s"])
+        drift = ladder_drift(ladder)
+        checks.append(_Check(f"{name} ladder drift", drift, "<", _DRIFT_LIMIT))
+        points += [{"estimate": name, "n_points": n_points, "sup_ratio": float(sup)}
+                   for n_points, sup in ladder]
+        points.append({"estimate": name, "drift": drift})
     return ExperimentReport(inputs=p, points=points, checks=checks)
 
 

@@ -17,10 +17,11 @@ from .linear_ratios import (
     estimate_ladder,
     estimate_ratio,
     free_evolution_spacetime,
+    ladder_drift,
     plane_wave_growth_exponent,
 )
 from .packets import embed_field, make_packet_ensemble, plane_wave
-from .reporting import ExperimentReport, RatioStatistics
+from .reporting import ExperimentReport
 
 __all__ = [
     "ESTIMATES",
@@ -28,7 +29,6 @@ __all__ = [
     "FrequencyProfile",
     "IllposedParams",
     "QuadratureError",
-    "RatioStatistics",
     "embed_field",
     "estimate_ladder",
     "estimate_ratio",
@@ -37,6 +37,7 @@ __all__ = [
     "illposed_growth_fit",
     "illposed_v_details",
     "kernel_bracket_4n",
+    "ladder_drift",
     "make_packet_ensemble",
     "oracle_agreement",
     "plane_wave",

@@ -1,8 +1,8 @@
-"""Ratio statistics for the linear space-time estimates.
+"""Ratio ladders for the linear space-time estimates.
 
 Each experiment evolves seeded wave packets under the free group, computes
-the LHS/RHS ratio of one estimate, and reports how the supremum over the
-ensemble behaves along a resolution ladder (space and time refined
+the LHS/RHS ratio of one estimate, and returns the supremum over the
+ensemble on each rung of a resolution ladder (space and time refined
 together).  The evolution runs on rfft half spectra, each free evolution
 stepping its own propagator rows.  The estimates hold on the line with
 unknown constants, so the lab checks the ratios' stability, not their size;
@@ -21,7 +21,6 @@ from ..norms import (_PIECES, SpaceTimeField, _check_regularity, _row_blocks,
                      mixed_norm, sobolev_norm, xst_components)
 from ..spectral import Field, SpectralGrid, _propagator, fractional_derivative, lowpass_P0
 from .packets import _check_ensemble, _reach, embed_field, make_packet_ensemble, plane_wave
-from .reporting import RatioStatistics
 
 ESTIMATES = ("kato", "maximal", "lowfreq", "xst")
 
@@ -150,10 +149,11 @@ def estimate_ladder(
     n_time: int = 128,
     rungs: int = 3,
     s: float = 0.45,
-) -> RatioStatistics:
-    """Ratios of one estimate over a seeded packet ensemble, on a ladder
-    whose rung r refines space and time by 2**r; the drift between rungs
-    needs at least two of them.
+) -> list[tuple[int, float]]:
+    """The (n_points, sup_ratio) rungs of one estimate over a seeded packet
+    ensemble, coarsest first: rung r refines space and time by 2**r and
+    takes the sup of its trials' ratios, each checked positive and finite
+    first.  The drift between rungs needs at least two of them.
 
     lowfreq draws broadband packets so the lowpass block actually carries
     mass, and needs a domain long enough that modes below 1/4 exist.  s is
@@ -166,8 +166,17 @@ def estimate_ladder(
         factor = 2 ** r
         ratios = [estimate_ratio(embed_field(f, factor), T, estimate, n_time * factor, s)
                   for f in packets]
+        if not all(0 < ratio < np.inf for ratio in ratios):  # a NaN fails too
+            raise ValueError(f"{estimate} ratios must be positive and finite, got {ratios} "
+                             f"at n = {grid.n * factor}")
         ladder.append((grid.n * factor, max(ratios)))
-    return RatioStatistics(ratios=ratios, resolution_ladder=ladder)
+    return ladder
+
+
+def ladder_drift(ladder: list[tuple[int, float]]) -> float:
+    """A ladder's largest sup ratio over its least."""
+    sups = [sup for _, sup in ladder]
+    return max(sups) / min(sups)
 
 
 def plane_wave_growth_exponent(

@@ -1,43 +1,17 @@
-"""The record types that the experiments return: an experiment's report, its
-named checks, and an estimate's ratio statistics.  They hold results only;
-the CLI writes them out as its run artifacts."""
+"""The record types that the experiments return: an experiment's report and
+its named checks.  They hold results only; the CLI writes them out as its run
+artifacts."""
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
 
-import numpy as np
 
-
-# The estimates check: the ladder drift (largest / least sup ratio) must stay below it.
+# The estimates check: each ladder's drift (linear_ratios.ladder_drift) must stay below it.
 _DRIFT_LIMIT = 2.0
 
 _RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "==": operator.eq}
-
-
-@dataclass
-class RatioStatistics:
-    """Per-trial LHS/RHS ratios for one linear estimate, plus the ladder.
-
-    ratios holds the finest-rung value for each trial; resolution_ladder
-    holds (n_points, sup_ratio) pairs for each refinement rung, coarsest
-    first.  A stable estimate keeps sup_ratio within a factor _DRIFT_LIMIT
-    along the ladder.
-    """
-
-    ratios: list
-    resolution_ladder: list
-
-    def __post_init__(self):
-        arr = np.asarray(self.ratios, dtype=float)
-        if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0)):
-            raise ValueError("ratios must be positive and finite")
-
-    @property
-    def ladder_drift(self) -> float:
-        sups = [s for _, s in self.resolution_ladder]
-        return max(sups) / min(sups)
 
 
 @dataclass(frozen=True)

@@ -510,6 +510,8 @@ OUT_OF_RANGE = {
                              "1e80, 2e80, 4e80, 8e80, 1.6e81",
                              "1e200, 2e200, 4e200, 8e200, 1.6e201"],
     ("illposed", "freq_resolution"): ["8"],
+    # not numeric: an empty, unknown or repeated name
+    ("estimates", "which"): ["kato,", "", "ALL", "kato, kato"],
     ("estimates", "n"): ["12"],
     ("estimates", "length"): ["0"],
     # 2 * 25.1 * 0.9 >= L/4 = 10: the modulated packets would wrap around

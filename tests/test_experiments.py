@@ -10,11 +10,11 @@ from gbolab import __version__
 from gbolab.cli import _write_success
 from gbolab.experiments import (
     ExperimentReport,
-    RatioStatistics,
     embed_field,
     estimate_ladder,
     estimate_ratio,
     free_evolution_spacetime,
+    ladder_drift,
     make_packet_ensemble,
     plane_wave,
     plane_wave_growth_exponent,
@@ -340,19 +340,45 @@ class TestEstimateRatios:
 
 
 def kato_ladder(n_trials=2, seed=21, n_time=32, rungs=2):
-    return estimate_ladder("kato", n_trials, GRID, 0.1, seed, n_time, rungs).resolution_ladder
+    return estimate_ladder("kato", n_trials, GRID, 0.1, seed, n_time, rungs)
 
 
 class TestEnsembleLadders:
     def test_kato_ladder_drift_small(self):
-        stats = estimate_ladder("kato", 6, GRID, T=0.1, seed=21, rungs=3)
-        assert len(stats.ratios) == 6
-        assert stats.ladder_drift < _DRIFT_LIMIT
-        assert stats.ladder_drift < 1.1
+        ladder = estimate_ladder("kato", 6, GRID, T=0.1, seed=21, rungs=3)
+        assert [n_points for n_points, _ in ladder] == [512, 1024, 2048]
+        assert ladder_drift(ladder) < _DRIFT_LIMIT
+        assert ladder_drift(ladder) < 1.1
 
     def test_maximal_ladder_drift_small(self):
-        stats = estimate_ladder("maximal", 6, GRID, T=0.1, seed=22, rungs=3)
-        assert stats.ladder_drift < _DRIFT_LIMIT
+        ladder = estimate_ladder("maximal", 6, GRID, T=0.1, seed=22, rungs=3)
+        assert ladder_drift(ladder) < _DRIFT_LIMIT
+
+    def test_ladder_drift(self):
+        ladder = [(64, 1.0), (128, 1.4), (256, 1.5)]
+        assert ladder_drift(ladder) == pytest.approx(1.5)
+        assert ladder_drift(ladder[::-1]) == pytest.approx(1.5)
+        assert ladder_drift(ladder) < _DRIFT_LIMIT
+        # the drift limit 2 is a constant and the bound is strict
+        for top in (2.0, 3.0):
+            drifted = [(64, 1.0), (128, 1.4), (256, top)]
+            assert ladder_drift(drifted) == top
+            assert not ladder_drift(drifted) < _DRIFT_LIMIT
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
+    def test_every_rung_checks_its_ratios(self, monkeypatch, bad):
+        # the second of three trials on the coarse rung is bad: not the first
+        # in its rung, so max() would skip a NaN, and the finest rung is sound
+        real, calls = linear_ratios.estimate_ratio, []
+
+        def second_bad(phi, T, estimate, n_time, s):
+            calls.append(n_time)
+            return bad if len(calls) == 2 else real(phi, T, estimate, n_time, s)
+
+        monkeypatch.setattr(linear_ratios, "estimate_ratio", second_bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            estimate_ladder("kato", 3, GRID, T=0.1, seed=21, n_time=32, rungs=2)
+        assert calls == [32, 32, 32]  # raised before the finer rung
 
     def test_lowfreq_needs_fine_frequency_grid(self):
         coarse = make_grid(128, 8.0)  # dxi = 2 pi / 8 > 1/4
@@ -361,8 +387,8 @@ class TestEnsembleLadders:
 
     def test_lowfreq_ladder(self):
         grid = make_grid(512, 32.0)
-        stats = estimate_ladder("lowfreq", 4, grid, T=0.5, seed=23, rungs=3)
-        assert stats.ladder_drift < _DRIFT_LIMIT
+        ladder = estimate_ladder("lowfreq", 4, grid, T=0.5, seed=23, rungs=3)
+        assert ladder_drift(ladder) < _DRIFT_LIMIT
 
     def test_lowfreq_requires_unit_time_window(self):
         grid = make_grid(512, 32.0)
@@ -442,23 +468,22 @@ class TestEnsembleLadders:
         # int |D^{1/2} V(t)phi(x)|^2 dt over the line is ||phi||^2 / 2 at
         # every x, so no kato ratio over [0, T] exceeds 2^{-1/2}; the
         # benchmark-config ladder comes within 1e-2 of it (0.70162)
-        stats = estimate_ladder("kato", 8, GRID, T=0.1, seed=1, rungs=3)
-        sups = [sup for _, sup in stats.resolution_ladder]
-        assert max(stats.ratios) == sups[-1]
+        sups = [sup for _, sup in estimate_ladder("kato", 8, GRID, T=0.1, seed=1, rungs=3)]
         assert all(0.69 < sup <= 2 ** -0.5 * (1 + 1e-12) for sup in sups), sups
 
     def test_xst_group_ladder(self):
         # the xst estimate is stated for 0 < s < 1/2: the default and one below it
         for s in (0.3, 0.45):
-            stats = estimate_ladder("xst", 4, GRID, T=0.1, seed=25, rungs=3, s=s)
-            assert len(stats.ratios) == 4
-            assert stats.ladder_drift < _DRIFT_LIMIT, s
+            ladder = estimate_ladder("xst", 4, GRID, T=0.1, seed=25, rungs=3, s=s)
+            assert len(ladder) == 3
+            assert ladder_drift(ladder) < _DRIFT_LIMIT, s
 
     def test_sup_ratio_stable_under_more_trials(self):
         small = estimate_ladder("kato", 4, GRID, T=0.1, seed=30, rungs=2)
         large = estimate_ladder("kato", 8, GRID, T=0.1, seed=30, rungs=2)
-        # same seed: the first four draws coincide, so sup can only grow
-        assert max(large.ratios) >= max(small.ratios) - 1e-12
+        # same seed: the first four draws coincide, so each rung's sup can only grow
+        assert [n for n, _ in large] == [n for n, _ in small]
+        assert all(big >= sup - 1e-12 for (_, big), (_, sup) in zip(large, small))
 
 
 class TestPlaneWaveGrowth:
@@ -487,22 +512,6 @@ class TestPlaneWaveGrowth:
 
 
 class TestReporting:
-    def test_ratio_statistics_validation(self):
-        with pytest.raises(ValueError):
-            RatioStatistics(ratios=[1.0, -1.0], resolution_ladder=[1.0])
-
-    def test_ladder_drift_and_passes(self):
-        stats = RatioStatistics(ratios=[1.0],
-                                resolution_ladder=[(64, 1.0), (128, 1.4), (256, 1.5)])
-        assert stats.ladder_drift == pytest.approx(1.5)
-        assert stats.ladder_drift < _DRIFT_LIMIT
-        # the drift limit 2 is a constant and the bound is strict
-        for top in (2.0, 3.0):
-            drifted = RatioStatistics(ratios=[1.0],
-                                      resolution_ladder=[(64, 1.0), (128, 1.4), (256, top)])
-            assert drifted.ladder_drift == top
-            assert not drifted.ladder_drift < _DRIFT_LIMIT
-
     def test_report_roundtrip_json(self, tmp_path):
         # the CLI's record: the report's fields, the code version, the sign convention
         rep = ExperimentReport(
